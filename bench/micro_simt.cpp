@@ -5,7 +5,10 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <span>
+#include <vector>
 
+#include "common/prng.h"
 #include "simt/exec_pool.h"
 #include "simt/launch.h"
 #include "simt/primitives.h"
@@ -17,6 +20,7 @@ namespace {
 constexpr simt::Site kLoad{0, "load"};
 constexpr simt::Site kOps{1, "ops"};
 constexpr simt::Site kAtomic{2, "atomic"};
+constexpr simt::Site kEdge{3, "edge"};
 
 void BM_DenseLaunchCompute(benchmark::State& state) {
   simt::Device dev;
@@ -57,6 +61,66 @@ void BM_ScatteredLoads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * threads);
 }
 BENCHMARK(BM_ScatteredLoads)->Arg(1 << 14);
+
+// ---- per-event tracer cost ----
+//
+// Both report items_per_second = simulated tracer events (loads and compute
+// ops recorded through ThreadCtx) per host second.
+
+// Thread-mapped adjacency scans: every lane walks its own contiguous row, with
+// power-law row lengths, so most loads hit the lane's line buffer and lanes
+// diverge. This is the access pattern that dominates rmat-cold.
+void BM_LineBufferScan(benchmark::State& state) {
+  simt::Device dev;
+  const auto threads = static_cast<std::uint32_t>(state.range(0));
+  const agg::PowerLawSampler lengths(2.0, 1, 512);
+  agg::Prng rng(7);
+  std::vector<std::uint32_t> offsets(threads + 1, 0);
+  for (std::uint32_t t = 0; t < threads; ++t) {
+    offsets[t + 1] = offsets[t] + lengths.sample(rng);
+  }
+  auto rows = dev.alloc<std::uint32_t>(offsets.size(), "rows");
+  dev.memcpy_h2d(rows, std::span<const std::uint32_t>(offsets));
+  auto cols = dev.alloc<std::uint32_t>(offsets.back(), "cols");
+  for (auto _ : state) {
+    simt::launch(dev, "scan", simt::GridSpec::dense(threads, 256),
+                 [&](simt::ThreadCtx& ctx) {
+                   const std::uint64_t gid = ctx.global_id();
+                   const std::uint32_t end = ctx.load(rows, gid + 1, kLoad);
+                   for (std::uint32_t e = ctx.load(rows, gid, kLoad); e < end; ++e) {
+                     benchmark::DoNotOptimize(ctx.load(cols, e, kEdge));
+                     ctx.compute(3, kOps);
+                   }
+                 });
+  }
+  const std::uint64_t events_per_launch = 2ull * threads + 2ull * offsets.back();
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * events_per_launch));
+}
+BENCHMARK(BM_LineBufferScan)->Arg(1 << 12)->Arg(1 << 14);
+
+// Every dynamic load instruction touches 32 distinct segments (one per lane)
+// and no lane ever re-reads its last segment: the coalescing dedupe at its
+// widest, with no line-buffer hits.
+void BM_ScatteredGather(benchmark::State& state) {
+  simt::Device dev;
+  const auto threads = static_cast<std::uint64_t>(state.range(0));
+  constexpr std::uint64_t kLoadsPerThread = 16;
+  constexpr std::uint64_t kSegmentWords = 32;  // 128 B of 4 B words
+  auto buf = dev.alloc<std::uint32_t>(threads * kSegmentWords, "buf");
+  for (auto _ : state) {
+    simt::launch(dev, "gather", simt::GridSpec::dense(threads, 256),
+                 [&](simt::ThreadCtx& ctx) {
+                   const std::uint64_t gid = ctx.global_id();
+                   for (std::uint64_t r = 0; r < kLoadsPerThread; ++r) {
+                     const std::uint64_t row = (gid + r * 37) % threads;
+                     benchmark::DoNotOptimize(ctx.load(buf, row * kSegmentWords, kLoad));
+                   }
+                 });
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * threads * kLoadsPerThread));
+}
+BENCHMARK(BM_ScatteredGather)->Arg(1 << 12)->Arg(1 << 14);
 
 void BM_AtomicTally(benchmark::State& state) {
   simt::Device dev;

@@ -1,12 +1,22 @@
 #include "simt/device.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "trace/counters.h"
 
 namespace simt {
 
 static_assert(kWarpSize == 32);
+
+void Device::check_timing(const TimingModel& tm) {
+  AGG_CHECK_MSG(tm.segment_bytes >= 1 && tm.segment_bytes <= 0x1p32 &&
+                    tm.segment_bytes == std::floor(tm.segment_bytes),
+                "TimingModel::segment_bytes must be a whole number of bytes "
+                "in [1, 2^32]");
+  AGG_CHECK_MSG(tm.stream_refetch_period >= 1,
+                "TimingModel::stream_refetch_period must be at least 1");
+}
 
 StreamId Device::create_stream(std::string name) {
   const StreamId id = num_streams();

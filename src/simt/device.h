@@ -46,7 +46,9 @@ class Device {
  public:
   explicit Device(const DeviceProps& props = DeviceProps::fermi_c2070(),
                   TimingModel tm = TimingModel::fermi_default())
-      : props_(props), tm_(tm), space_(props.global_mem_bytes) {}
+      : props_(props), tm_(tm), space_(props.global_mem_bytes) {
+    check_timing(tm_);
+  }
 
   const DeviceProps& props() const { return props_; }
   const TimingModel& timing() const { return tm_; }
@@ -283,6 +285,11 @@ class Device {
   void trace_transfer(std::uint64_t bytes, bool to_device, double dur_us,
                       double start_us);
   void trace_host(double dur_us, double start_us);
+
+  // Aborts on timing constants the warp tracer cannot use: it turns
+  // segment_bytes into an integer shift or divisor and counts line-buffer
+  // hits down from stream_refetch_period.
+  static void check_timing(const TimingModel& tm);
 
   // Fault cold paths (device.cpp). check_fault consults the injector and, on
   // a scheduled failure, publishes a FaultEvent and throws DeviceFault.

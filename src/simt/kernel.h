@@ -85,7 +85,11 @@ class ThreadCtx {
 
   void bind_lane(std::uint32_t thread_in_block) {
     thread_in_block_ = thread_in_block;
-    trace_->set_lane(static_cast<int>(thread_in_block % kWarpSize));
+    const auto lane = static_cast<int>(thread_in_block % kWarpSize);
+    // The tracer keeps only the live lane's counters per site (warp_trace.h),
+    // so the lanes of one warp must run in non-decreasing order.
+    AGG_DCHECK(lane >= trace_->lane());
+    trace_->set_lane(lane);
   }
 
   std::uint64_t block_idx() const { return block_idx_; }
@@ -98,7 +102,7 @@ class ThreadCtx {
   template <typename T>
   T load(const DeviceBuffer<T>& b, std::size_t i, Site site) {
     AGG_DCHECK(i < b.size());
-    trace_->on_global(site, b.addr_of(i), sizeof(T));
+    trace_->on_global(site, b.addr_of(i));
     if constexpr (std::is_arithmetic_v<T>) {
       if (concurrent_) {
         // std::atomic_ref<const T> is ill-formed in C++20; the cell itself is
@@ -113,7 +117,7 @@ class ThreadCtx {
   template <typename T>
   void store(DeviceBuffer<T>& b, std::size_t i, T v, Site site) {
     AGG_DCHECK(i < b.size());
-    trace_->on_global(site, b.addr_of(i), sizeof(T));
+    trace_->on_global(site, b.addr_of(i));
     if constexpr (std::is_arithmetic_v<T>) {
       if (concurrent_) {
         std::atomic_ref<T>(b.host_view()[i]).store(v, std::memory_order_relaxed);

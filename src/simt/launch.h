@@ -181,8 +181,7 @@ KernelStats launch(Device& dev, const char* name, const GridSpec& grid, Body&& b
     for (std::uint64_t gid = warp_begin; gid < warp_end; ++gid) {
       ctx.bind_lane(static_cast<std::uint32_t>(gid - block_base));
       if (grid.pred.enabled()) {
-        ws.trace.on_global(kPredicateSite, lane_addr(gid),
-                           std::max<std::uint32_t>(grid.pred.stride, 1));
+        ws.trace.on_global(kPredicateSite, lane_addr(gid));
         ws.trace.on_compute(kPredicateOpsSite,
                             static_cast<std::uint64_t>(grid.pred.ops));
       }

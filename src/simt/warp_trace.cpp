@@ -1,6 +1,7 @@
 #include "simt/warp_trace.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace simt {
 
@@ -77,163 +78,100 @@ void AtomicTally::grow() {
   total_ = keep_total;
 }
 
+void WarpTrace::rebind(const TimingModel& tm) {
+  tm_ = &tm;
+  // Device construction rejects segment sizes that are not a positive whole
+  // number of bytes and refetch periods below 1.
+  const auto bytes = static_cast<std::uint64_t>(tm.segment_bytes);
+  AGG_DCHECK(bytes > 0 && tm.stream_refetch_period > 0);
+  seg_shift_ = std::has_single_bit(bytes) ? std::countr_zero(bytes) : -1;
+  seg_div_ = bytes;
+  refetch_period_ = static_cast<std::uint32_t>(tm.stream_refetch_period);
+}
+
 void WarpTrace::begin_warp() {
-  for (std::uint8_t id : touched_) {
-    SiteState& s = sites_[id];
+  for (int i = 0; i < ntouched_; ++i) {
+    SiteState& s = sites_[touched_[i]];
     s.kind = Kind::unused;
-    s.lane_steps.fill(0);
-    s.lane_miss.fill(0);
-    s.lane_hits.fill(0);
-    s.last_seg.fill(0);
-    s.lane_ops.fill(0);
-    s.steps.clear();
+    s.lane = -1;
+    s.max_steps = 0;
+    s.max_misses = 0;
+    s.max_ops = 0;
+    s.sum_ops = 0;
+    s.nsteps = 0;
     s.atomic_addrs.clear();
   }
-  touched_.clear();
+  ntouched_ = 0;
   lane_ = 0;
 }
 
-WarpTrace::SiteState& WarpTrace::touch(Site site, Kind kind) {
-  AGG_DCHECK(site.id < kMaxSites);
-  SiteState& s = sites_[site.id];
+void WarpTrace::fold_lane(SiteState& s) {
+  s.max_steps = std::max(s.max_steps, s.lane_steps);
+  s.max_misses = std::max(s.max_misses, s.lane_misses);
+  s.max_ops = std::max(s.max_ops, s.lane_ops);
+  s.sum_ops += s.lane_ops;
+}
+
+void WarpTrace::enter_lane(SiteState& s, std::uint8_t id, Kind kind) {
   if (s.kind == Kind::unused) {
     s.kind = kind;
-    touched_.push_back(site.id);
+    touched_[ntouched_++] = id;
+  } else {
+    fold_lane(s);
   }
-  AGG_DCHECK(s.kind == kind);
-  return s;
-}
-
-void WarpTrace::on_global(Site site, std::uint64_t addr, std::uint32_t bytes) {
-  SiteState& s = touch(site, Kind::global);
-  const std::uint32_t k = s.lane_steps[lane_]++;
-  if (k >= s.steps.size()) s.steps.resize(k + 1);
-  Step& step = s.steps[k];
-  const auto seg = static_cast<std::uint64_t>(
-      addr / static_cast<std::uint64_t>(tm_->segment_bytes));
-  // Line-buffer model of per-thread spatial locality: a lane re-reading the
-  // 128 B segment it touched last at this site (e.g. the sequential
-  // adjacency scan of thread mapping) hits in L1 and skips the latency step;
-  // the lockstep instruction itself is still issued. Because L1 is shared by
-  // all resident warps, only part of the stream survives between a lane's
-  // own accesses: every stream_refetch_period-th hit refetches the segment
-  // (counted against DRAM bandwidth below, but not the latency chain).
-  if (s.last_seg[lane_] == seg + 1) {
-    ++step.lanes;
-    step.bytes += bytes;
-    if (static_cast<int>(++s.lane_hits[lane_]) % tm_->stream_refetch_period != 0) {
-      return;
-    }
-    bool refetched = false;
-    for (std::uint32_t i = 0; i < step.nsegs; ++i) {
-      if (step.segs[i] == seg) {
-        refetched = true;
-        break;
-      }
-    }
-    if (!refetched && step.nsegs < static_cast<std::uint32_t>(kWarpSize)) {
-      step.segs[step.nsegs++] = seg;
-    }
-    return;
-  }
-  s.last_seg[lane_] = seg + 1;
-  ++s.lane_miss[lane_];
-  bool found = false;
-  for (std::uint32_t i = 0; i < step.nsegs; ++i) {
-    if (step.segs[i] == seg) {
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
-    AGG_DCHECK(step.nsegs < static_cast<std::uint32_t>(kWarpSize));
-    step.segs[step.nsegs++] = seg;
-  }
-  ++step.lanes;
-  step.bytes += bytes;
-}
-
-void WarpTrace::on_compute(Site site, std::uint64_t ops) {
-  SiteState& s = touch(site, Kind::compute);
-  s.lane_ops[lane_] += ops;
-}
-
-void WarpTrace::on_atomic(Site site, std::uint64_t addr) {
-  SiteState& s = touch(site, Kind::atomic);
-  ++s.lane_steps[lane_];
-  s.atomic_addrs.push_back(addr);
-}
-
-void WarpTrace::on_shared(Site site, std::uint32_t word_index) {
-  SiteState& s = touch(site, Kind::shared);
-  const std::uint32_t k = s.lane_steps[lane_]++;
-  if (k >= s.steps.size()) s.steps.resize(k + 1);
-  Step& step = s.steps[k];
-  // For shared sites, segs[] holds raw word indices (not deduplicated); bank
-  // conflicts are derived in finish_warp.
-  AGG_DCHECK(step.nsegs < static_cast<std::uint32_t>(kWarpSize));
-  step.segs[step.nsegs++] = word_index;
-  ++step.lanes;
-  step.bytes += 4;
+  s.lane = lane_;
+  s.lane_steps = 0;
+  s.lane_misses = 0;
+  s.lane_refetch_in = refetch_period_;
+  s.lane_last_seg = 0;
+  s.lane_ops = 0;
 }
 
 WarpCost WarpTrace::finish_warp(AtomicTally& tally) {
+  const TimingModel& tm = *tm_;
   WarpCost cost;
-  for (std::uint8_t id : touched_) {
-    SiteState& s = sites_[id];
+  for (int i = 0; i < ntouched_; ++i) {
+    SiteState& s = sites_[touched_[i]];
+    fold_lane(s);
     switch (s.kind) {
-      case Kind::compute: {
-        std::uint64_t max_ops = 0;
-        std::uint64_t sum_ops = 0;
-        for (int l = 0; l < kWarpSize; ++l) {
-          max_ops = std::max(max_ops, s.lane_ops[l]);
-          sum_ops += s.lane_ops[l];
-        }
-        cost.issue_cycles += static_cast<double>(max_ops);
-        cost.lane_work += static_cast<double>(sum_ops);
-        cost.lockstep_work += static_cast<double>(kWarpSize * max_ops);
+      case Kind::compute:
+        cost.issue_cycles += static_cast<double>(s.max_ops);
+        cost.lane_work += static_cast<double>(s.sum_ops);
+        cost.lockstep_work += static_cast<double>(kWarpSize * s.max_ops);
         break;
-      }
-      case Kind::global: {
-        for (const Step& step : s.steps) {
-          cost.issue_cycles += tm_->issue_cycles_per_mem_instr +
-                               tm_->lsu_cycles_per_transaction * step.nsegs;
-          cost.transactions += step.nsegs;
+      case Kind::global:
+        // Every step is issued; a step past the last written record saw only
+        // line-buffer hits and moved no segment.
+        for (std::uint32_t k = 0; k < s.max_steps; ++k) {
+          const std::uint32_t nsegs = k < s.nsteps ? s.steps[k].nsegs : 0;
+          cost.issue_cycles += tm.issue_cycles_per_mem_instr +
+                               tm.lsu_cycles_per_transaction * nsegs;
+          cost.transactions += nsegs;
         }
         // The latency chain counts only line-buffer misses (hits are served
         // from L1 within the issue cost), lockstep across lanes.
-        std::uint32_t max_miss = 0;
-        for (int l = 0; l < kWarpSize; ++l) {
-          max_miss = std::max(max_miss, s.lane_miss[l]);
-        }
-        cost.mem_instrs += static_cast<double>(max_miss);
+        cost.mem_instrs += static_cast<double>(s.max_misses);
         break;
-      }
-      case Kind::atomic: {
-        std::uint32_t max_steps = 0;
-        for (int l = 0; l < kWarpSize; ++l) {
-          max_steps = std::max(max_steps, s.lane_steps[l]);
-        }
+      case Kind::atomic:
         cost.issue_cycles +=
-            tm_->issue_cycles_per_atomic * static_cast<double>(max_steps);
-        cost.atomic_steps += static_cast<double>(max_steps);
+            tm.issue_cycles_per_atomic * static_cast<double>(s.max_steps);
+        cost.atomic_steps += static_cast<double>(s.max_steps);
         cost.atomics += static_cast<double>(s.atomic_addrs.size());
         for (std::uint64_t addr : s.atomic_addrs) tally.add(addr);
         break;
-      }
-      case Kind::shared: {
-        for (const Step& step : s.steps) {
+      case Kind::shared:
+        for (std::uint32_t k = 0; k < s.nsteps; ++k) {
+          const Step& step = s.steps[k];
           // Replays: max accesses that map to one bank; conflict-free = 1.
           std::array<std::uint8_t, 32> bank{};
           std::uint32_t replays = 1;
-          for (std::uint32_t i = 0; i < step.nsegs; ++i) {
-            const auto b = static_cast<std::uint32_t>(step.segs[i] % 32);
+          for (std::uint32_t j = 0; j < step.nsegs; ++j) {
+            const auto b = static_cast<std::uint32_t>(step.segs[j] % 32);
             replays = std::max<std::uint32_t>(replays, ++bank[b]);
           }
-          cost.issue_cycles += 1.0 + tm_->shared_replay_cycles * (replays - 1);
+          cost.issue_cycles += 1.0 + tm.shared_replay_cycles * (replays - 1);
         }
         break;
-      }
       case Kind::unused:
         break;
     }

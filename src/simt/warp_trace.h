@@ -18,6 +18,16 @@
 //  * atomics      — atomic events are tallied per target address; the launch
 //                   charges serialized throughput on the hottest address
 //                   (paper Sec. IV.C / V.C, queue insertion).
+//
+// Lane streaming. Lanes of a warp run in non-decreasing lane order and a lane
+// that was left is never revisited (ThreadCtx::bind_lane checks this). Each
+// site therefore keeps only the *live* lane's counters; when another lane
+// first records at the site, the left lane's counters are folded into
+// warp-wide max/sum scalars. Only what genuinely spans lanes — the distinct
+// segments (or shared words) of each dynamic instruction — is stored per
+// step. The folds are integer max/sum, and finish_warp accumulates the
+// floating-point cost in the same site and step order as a per-lane-array
+// model would, so every WarpCost field is bit-identical to it.
 #pragma once
 
 #include <array>
@@ -95,16 +105,20 @@ class WarpTrace {
   // A default-constructed trace must be rebind()-ed to a timing model before
   // recording; the worker-pool scratch slots outlive any single Device.
   WarpTrace() = default;
-  explicit WarpTrace(const TimingModel& tm) : tm_(&tm) {}
+  explicit WarpTrace(const TimingModel& tm) { rebind(tm); }
 
-  void rebind(const TimingModel& tm) { tm_ = &tm; }
+  // Binds the timing model and precomputes what every access needs from it:
+  // the segment shift (or divisor, when segment_bytes is not a power of two)
+  // and the line-buffer refetch period.
+  void rebind(const TimingModel& tm);
 
   void begin_warp();
+  // Within one warp, lanes must be set in non-decreasing order.
   void set_lane(int lane) { lane_ = lane; }
   int lane() const { return lane_; }
 
   // Recording API, called by ThreadCtx.
-  void on_global(Site site, std::uint64_t addr, std::uint32_t bytes);
+  void on_global(Site site, std::uint64_t addr);
   void on_compute(Site site, std::uint64_t ops);
   void on_atomic(Site site, std::uint64_t addr);
   void on_shared(Site site, std::uint32_t word_index);
@@ -114,34 +128,132 @@ class WarpTrace {
   WarpCost finish_warp(AtomicTally& tally);
 
  private:
+  // One dynamic instruction of a global or shared site. Records are reused
+  // across warps and reset lazily, when a warp first writes to them.
   struct Step {
-    // Distinct memory segments (global) or per-bank access counts (shared)
-    // touched by this dynamic instruction.
+    std::uint64_t seen = 0;  // global: one filter bit per stored segment
     std::uint32_t nsegs = 0;
-    std::array<std::uint64_t, kWarpSize> segs;  // global: segment ids
-    std::uint32_t lanes = 0;
-    std::uint32_t bytes = 0;
+    // global: distinct segment ids; shared: raw word indices, one per lane.
+    std::array<std::uint64_t, kWarpSize> segs;
   };
 
   enum class Kind : std::uint8_t { unused, global, compute, atomic, shared };
 
   struct SiteState {
     Kind kind = Kind::unused;
-    std::array<std::uint32_t, kWarpSize> lane_steps{};  // events per lane
-    std::array<std::uint32_t, kWarpSize> lane_miss{};   // events missing the line buffer
-    std::array<std::uint32_t, kWarpSize> lane_hits{};   // line-buffer hits per lane
-    std::array<std::uint64_t, kWarpSize> last_seg{};    // per-lane last segment + 1
-    std::array<std::uint64_t, kWarpSize> lane_ops{};    // compute ops per lane
+    int lane = -1;                      // owner of the live counters; -1 = none
+    // The live lane's counters.
+    std::uint32_t lane_steps = 0;       // events
+    std::uint32_t lane_misses = 0;      // events missing the line buffer
+    std::uint32_t lane_refetch_in = 0;  // line-buffer hits left until a refetch
+    std::uint64_t lane_last_seg = 0;    // last segment + 1; 0 = none
+    std::uint64_t lane_ops = 0;         // compute ops
+    // Folds over the lanes already left.
+    std::uint32_t max_steps = 0;
+    std::uint32_t max_misses = 0;
+    std::uint64_t max_ops = 0;
+    std::uint64_t sum_ops = 0;
+    std::uint32_t nsteps = 0;           // step records reset this warp
     std::vector<Step> steps;
     std::vector<std::uint64_t> atomic_addrs;
   };
 
-  SiteState& touch(Site site, Kind kind);
+  SiteState& touch(Site site, Kind kind) {
+    AGG_DCHECK(site.id < kMaxSites);
+    SiteState& s = sites_[site.id];
+    if (s.lane != lane_) enter_lane(s, site.id, kind);
+    AGG_DCHECK(s.kind == kind);
+    return s;
+  }
+  void enter_lane(SiteState& s, std::uint8_t id, Kind kind);
+  static void fold_lane(SiteState& s);
+  static Step& step_at(SiteState& s, std::uint32_t k);
+  static void insert_segment(SiteState& s, std::uint32_t k, std::uint64_t seg);
+
+  std::uint64_t segment_of(std::uint64_t addr) const {
+    return seg_shift_ >= 0 ? addr >> seg_shift_ : addr / seg_div_;
+  }
 
   const TimingModel* tm_ = nullptr;
+  int seg_shift_ = -1;
+  std::uint64_t seg_div_ = 1;
+  std::uint32_t refetch_period_ = 1;
   std::array<SiteState, kMaxSites> sites_;
-  std::vector<std::uint8_t> touched_;
+  std::array<std::uint8_t, kMaxSites> touched_{};
+  int ntouched_ = 0;
   int lane_ = 0;
 };
+
+// ---- hot recorders ----
+
+inline void WarpTrace::on_global(Site site, std::uint64_t addr) {
+  SiteState& s = touch(site, Kind::global);
+  const std::uint32_t k = s.lane_steps++;
+  const std::uint64_t seg = segment_of(addr);
+  // Line-buffer model of per-thread spatial locality: a lane re-reading the
+  // segment it touched last at this site (e.g. the sequential adjacency scan
+  // of thread mapping) hits in L1 and skips the latency step; the lockstep
+  // instruction itself is still issued. Because L1 is shared by all resident
+  // warps, only part of the stream survives between a lane's own accesses:
+  // every stream_refetch_period-th hit refetches the segment (counted against
+  // DRAM bandwidth, but not the latency chain).
+  if (s.lane_last_seg == seg + 1) {
+    if (--s.lane_refetch_in != 0) return;
+    s.lane_refetch_in = refetch_period_;
+  } else {
+    s.lane_last_seg = seg + 1;
+    ++s.lane_misses;
+  }
+  insert_segment(s, k, seg);
+}
+
+inline void WarpTrace::on_compute(Site site, std::uint64_t ops) {
+  touch(site, Kind::compute).lane_ops += ops;
+}
+
+inline void WarpTrace::on_atomic(Site site, std::uint64_t addr) {
+  SiteState& s = touch(site, Kind::atomic);
+  ++s.lane_steps;
+  s.atomic_addrs.push_back(addr);
+}
+
+inline void WarpTrace::on_shared(Site site, std::uint32_t word_index) {
+  SiteState& s = touch(site, Kind::shared);
+  // Shared sites keep raw word indices (not deduplicated); bank conflicts are
+  // derived in finish_warp.
+  Step& step = step_at(s, s.lane_steps++);
+  AGG_DCHECK(step.nsegs < static_cast<std::uint32_t>(kWarpSize));
+  step.segs[step.nsegs++] = word_index;
+}
+
+inline WarpTrace::Step& WarpTrace::step_at(SiteState& s, std::uint32_t k) {
+  // A line-buffer hit writes no record, so a write may skip past records
+  // this warp has not reset yet.
+  while (s.nsteps <= k) {
+    if (s.nsteps == s.steps.size()) s.steps.emplace_back();
+    Step& fresh = s.steps[s.nsteps++];
+    fresh.seen = 0;
+    fresh.nsegs = 0;
+  }
+  return s.steps[k];
+}
+
+inline void WarpTrace::insert_segment(SiteState& s, std::uint32_t k,
+                                      std::uint64_t seg) {
+  Step& step = step_at(s, k);
+  // A 64-bit filter over the stored segments: the dedupe scan runs only when
+  // the segment's bit is already set.
+  const std::uint64_t bit = std::uint64_t{1}
+                            << ((seg * 0x9e3779b97f4a7c15ull) >> 58);
+  if (step.seen & bit) {
+    for (std::uint32_t i = 0; i < step.nsegs; ++i) {
+      if (step.segs[i] == seg) return;
+    }
+  }
+  // Each lane adds at most one segment per step, so 32 slots always suffice.
+  AGG_DCHECK(step.nsegs < static_cast<std::uint32_t>(kWarpSize));
+  step.seen |= bit;
+  step.segs[step.nsegs++] = seg;
+}
 
 }  // namespace simt

@@ -20,6 +20,7 @@ using simt::ThreadCtx;
 constexpr Site kLoad{0, "load"};
 constexpr Site kOps{1, "ops"};
 constexpr Site kAtomic{2, "atomic"};
+constexpr Site kShared{3, "shared"};
 
 // ---- coalescing bounds over random strides ---------------------------------
 
@@ -146,7 +147,7 @@ TEST(LineBuffer, StreamRefetchChargesBandwidthPeriodically) {
   const double hits = 31.0;
   const double expected =
       1.0 + std::floor(hits / dev.timing().stream_refetch_period);
-  EXPECT_NEAR(ks.transactions, expected, 1.0);
+  EXPECT_EQ(ks.transactions, expected);
 }
 
 // ---- atomic contention properties ---------------------------------------------
@@ -245,9 +246,9 @@ TEST(PhasedLaunch, BlocksHaveIndependentSharedMemory) {
     auto sh = ctx.shared_alloc<std::uint32_t>(0, 1);
     if (phase == 0 && ctx.thread_in_block() == 0) {
       ctx.shared_store(sh, 0, static_cast<std::uint32_t>(ctx.block_idx() + 100),
-                       kOps);
+                       kShared);
     } else if (phase == 1 && ctx.thread_in_block() == 0) {
-      ctx.store(out, ctx.block_idx(), ctx.shared_load(sh, 0, kOps), kOps);
+      ctx.store(out, ctx.block_idx(), ctx.shared_load(sh, 0, kShared), kLoad);
     }
   });
   for (std::uint32_t b = 0; b < 4; ++b) {
