@@ -1,22 +1,13 @@
 #include "api/algorithms.h"
 
+#include "api/exec.h"
 #include "api/session.h"
-#include "cpu/bfs_serial.h"
-#include "cpu/cc_serial.h"
 #include "cpu/mst_serial.h"
-#include "cpu/pagerank_serial.h"
-#include "cpu/sssp_serial.h"
-#include "gpu_graph/bfs_engine.h"
-#include "gpu_graph/cc_engine.h"
-#include "gpu_graph/mst_engine.h"
-#include "gpu_graph/pagerank_engine.h"
-#include "gpu_graph/sssp_engine.h"
+#include "runtime/adaptive_engine.h"
 
 namespace adaptive {
 
 namespace detail {
-// Defined in session.cpp; shared symmetrize-policy resolution.
-const graph::Csr& resolve_symmetric_csr(const Graph& g, const Policy& policy);
 
 ErrorCode fault_code(const simt::DeviceFault& f) {
   if (f.permanent()) return ErrorCode::device_lost;
@@ -128,248 +119,88 @@ const char* error_code_message(ErrorCode code) {
   return "?";
 }
 
+namespace {
+
+// One call on dev: the serial oracle answers a cpu_serial policy; any other
+// runs call-scoped through exec::run, its fault surfaced as an error Result.
+template <typename R>
+R run_once(simt::Device& dev, const Graph& g, const exec::Query& q) {
+  if (q.policy.mode == Policy::Mode::cpu_serial) {
+    return std::get<R>(exec::run_cpu(g, q).payload);
+  }
+  exec::Resident call_scoped;
+  try {
+    return std::get<R>(exec::run(dev, call_scoped, g, q));
+  } catch (const simt::DeviceFault& f) {
+    return detail::fault_result<R>(f);
+  }
+}
+
+}  // namespace
+
 BfsResult bfs(simt::Device& dev, const Graph& g, NodeId source,
               const Policy& policy) {
-  AGG_CHECK(source < g.num_nodes());
-  return detail::run_guarded<BfsResult>(dev, [&] {
-  BfsResult out;
-  switch (policy.mode) {
-    case Policy::Mode::cpu_serial: {
-      cpu::BfsResult r = cpu::bfs(g.csr(), source);
-      out.level = std::move(r.level);
-      out.cpu_wall_ms = r.wall_ms;
-      return out;
-    }
-    case Policy::Mode::fixed_variant: {
-      gg::EngineOptions eo = policy.options.engine;
-      if (policy.wants_pull()) eo.csc = &g.csc();
-      gg::RepSet rs;
-      const gg::Representation r =
-          gg::normalize_representation(policy.variant).representation;
-      if (r != gg::Representation::plain) {
-        // A fixed _REL/_BIN variant starts (and stays) in the alternate
-        // layout; the BFS engine owns the id mapping end to end.
-        rs.rel = &g.relabelled_view();
-        rs.bin = &g.binned_view();
-        rs.initial = r;
-        eo.reps = &rs;
-      }
-      gg::GpuBfsResult rr = gg::run_bfs(dev, g.csr(), source, policy.variant, eo);
-      out.level = std::move(rr.level);
-      out.metrics = std::move(rr.metrics);
-      return out;
-    }
-    case Policy::Mode::adaptive: {
-      rt::AdaptiveOptions ao = policy.options;
-      if (policy.wants_pull()) ao.engine.csc = &g.csc();
-      gg::RepSet rs;
-      if (policy.wants_rep()) {
-        rs.rel = &g.relabelled_view();
-        rs.bin = &g.binned_view();
-        if (ao.representation != gg::Representation::adaptive) {
-          rs.initial = ao.representation;
-        }
-        ao.engine.reps = &rs;
-      }
-      gg::GpuBfsResult r = rt::adaptive_bfs(dev, g.csr(), source, ao);
-      out.level = std::move(r.level);
-      out.metrics = std::move(r.metrics);
-      return out;
-    }
-  }
-  AGG_CHECK(false);
-  return out;
-  });
+  return run_once<BfsResult>(dev, g,
+                             {.algo = svc::Algo::bfs,
+                              .source = source,
+                              .policy = policy,
+                              .stream = policy.options.engine.stream});
 }
 
 SsspResult sssp(simt::Device& dev, const Graph& g, NodeId source,
                 const Policy& policy) {
-  AGG_CHECK(source < g.num_nodes());
-  AGG_CHECK_MSG(g.is_weighted(), "call set_uniform_weights() or load weights first");
-  return detail::run_guarded<SsspResult>(dev, [&] {
-  SsspResult out;
-  switch (policy.mode) {
-    case Policy::Mode::cpu_serial: {
-      cpu::SsspResult r = cpu::dijkstra(g.csr(), source);
-      out.dist = std::move(r.dist);
-      out.cpu_wall_ms = r.wall_ms;
-      return out;
-    }
-    case Policy::Mode::fixed_variant: {
-      gg::EngineOptions eo = policy.options.engine;
-      const gg::Representation r =
-          gg::normalize_representation(policy.variant).representation;
-      if (r == gg::Representation::plain) {
-        if (policy.wants_pull()) eo.csc = &g.csc();
-        gg::GpuSsspResult rr =
-            gg::run_sssp(dev, g.csr(), source, policy.variant, eo);
-        out.dist = std::move(rr.dist);
-        out.metrics = std::move(rr.metrics);
-        return out;
-      }
-      // SSSP has no in-engine rep controller: run the whole traversal on
-      // the alternate layout's CSR and map distances back. The cached CSC
-      // is of the plain layout, so pull iterations rebuild the transpose.
-      const graph::RelabeledGraph& view = r == gg::Representation::relabelled
-                                              ? g.relabelled_view()
-                                              : g.binned_view();
-      gg::GpuSsspResult rr =
-          gg::run_sssp(dev, view.csr, view.new_id[source], policy.variant, eo);
-      rt::rep_payload_to_original(rr.dist, view);
-      out.dist = std::move(rr.dist);
-      out.metrics = std::move(rr.metrics);
-      return out;
-    }
-    case Policy::Mode::adaptive: {
-      rt::AdaptiveOptions ao = policy.options;
-      if (policy.wants_pull()) ao.engine.csc = &g.csc();
-      gg::RepSet rs;
-      if (policy.wants_rep()) {
-        rs.rel = &g.relabelled_view();
-        rs.bin = &g.binned_view();
-        ao.engine.reps = &rs;
-      }
-      gg::GpuSsspResult r = rt::adaptive_sssp(dev, g.csr(), source, ao);
-      out.dist = std::move(r.dist);
-      out.metrics = std::move(r.metrics);
-      return out;
-    }
-  }
-  AGG_CHECK(false);
-  return out;
-  });
+  return run_once<SsspResult>(dev, g,
+                              {.algo = svc::Algo::sssp,
+                               .source = source,
+                               .policy = policy,
+                               .stream = policy.options.engine.stream});
 }
 
 CcResult cc(simt::Device& dev, const Graph& g, const Policy& policy) {
-  const graph::Csr& csr = detail::resolve_symmetric_csr(g, policy);
-  return detail::run_guarded<CcResult>(dev, [&] {
-  CcResult out;
-  switch (policy.mode) {
-    case Policy::Mode::cpu_serial: {
-      cpu::CcResult r = cpu::connected_components(csr);
-      out.component = std::move(r.component);
-      out.num_components = r.num_components;
-      out.cpu_wall_ms = r.wall_ms;
-      return out;
-    }
-    case Policy::Mode::fixed_variant: {
-      const gg::Representation r =
-          gg::normalize_representation(policy.variant).representation;
-      if (r == gg::Representation::plain) {
-        gg::GpuCcResult rr = gg::run_cc(dev, csr, policy.variant,
-                                        policy.options.engine);
-        out.component = std::move(rr.component);
-        out.num_components = rr.num_components;
-        out.metrics = std::move(rr.metrics);
-        return out;
-      }
-      // The views must be of the csr cc actually runs on (symmetrized when
-      // the symmetrize policy resolved to it).
-      const bool of_sym = &csr != &g.csr();
-      const graph::RelabeledGraph& view = r == gg::Representation::relabelled
-                                              ? g.relabelled_view(of_sym)
-                                              : g.binned_view(of_sym);
-      gg::GpuCcResult rr =
-          gg::run_cc(dev, view.csr, policy.variant, policy.options.engine);
-      rt::rep_canonicalize_cc(rr, view);
-      out.component = std::move(rr.component);
-      out.num_components = rr.num_components;
-      out.metrics = std::move(rr.metrics);
-      return out;
-    }
-    case Policy::Mode::adaptive: {
-      rt::AdaptiveOptions ao = policy.options;
-      gg::RepSet rs;
-      if (policy.wants_rep()) {
-        const bool of_sym = &csr != &g.csr();
-        rs.rel = &g.relabelled_view(of_sym);
-        rs.bin = &g.binned_view(of_sym);
-        ao.engine.reps = &rs;
-      }
-      gg::GpuCcResult r = rt::adaptive_cc(dev, csr, ao);
-      out.component = std::move(r.component);
-      out.num_components = r.num_components;
-      out.metrics = std::move(r.metrics);
-      return out;
-    }
-  }
-  AGG_CHECK(false);
-  return out;
-  });
-}
-
-MstResult mst(simt::Device& dev, const Graph& g, const Policy& policy) {
-  AGG_CHECK_MSG(g.is_weighted(), "MST requires edge weights");
-  const graph::Csr& csr = detail::resolve_symmetric_csr(g, policy);
-  return detail::run_guarded<MstResult>(dev, [&] {
-  MstResult out;
-  switch (policy.mode) {
-    case Policy::Mode::cpu_serial: {
-      cpu::MstResult r = cpu::minimum_spanning_forest(csr);
-      out.total_weight = r.total_weight;
-      out.num_trees = r.num_trees;
-      out.edges_in_forest = r.edges_in_forest;
-      out.cpu_wall_ms = r.wall_ms;
-      return out;
-    }
-    case Policy::Mode::fixed_variant: {
-      gg::GpuMstResult r = gg::run_mst(dev, csr, policy.variant,
-                                       policy.options.engine);
-      out.total_weight = r.total_weight;
-      out.num_trees = r.num_trees;
-      out.edges_in_forest = r.edges_in_forest;
-      out.metrics = std::move(r.metrics);
-      return out;
-    }
-    case Policy::Mode::adaptive: {
-      gg::GpuMstResult r = rt::adaptive_mst(dev, csr, policy.options);
-      out.total_weight = r.total_weight;
-      out.num_trees = r.num_trees;
-      out.edges_in_forest = r.edges_in_forest;
-      out.metrics = std::move(r.metrics);
-      return out;
-    }
-  }
-  AGG_CHECK(false);
-  return out;
-  });
+  return run_once<CcResult>(dev, g,
+                            {.algo = svc::Algo::cc,
+                             .policy = policy,
+                             .stream = policy.options.engine.stream});
 }
 
 PageRankResult pagerank(simt::Device& dev, const Graph& g, double damping,
                         const Policy& policy) {
-  return detail::run_guarded<PageRankResult>(dev, [&] {
-  PageRankResult out;
-  switch (policy.mode) {
-    case Policy::Mode::cpu_serial: {
-      cpu::PageRankOptions po;
-      po.damping = damping;
-      cpu::PageRankResult r = cpu::pagerank(g.csr(), po);
-      out.rank = std::move(r.rank);
-      out.cpu_wall_ms = r.wall_ms;
-      return out;
-    }
-    case Policy::Mode::fixed_variant: {
-      gg::PageRankOptions po;
-      po.damping = damping;
-      po.engine = policy.options.engine;
-      gg::GpuPageRankResult r = gg::run_pagerank(dev, g.csr(), policy.variant, po);
-      out.rank.assign(r.rank.begin(), r.rank.end());
-      out.metrics = std::move(r.metrics);
-      return out;
-    }
-    case Policy::Mode::adaptive: {
-      gg::PageRankOptions po;
-      po.damping = damping;
-      gg::GpuPageRankResult r =
-          rt::adaptive_pagerank(dev, g.csr(), po, policy.options);
-      out.rank.assign(r.rank.begin(), r.rank.end());
-      out.metrics = std::move(r.metrics);
-      return out;
-    }
+  return run_once<PageRankResult>(dev, g,
+                                  {.algo = svc::Algo::pagerank,
+                                   .damping = damping,
+                                   .policy = policy,
+                                   .stream = policy.options.engine.stream});
+}
+
+MstResult mst(simt::Device& dev, const Graph& g, const Policy& policy) {
+  AGG_CHECK_MSG(g.is_weighted(), "MST requires edge weights");
+  const graph::Csr& csr = exec::arc_closure(g, policy.symmetrize);
+  MstResult out;
+  if (policy.mode == Policy::Mode::cpu_serial) {
+    cpu::MstResult r = cpu::minimum_spanning_forest(csr);
+    out.total_weight = r.total_weight;
+    out.num_trees = r.num_trees;
+    out.edges_in_forest = r.edges_in_forest;
+    out.cpu_wall_ms = r.wall_ms;
+    return out;
   }
-  AGG_CHECK(false);
+  // MST contracts its copy in place, so it has no resident form: one upload
+  // per call, whose buffers a fault orphans for the reclaim to recover.
+  const std::uint64_t mark = dev.mem_mark();
+  gg::GpuMstResult r;
+  try {
+    r = policy.mode == Policy::Mode::fixed_variant
+            ? gg::run_mst(dev, csr, policy.variant, policy.options.engine)
+            : rt::adaptive_mst(dev, csr, policy.options);
+  } catch (const simt::DeviceFault& f) {
+    dev.mem_reclaim(mark);
+    return detail::fault_result<MstResult>(f);
+  }
+  out.total_weight = r.total_weight;
+  out.num_trees = r.num_trees;
+  out.edges_in_forest = r.edges_in_forest;
+  out.metrics = std::move(r.metrics);
   return out;
-  });
 }
 
 // Device-less convenience overloads: route through the thread's default

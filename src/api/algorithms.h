@@ -236,22 +236,14 @@ namespace detail {
 // device) collapse to device_lost regardless of the faulting op kind.
 ErrorCode fault_code(const simt::DeviceFault& f);
 
-// Runs a device-touching body, converting a DeviceFault into an error
-// Result. Snapshot/reclaim brackets the body so buffers orphaned by the
-// unwind do not leak simulated-memory accounting.
-template <typename ResultT, typename Fn>
-ResultT run_guarded(simt::Device& dev, Fn&& fn) {
-  const std::uint64_t mark = dev.mem_mark();
-  try {
-    return fn();
-  } catch (const simt::DeviceFault& f) {
-    dev.mem_reclaim(mark);
-    ResultT out;
-    out.status = Status::error;
-    out.code = fault_code(f);
-    out.error = f.what();
-    return out;
-  }
+// The error Result a device fault surfaces as.
+template <typename ResultT>
+ResultT fault_result(const simt::DeviceFault& f) {
+  ResultT out;
+  out.status = Status::error;
+  out.code = fault_code(f);
+  out.error = f.what();
+  return out;
 }
 
 }  // namespace detail

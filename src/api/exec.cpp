@@ -1,0 +1,280 @@
+#include "api/exec.h"
+
+#include <utility>
+
+#include "cpu/bfs_serial.h"
+#include "cpu/cc_serial.h"
+#include "cpu/cpu_cost_model.h"
+#include "cpu/pagerank_serial.h"
+#include "cpu/sssp_serial.h"
+#include "runtime/adaptive_engine.h"
+
+namespace exec {
+namespace {
+
+using adaptive::Policy;
+using gg::Representation;
+
+void check(const adaptive::Graph& g, const Query& q) {
+  if (q.algo == svc::Algo::bfs || q.algo == svc::Algo::sssp) {
+    AGG_CHECK(q.source < g.num_nodes());
+  }
+  if (q.algo == svc::Algo::sssp) {
+    AGG_CHECK_MSG(g.is_weighted(),
+                  "call set_uniform_weights() or load weights first");
+  }
+}
+
+// Calls `engine` with the resident copy when there is one and without it
+// otherwise, where the engines' one-shot forms upload and release per call.
+template <typename Engine>
+auto on(gg::DeviceGraph* dg, Engine&& engine) {
+  return dg != nullptr ? engine(*dg) : engine();
+}
+
+// Frees the buffers of `dg`, nested layouts included, that were allocated at
+// or above `frontier` (by the attempt that just faulted), and forgets the
+// nested layouts that leaves empty.
+void release_since(simt::Device& dev, gg::DeviceGraph& dg,
+                   std::uint64_t frontier) {
+  for (simt::DeviceBuffer<std::uint32_t>* b :
+       {&dg.row_offsets, &dg.col_indices, &dg.weights, &dg.in_row_offsets,
+        &dg.in_col_indices, &dg.in_weights, &dg.rel.new_id, &dg.rel.old_id,
+        &dg.bin.new_id, &dg.bin.old_id}) {
+    if (b->valid() && b->base_addr() >= frontier) dev.free(*b);
+  }
+  for (gg::DeviceGraph::RepResident* r : {&dg.rel, &dg.bin}) {
+    if (!r->dg) continue;
+    release_since(dev, *r->dg, frontier);
+    if (!r->dg->row_offsets.valid()) r->dg.reset();
+  }
+}
+
+// The engine call for q, on `res` when it is uploaded.
+svc::Payload dispatch(simt::Device& dev, Resident& res,
+                      const adaptive::Graph& g, const Query& q) {
+  const Policy& p = q.policy;
+  const bool fixed = p.mode == Policy::Mode::fixed_variant;
+  const gg::VariantSelector variant = gg::fixed_variant(p.variant);
+  rt::AdaptiveOptions ao = p.options;
+  gg::EngineOptions& eo = ao.engine;  // all a fixed variant runs on
+  eo.stream = q.stream;
+  // The layout asked for: a fixed variant's _REL/_BIN suffix, or the
+  // adaptive policy's representation knob.
+  const Representation rep =
+      fixed ? gg::normalize_representation(p.variant).representation
+            : p.options.representation;
+  gg::DeviceGraph* dg = res.uploaded() ? &res.dg : nullptr;
+  gg::RepSet rs;
+  // Hands the engines the Graph's cached layout views (of the closure for
+  // cc), so repeated queries share one conversion.
+  const auto hand_views = [&](bool of_sym) {
+    rs = {&g.relabelled_view(of_sym), &g.binned_view(of_sym), rep};
+    eo.reps = &rs;
+  };
+  // SSSP and CC have no in-engine layout controller: a fixed _REL/_BIN
+  // variant runs the whole traversal on that layout's CSR and maps the
+  // payload back. Resident, the layout nests beside `base`, billed on the
+  // query's stream; call-scoped, the one-shot engine uploads its CSR alone.
+  // The Graph's CSC is of the plain layout, so pull iterations transpose the
+  // layout themselves.
+  const auto layout_view = [&](bool of_sym) -> const graph::RelabeledGraph& {
+    return rep == Representation::relabelled ? g.relabelled_view(of_sym)
+                                             : g.binned_view(of_sym);
+  };
+  const auto nested = [&](gg::DeviceGraph* base,
+                          const graph::RelabeledGraph& view,
+                          bool weights) -> gg::DeviceGraph* {
+    if (base == nullptr) return nullptr;
+    simt::StreamGuard sguard(dev, q.stream);
+    return &base->ensure_rep_resident(dev, rep, view, weights);
+  };
+
+  switch (q.algo) {
+    case svc::Algo::bfs: {
+      // The BFS engine owns layouts end to end: a fixed variant starts and
+      // stays in its layout, the adaptive controller may switch mid-run.
+      if (p.wants_pull()) eo.csc = &g.csc();
+      if (rep != Representation::plain) hand_views(false);
+      gg::GpuBfsResult r = on(dg, [&](auto&... d) {
+        return fixed ? gg::run_bfs(dev, d..., g.csr(), q.source, variant, eo)
+                     : rt::adaptive_bfs(dev, d..., g.csr(), q.source, ao);
+      });
+      adaptive::BfsResult out;
+      out.level = std::move(r.level);
+      out.metrics = std::move(r.metrics);
+      return out;
+    }
+    case svc::Algo::sssp: {
+      gg::GpuSsspResult r;
+      if (fixed && rep != Representation::plain) {
+        const graph::RelabeledGraph& view = layout_view(false);
+        r = on(nested(dg, view, true), [&](auto&... d) {
+          return gg::run_sssp(dev, d..., view.csr, view.new_id[q.source],
+                              variant, eo);
+        });
+        rt::rep_payload_to_original(r.dist, view);
+      } else {
+        if (p.wants_pull()) eo.csc = &g.csc();
+        if (rep != Representation::plain) hand_views(false);
+        r = on(dg, [&](auto&... d) {
+          return fixed
+                     ? gg::run_sssp(dev, d..., g.csr(), q.source, variant, eo)
+                     : rt::adaptive_sssp(dev, d..., g.csr(), q.source, ao);
+        });
+      }
+      adaptive::SsspResult out;
+      out.dist = std::move(r.dist);
+      out.metrics = std::move(r.metrics);
+      return out;
+    }
+    case svc::Algo::cc: {
+      const graph::Csr& csr = arc_closure(g, p.symmetrize);
+      const bool of_sym = &csr != &g.csr();
+      gg::DeviceGraph* cdg = dg;
+      if (of_sym && dg != nullptr) {
+        if (!res.sym) {
+          simt::StreamGuard sguard(dev, q.stream);
+          res.sym = gg::DeviceGraph::upload(dev, csr, /*with_weights=*/false);
+        }
+        cdg = &*res.sym;
+      }
+      gg::GpuCcResult r;
+      if (fixed && rep != Representation::plain) {
+        const graph::RelabeledGraph& view = layout_view(of_sym);
+        r = on(nested(cdg, view, false), [&](auto&... d) {
+          return gg::run_cc(dev, d..., view.csr, variant, eo);
+        });
+        rt::rep_canonicalize_cc(r, view);
+      } else {
+        if (rep != Representation::plain) hand_views(of_sym);
+        r = on(cdg, [&](auto&... d) {
+          return fixed ? gg::run_cc(dev, d..., csr, variant, eo)
+                       : rt::adaptive_cc(dev, d..., csr, ao);
+        });
+      }
+      adaptive::CcResult out;
+      out.component = std::move(r.component);
+      out.num_components = r.num_components;
+      out.metrics = std::move(r.metrics);
+      return out;
+    }
+    case svc::Algo::pagerank: {
+      gg::PageRankOptions po;
+      po.damping = q.damping;
+      po.engine = eo;
+      gg::GpuPageRankResult r = on(dg, [&](auto&... d) {
+        return fixed ? gg::run_pagerank(dev, d..., g.csr(), variant, po)
+                     : rt::adaptive_pagerank(dev, d..., g.csr(), po, ao);
+      });
+      adaptive::PageRankResult out;
+      out.rank.assign(r.rank.begin(), r.rank.end());
+      out.metrics = std::move(r.metrics);
+      return out;
+    }
+  }
+  AGG_CHECK(false);
+  return {};
+}
+
+}  // namespace
+
+void Resident::upload(simt::Device& dev, const adaptive::Graph& g) {
+  release(dev);
+  dg = gg::DeviceGraph::upload(dev, g.csr(), g.is_weighted());
+}
+
+gg::DeviceGraph::PatchStats Resident::patch(simt::Device& dev,
+                                            const adaptive::Graph& g) {
+  if (sym) sym->release(dev);
+  sym.reset();
+  return dg.patch(dev, g.csr(), dg.weights.valid());
+}
+
+void Resident::release(simt::Device& dev) {
+  dg.release(dev);
+  if (sym) sym->release(dev);
+  sym.reset();
+}
+
+svc::Payload run(simt::Device& dev, Resident& res, const adaptive::Graph& g,
+                 const Query& q) {
+  AGG_CHECK_MSG(q.policy.mode != Policy::Mode::cpu_serial,
+                "cpu_serial queries run on exec::run_cpu");
+  check(g, q);
+  const std::uint64_t mark = dev.mem_mark();
+  const std::uint64_t frontier = dev.mem_frontier();
+  try {
+    return dispatch(dev, res, g, q);
+  } catch (const simt::DeviceFault&) {
+    // Free what this attempt pinned before reclaiming the scratch it
+    // orphaned: the reclaim rolls back their accounting as well, so a
+    // structure left in `res` would later be counted out a second time.
+    release_since(dev, res.dg, frontier);
+    if (res.sym) {
+      release_since(dev, *res.sym, frontier);
+      if (!res.sym->row_offsets.valid()) res.sym.reset();
+    }
+    dev.mem_reclaim(mark);
+    throw;
+  }
+}
+
+CpuAnswer run_cpu(const adaptive::Graph& g, const Query& q) {
+  check(g, q);
+  const cpu::CpuModel& model = cpu::CpuModel::core_i7();
+  const std::uint32_t n = g.num_nodes();
+  CpuAnswer a;
+  switch (q.algo) {
+    case svc::Algo::bfs: {
+      cpu::BfsResult r = cpu::bfs(g.csr(), q.source);
+      a.modeled_us = model.bfs_time_us(r.counts, n);
+      adaptive::BfsResult out;
+      out.level = std::move(r.level);
+      out.cpu_wall_ms = r.wall_ms;
+      a.payload = std::move(out);
+      break;
+    }
+    case svc::Algo::sssp: {
+      cpu::SsspResult r = cpu::dijkstra(g.csr(), q.source);
+      a.modeled_us = model.dijkstra_time_us(r.counts, n);
+      adaptive::SsspResult out;
+      out.dist = std::move(r.dist);
+      out.cpu_wall_ms = r.wall_ms;
+      a.payload = std::move(out);
+      break;
+    }
+    case svc::Algo::cc: {
+      cpu::CcResult r =
+          cpu::connected_components(arc_closure(g, q.policy.symmetrize));
+      a.modeled_us = model.cc_time_us(r.counts, n);
+      adaptive::CcResult out;
+      out.component = std::move(r.component);
+      out.num_components = r.num_components;
+      out.cpu_wall_ms = r.wall_ms;
+      a.payload = std::move(out);
+      break;
+    }
+    case svc::Algo::pagerank: {
+      cpu::PageRankOptions po;
+      po.damping = q.damping;
+      cpu::PageRankResult r = cpu::pagerank(g.csr(), po);
+      a.modeled_us = model.pagerank_time_us(r.counts, n);
+      adaptive::PageRankResult out;
+      out.rank = std::move(r.rank);
+      out.cpu_wall_ms = r.wall_ms;
+      a.payload = std::move(out);
+      break;
+    }
+  }
+  return a;
+}
+
+const graph::Csr& arc_closure(const adaptive::Graph& g,
+                              adaptive::Symmetrize s) {
+  // symmetrized() is csr() itself on a symmetric graph, so `always` and
+  // `auto_detect` coincide; `never` trusts the caller's claim of symmetry.
+  return s == adaptive::Symmetrize::never ? g.csr() : g.symmetrized();
+}
+
+}  // namespace exec

@@ -1,25 +1,12 @@
 #include "api/session.h"
 
+#include <algorithm>
+
 #include "trace/counters.h"
 #include "trace/trace_sink.h"
 
 namespace adaptive {
 namespace {
-
-// Shared by Session and the free cc()/mst() in algorithms.cpp: resolve the
-// CSR an arc-closure algorithm should run on under `policy.symmetrize`.
-const graph::Csr& resolve_symmetric(const Graph& g, const Policy& policy) {
-  switch (policy.symmetrize) {
-    case Symmetrize::never:
-      return g.csr();
-    case Symmetrize::always:
-      return g.symmetrized();
-    case Symmetrize::auto_detect:
-      return g.is_symmetric() ? g.csr() : g.symmetrized();
-  }
-  AGG_CHECK(false);
-  return g.csr();
-}
 
 void bump(std::string_view name, double d = 1) {
   auto& reg = trace::CounterRegistry::instance();
@@ -33,23 +20,10 @@ void gauge_max(const char* name, double v) {
 
 }  // namespace
 
-namespace detail {
-const graph::Csr& resolve_symmetric_csr(const Graph& g, const Policy& policy) {
-  return resolve_symmetric(g, policy);
-}
-}  // namespace detail
-
 Session::Session(const simt::ClusterSpec& spec) : fleet_(spec) {}
 
-Session::Session(const simt::DeviceProps& props, simt::TimingModel tm)
-    : Session(simt::ClusterSpec::single(props, tm)) {}
-
 Session::~Session() {
-  for (auto& [id, reg] : regs_) {
-    for (simt::DeviceIndex d = 0; d < fleet_.size(); ++d) {
-      release_pin(d, reg.pins[d]);
-    }
-  }
+  for (auto& [id, reg] : regs_) release_pins(reg);
 }
 
 Session::Registration* Session::find_reg(const Graph& g) {
@@ -84,66 +58,29 @@ simt::DeviceIndex Session::route_device() const {
   return best;
 }
 
-void Session::release_pin(simt::DeviceIndex d, Pin& pin) {
-  simt::Device& dev = fleet_.device(d);
-  if (pin.resident) {
-    pin.dg.release(dev);
-    pin.resident = false;
-  }
-  if (pin.sym_dg) {
-    pin.sym_dg->release(dev);
-    pin.sym_dg.reset();
+void Session::release_pins(Registration& reg) {
+  for (simt::DeviceIndex d = 0; d < fleet_.size(); ++d) {
+    reg.pins[d].res.release(fleet_.device(d));
   }
 }
 
-Session::Pin& Session::ensure_fresh(Registration& reg, simt::DeviceIndex d,
-                                    bool with_weights) {
+exec::Resident& Session::ensure_fresh(Registration& reg, simt::DeviceIndex d) {
   Pin& pin = reg.pins[d];
   const Graph& g = *reg.g;
-  if (!pin.resident || pin.version != g.version() ||
-      (with_weights && !pin.with_weights)) {
-    // Stale upload (graph mutated since registration), evicted pin, or
-    // weights appeared: refresh transparently, charged to the current query.
-    simt::Device& dev = fleet_.device(d);
-    if (pin.resident) {
-      pin.dg.release(dev);
-      pin.resident = false;
-    }
-    if (pin.sym_dg) {
-      // The closure of a mutated graph is stale too; drop it so cc()
-      // re-derives on demand.
-      pin.sym_dg->release(dev);
-      pin.sym_dg.reset();
-    }
-    pin.dg = gg::DeviceGraph::upload(dev, g.csr(),
-                                     with_weights || g.is_weighted());
-    pin.with_weights = with_weights || g.is_weighted();
+  if (!pin.res.uploaded() || pin.version != g.version()) {
+    // Evicted pin or graph mutated since the upload: refresh transparently,
+    // charged to the current query.
+    pin.res.upload(fleet_.device(d), g);
     pin.version = g.version();
-    pin.resident = true;
   }
-  return pin;
-}
-
-gg::DeviceGraph& Session::ensure_sym(Registration& reg, simt::DeviceIndex d,
-                                     const graph::Csr& target) {
-  Pin& pin = reg.pins[d];
-  const Graph& g = *reg.g;
-  if (pin.sym_dg && pin.sym_version == g.version()) return *pin.sym_dg;
-  simt::Device& dev = fleet_.device(d);
-  if (pin.sym_dg) {
-    pin.sym_dg->release(dev);
-    pin.sym_dg.reset();
-  }
-  pin.sym_dg = gg::DeviceGraph::upload(dev, target, /*with_weights=*/false);
-  pin.sym_version = g.version();
-  return *pin.sym_dg;
+  return pin.res;
 }
 
 GraphId Session::register_graph(const Graph& g) {
   if (Registration* reg = find_reg(g)) {
     // Idempotent: refresh every device's replica and return the existing id.
     for (simt::DeviceIndex d = 0; d < fleet_.size(); ++d) {
-      if (fleet_.device(d).healthy()) ensure_fresh(*reg, d, g.is_weighted());
+      if (fleet_.device(d).healthy()) ensure_fresh(*reg, d);
     }
     return by_uid_.at(g.uid());
   }
@@ -152,16 +89,8 @@ GraphId Session::register_graph(const Graph& g) {
   reg.uid = g.uid();
   reg.pins.resize(fleet_.size());
   for (simt::DeviceIndex d = 0; d < fleet_.size(); ++d) {
-    Pin& pin = reg.pins[d];
-    if (!fleet_.device(d).healthy()) {
-      // A dead device takes no replica; queries route around it.
-      pin.resident = false;
-      continue;
-    }
-    pin.dg = gg::DeviceGraph::upload(fleet_.device(d), g.csr(),
-                                     g.is_weighted());
-    pin.with_weights = g.is_weighted();
-    pin.version = g.version();
+    // A dead device takes no replica; queries route around it.
+    if (fleet_.device(d).healthy()) ensure_fresh(reg, d);
   }
   const GraphId id = next_graph_id_++;
   by_uid_[g.uid()] = id;
@@ -210,23 +139,17 @@ void Session::mutate_graph(GraphId id, const graph::EdgeDelta& delta) {
   // into the pin stops ensure_fresh from re-uploading wholesale.
   for (simt::DeviceIndex d = 0; d < fleet_.size(); ++d) {
     Pin& pin = reg.pins[d];
-    if (!pin.resident || !fleet_.device(d).healthy()) continue;
+    if (!pin.res.uploaded() || !fleet_.device(d).healthy()) continue;
     simt::Device& dev = fleet_.device(d);
     try {
-      const auto ps = pin.dg.patch(dev, g.csr(), pin.with_weights);
+      const auto ps = pin.res.patch(dev, g);
       bump(ps.rebuilt ? "svc.mutate.rebuild" : "svc.mutate.patch");
       bump("svc.mutate.bytes", static_cast<double>(ps.bytes_sent));
       pin.version = g.version();
-      if (pin.sym_dg) {
-        // The symmetrized closure is stale; drop it per-structure (cc()
-        // re-derives on demand).
-        pin.sym_dg->release(dev);
-        pin.sym_dg.reset();
-      }
     } catch (const simt::DeviceFault&) {
       // A fault mid-patch leaves the replica inconsistent: drop residency;
       // the next query against this device re-uploads from scratch.
-      release_pin(d, pin);
+      pin.res.release(dev);
     }
   }
 
@@ -270,9 +193,7 @@ void Session::unregister_graph(GraphId id) {
   auto it = regs_.find(id);
   if (it == regs_.end()) return;
   Registration& reg = it->second;
-  for (simt::DeviceIndex d = 0; d < fleet_.size(); ++d) {
-    release_pin(d, reg.pins[d]);
-  }
+  release_pins(reg);
   // Cached answers are only served to registered graphs; drop them so their
   // bytes return to the budget.
   if (rcache_.enabled()) rcache_.invalidate_graph(id);
@@ -297,27 +218,18 @@ void Session::evict(const Graph& g) {
 
 void Session::evict(GraphId id) {
   auto it = regs_.find(id);
-  if (it == regs_.end()) return;
-  for (simt::DeviceIndex d = 0; d < fleet_.size(); ++d) {
-    release_pin(d, it->second.pins[d]);
-  }
+  if (it != regs_.end()) release_pins(it->second);
 }
 
 void Session::evict_all() {
-  for (auto& [id, reg] : regs_) {
-    for (simt::DeviceIndex d = 0; d < fleet_.size(); ++d) {
-      release_pin(d, reg.pins[d]);
-    }
-  }
+  for (auto& [id, reg] : regs_) release_pins(reg);
 }
 
 bool Session::is_resident(const Graph& g) const {
   const Registration* reg = find_reg(g);
   if (reg == nullptr) return false;
-  for (const Pin& pin : reg->pins) {
-    if (pin.resident) return true;
-  }
-  return false;
+  return std::any_of(reg->pins.begin(), reg->pins.end(),
+                     [](const Pin& pin) { return pin.res.uploaded(); });
 }
 
 void Session::enable_result_cache(std::size_t capacity_bytes) {
@@ -355,13 +267,13 @@ void Session::rcache_refresh_version(const Graph& g) {
   }
 }
 
-const svc::Payload* Session::rcache_lookup(const Graph& g, svc::Algo algo,
-                                           NodeId source, double damping,
-                                           const Policy& policy) {
+const svc::Payload* Session::rcache_lookup(const Graph& g,
+                                           const exec::Query& q) {
   if (!rcache_.enabled() || !is_registered(g)) return nullptr;
   rcache_refresh_version(g);
-  const svc::CacheKey key = svc::make_cache_key(
-      rcache_graph_key(g), g.version(), algo, source, damping, policy);
+  const svc::CacheKey key =
+      svc::make_cache_key(rcache_graph_key(g), g.version(), q.algo, q.source,
+                          q.damping, q.policy);
   const auto* e = rcache_.lookup(key);
   if (e == nullptr) {
     bump("svc.cache.miss");
@@ -375,10 +287,10 @@ const svc::Payload* Session::rcache_lookup(const Graph& g, svc::Algo algo,
   if (trace::active()) {
     trace::ServiceEvent ev;
     ev.action = "cache_hit";
-    ev.algo = svc::algo_name(algo);
+    ev.algo = svc::algo_name(q.algo);
     ev.graph = rcache_graph_key(g);
     ev.version = g.version();
-    ev.source = source;
+    ev.source = q.source;
     ev.bytes = e->bytes;
     ev.ts_us = fleet_.device(0).now_us();
     trace::Tracer::instance().service(ev);
@@ -386,13 +298,13 @@ const svc::Payload* Session::rcache_lookup(const Graph& g, svc::Algo algo,
   return &e->value;
 }
 
-void Session::rcache_store(const Graph& g, svc::Algo algo, NodeId source,
-                           double damping, const Policy& policy,
+void Session::rcache_store(const Graph& g, const exec::Query& q,
                            svc::Payload payload) {
   if (!rcache_.enabled() || !is_registered(g)) return;
   rcache_refresh_version(g);
-  const svc::CacheKey key = svc::make_cache_key(
-      rcache_graph_key(g), g.version(), algo, source, damping, policy);
+  const svc::CacheKey key =
+      svc::make_cache_key(rcache_graph_key(g), g.version(), q.algo, q.source,
+                          q.damping, q.policy);
   const std::size_t bytes = svc::payload_bytes(payload);
   const std::size_t before = rcache_.entries();
   const std::size_t evicted = rcache_.insert(key, std::move(payload), bytes);
@@ -403,10 +315,10 @@ void Session::rcache_store(const Graph& g, svc::Algo algo, NodeId source,
     if (trace::active()) {
       trace::ServiceEvent ev;
       ev.action = "cache_insert";
-      ev.algo = svc::algo_name(algo);
+      ev.algo = svc::algo_name(q.algo);
       ev.graph = rcache_graph_key(g);
       ev.version = g.version();
-      ev.source = source;
+      ev.source = q.source;
       ev.bytes = bytes;
       ev.ts_us = fleet_.device(0).now_us();
       trace::Tracer::instance().service(ev);
@@ -414,318 +326,82 @@ void Session::rcache_store(const Graph& g, svc::Algo algo, NodeId source,
   }
 }
 
-BfsResult Session::bfs_on(simt::DeviceIndex d, const Graph& g, NodeId source,
-                          const Policy& policy) {
-  simt::Device& dev = fleet_.device(d);
-  Registration* reg = find_reg(g);
-  if (reg == nullptr) return adaptive::bfs(dev, g, source, policy);
-  AGG_CHECK(source < g.num_nodes());
-  return detail::run_guarded<BfsResult>(dev, [&] {
-    Pin& pin = ensure_fresh(*reg, d, false);
-    BfsResult r;
-    gg::GpuBfsResult gr;
-    if (policy.mode == Policy::Mode::fixed_variant) {
-      gg::EngineOptions eo = policy.options.engine;
-      // Pull iterations gather over the CSC; hand the engine the host copy
-      // cached on the Graph so the device upload (kept resident in this pin
-      // until release) reuses it instead of re-transposing.
-      if (policy.wants_pull()) eo.csc = &g.csc();
-      // Alternate layouts likewise reuse the Graph's cached host views; the
-      // device copies nest in this pin and stay resident across queries.
-      gg::RepSet rs;
-      const gg::Representation rep =
-          gg::normalize_representation(policy.variant).representation;
-      if (rep != gg::Representation::plain) {
-        rs.rel = &g.relabelled_view();
-        rs.bin = &g.binned_view();
-        rs.initial = rep;
-        eo.reps = &rs;
-      }
-      gr = gg::run_bfs(dev, pin.dg, g.csr(), source,
-                       gg::fixed_variant(policy.variant), eo);
-    } else {
-      rt::AdaptiveOptions ao = policy.options;
-      if (policy.wants_pull()) ao.engine.csc = &g.csc();
-      gg::RepSet rs;
-      if (policy.wants_rep()) {
-        rs.rel = &g.relabelled_view();
-        rs.bin = &g.binned_view();
-        ao.engine.reps = &rs;
-      }
-      gr = rt::adaptive_bfs(dev, pin.dg, g.csr(), source, ao);
-    }
-    r.level = std::move(gr.level);
-    r.metrics = std::move(gr.metrics);
-    return r;
-  });
+template <typename R, typename Attempt, typename Oracle>
+R Session::route(Attempt&& attempt, Oracle&& oracle) {
+  for (simt::DeviceIndex d; (d = route_device()) != kNoDevice;) {
+    R out = attempt(d);
+    // Failover: a permanent fault killed the routed device mid-query; the
+    // next healthy device re-runs it. A transient fault is the answer.
+    if (out.ok() || out.code != ErrorCode::device_lost) return out;
+  }
+  // No healthy device remains: the serial CPU oracle answers, exactly.
+  R out = oracle();
+  out.degraded = true;
+  return out;
 }
 
-SsspResult Session::sssp_on(simt::DeviceIndex d, const Graph& g, NodeId source,
-                            const Policy& policy) {
-  simt::Device& dev = fleet_.device(d);
-  Registration* reg = find_reg(g);
-  if (reg == nullptr) return adaptive::sssp(dev, g, source, policy);
-  AGG_CHECK(source < g.num_nodes());
-  AGG_CHECK_MSG(g.is_weighted(),
-                "call set_uniform_weights() or load weights first");
-  return detail::run_guarded<SsspResult>(dev, [&] {
-    Pin& pin = ensure_fresh(*reg, d, true);
-    SsspResult r;
-    gg::GpuSsspResult gr;
-    if (policy.mode == Policy::Mode::fixed_variant) {
-      gg::EngineOptions eo = policy.options.engine;
-      const gg::Representation rep =
-          gg::normalize_representation(policy.variant).representation;
-      if (rep == gg::Representation::plain) {
-        if (policy.wants_pull()) eo.csc = &g.csc();
-        gr = gg::run_sssp(dev, pin.dg, g.csr(), source,
-                          gg::fixed_variant(policy.variant), eo);
-      } else {
-        // Fixed alternate layout: run on the nested resident copy (pinned
-        // in pin.dg across queries) and map distances back.
-        const graph::RelabeledGraph& view =
-            rep == gg::Representation::relabelled ? g.relabelled_view()
-                                                  : g.binned_view();
-        gg::DeviceGraph* rdg = nullptr;
-        {
-          simt::StreamGuard sguard(dev, eo.stream);
-          rdg = &pin.dg.ensure_rep_resident(dev, rep, view,
-                                            /*with_weights=*/true);
+template <typename R>
+R Session::query(const Graph& g, const exec::Query& q) {
+  const auto oracle = [&] { return std::get<R>(exec::run_cpu(g, q).payload); };
+  if (q.policy.mode == Policy::Mode::cpu_serial) return oracle();
+  if (const svc::Payload* hit = rcache_lookup(g, q)) return std::get<R>(*hit);
+  R out = route<R>(
+      [&](simt::DeviceIndex d) {
+        exec::Resident call_scoped;
+        try {
+          Registration* reg = find_reg(g);
+          exec::Resident& res =
+              reg != nullptr ? ensure_fresh(*reg, d) : call_scoped;
+          return std::get<R>(exec::run(fleet_.device(d), res, g, q));
+        } catch (const simt::DeviceFault& f) {
+          return detail::fault_result<R>(f);
         }
-        gr = gg::run_sssp(dev, *rdg, view.csr, view.new_id[source],
-                          gg::fixed_variant(policy.variant), eo);
-        rt::rep_payload_to_original(gr.dist, view);
-      }
-    } else {
-      rt::AdaptiveOptions ao = policy.options;
-      if (policy.wants_pull()) ao.engine.csc = &g.csc();
-      gg::RepSet rs;
-      if (policy.wants_rep()) {
-        rs.rel = &g.relabelled_view();
-        rs.bin = &g.binned_view();
-        ao.engine.reps = &rs;
-      }
-      gr = rt::adaptive_sssp(dev, pin.dg, g.csr(), source, ao);
-    }
-    r.dist = std::move(gr.dist);
-    r.metrics = std::move(gr.metrics);
-    return r;
-  });
-}
-
-CcResult Session::cc_on(simt::DeviceIndex d, const Graph& g,
-                        const Policy& policy) {
-  simt::Device& dev = fleet_.device(d);
-  Registration* reg = find_reg(g);
-  if (reg == nullptr) return adaptive::cc(dev, g, policy);
-  const graph::Csr& target = resolve_symmetric(g, policy);
-  return detail::run_guarded<CcResult>(dev, [&] {
-    gg::DeviceGraph* dg;
-    if (&target == &g.csr()) {
-      dg = &ensure_fresh(*reg, d, false).dg;
-    } else {
-      // First cc() on a registered directed graph: keep the symmetrized CSR
-      // resident too, so repeat queries skip the upload.
-      ensure_fresh(*reg, d, false);
-      dg = &ensure_sym(*reg, d, target);
-    }
-    CcResult r;
-    const bool of_sym = &target != &g.csr();
-    gg::GpuCcResult gr;
-    if (policy.mode == Policy::Mode::fixed_variant) {
-      const gg::Representation rep =
-          gg::normalize_representation(policy.variant).representation;
-      if (rep == gg::Representation::plain) {
-        gr = gg::run_cc(dev, *dg, target, gg::fixed_variant(policy.variant),
-                        policy.options.engine);
-      } else {
-        const graph::RelabeledGraph& view =
-            rep == gg::Representation::relabelled ? g.relabelled_view(of_sym)
-                                                  : g.binned_view(of_sym);
-        gg::DeviceGraph* rdg = nullptr;
-        {
-          simt::StreamGuard sguard(dev, policy.options.engine.stream);
-          rdg = &dg->ensure_rep_resident(dev, rep, view,
-                                         /*with_weights=*/false);
-        }
-        gr = gg::run_cc(dev, *rdg, view.csr, gg::fixed_variant(policy.variant),
-                        policy.options.engine);
-        rt::rep_canonicalize_cc(gr, view);
-      }
-    } else {
-      rt::AdaptiveOptions ao = policy.options;
-      gg::RepSet rs;
-      if (policy.wants_rep()) {
-        rs.rel = &g.relabelled_view(of_sym);
-        rs.bin = &g.binned_view(of_sym);
-        ao.engine.reps = &rs;
-      }
-      gr = rt::adaptive_cc(dev, *dg, target, ao);
-    }
-    r.component = std::move(gr.component);
-    r.num_components = gr.num_components;
-    r.metrics = std::move(gr.metrics);
-    return r;
-  });
-}
-
-PageRankResult Session::pagerank_on(simt::DeviceIndex d, const Graph& g,
-                                    double damping, const Policy& policy) {
-  simt::Device& dev = fleet_.device(d);
-  Registration* reg = find_reg(g);
-  if (reg == nullptr) return adaptive::pagerank(dev, g, damping, policy);
-  return detail::run_guarded<PageRankResult>(dev, [&] {
-    Pin& pin = ensure_fresh(*reg, d, false);
-    PageRankResult r;
-    gg::PageRankOptions po;
-    po.damping = damping;
-    gg::GpuPageRankResult gr;
-    if (policy.mode == Policy::Mode::fixed_variant) {
-      po.engine = policy.options.engine;
-      gr = gg::run_pagerank(dev, pin.dg, g.csr(),
-                            gg::fixed_variant(policy.variant), po);
-    } else {
-      gr = rt::adaptive_pagerank(dev, pin.dg, g.csr(), po, policy.options);
-    }
-    r.rank.assign(gr.rank.begin(), gr.rank.end());
-    r.metrics = std::move(gr.metrics);
-    return r;
-  });
+      },
+      oracle);
+  if (out.ok()) rcache_store(g, q, svc::Payload(out));
+  return out;
 }
 
 BfsResult Session::bfs(const Graph& g, NodeId source, const Policy& policy) {
-  if (policy.mode == Policy::Mode::cpu_serial) {
-    return adaptive::bfs(fleet_.device(0), g, source, policy);
-  }
-  if (const svc::Payload* hit =
-          rcache_lookup(g, svc::Algo::bfs, source, 0.0, policy)) {
-    return std::get<BfsResult>(*hit);
-  }
-  simt::DeviceIndex d = route_device();
-  BfsResult out;
-  if (d != kNoDevice) {
-    out = bfs_on(d, g, source, policy);
-    // Failover: a permanent fault killed the routed device mid-query; the
-    // next healthy device re-runs it. Transient faults surface as before.
-    while (!out.ok() && out.code == ErrorCode::device_lost &&
-           (d = route_device()) != kNoDevice) {
-      out = bfs_on(d, g, source, policy);
-    }
-  }
-  if (d == kNoDevice || (!out.ok() && out.code == ErrorCode::device_lost)) {
-    // No healthy device remains: the serial CPU oracle answers, exactly.
-    out = adaptive::bfs(fleet_.device(0), g, source, Policy::cpu());
-    out.degraded = true;
-  }
-  if (out.ok()) {
-    rcache_store(g, svc::Algo::bfs, source, 0.0, policy, svc::Payload(out));
-  }
-  return out;
+  return query<BfsResult>(g, {.algo = svc::Algo::bfs,
+                              .source = source,
+                              .policy = policy,
+                              .stream = policy.options.engine.stream});
 }
 
 SsspResult Session::sssp(const Graph& g, NodeId source, const Policy& policy) {
-  if (policy.mode == Policy::Mode::cpu_serial) {
-    return adaptive::sssp(fleet_.device(0), g, source, policy);
-  }
-  if (const svc::Payload* hit =
-          rcache_lookup(g, svc::Algo::sssp, source, 0.0, policy)) {
-    return std::get<SsspResult>(*hit);
-  }
-  simt::DeviceIndex d = route_device();
-  SsspResult out;
-  if (d != kNoDevice) {
-    out = sssp_on(d, g, source, policy);
-    while (!out.ok() && out.code == ErrorCode::device_lost &&
-           (d = route_device()) != kNoDevice) {
-      out = sssp_on(d, g, source, policy);
-    }
-  }
-  if (d == kNoDevice || (!out.ok() && out.code == ErrorCode::device_lost)) {
-    out = adaptive::sssp(fleet_.device(0), g, source, Policy::cpu());
-    out.degraded = true;
-  }
-  if (out.ok()) {
-    rcache_store(g, svc::Algo::sssp, source, 0.0, policy, svc::Payload(out));
-  }
-  return out;
+  return query<SsspResult>(g, {.algo = svc::Algo::sssp,
+                               .source = source,
+                               .policy = policy,
+                               .stream = policy.options.engine.stream});
 }
 
 CcResult Session::cc(const Graph& g, const Policy& policy) {
-  if (policy.mode == Policy::Mode::cpu_serial) {
-    return adaptive::cc(fleet_.device(0), g, policy);
-  }
-  if (const svc::Payload* hit =
-          rcache_lookup(g, svc::Algo::cc, 0, 0.0, policy)) {
-    return std::get<CcResult>(*hit);
-  }
-  simt::DeviceIndex d = route_device();
-  CcResult out;
-  if (d != kNoDevice) {
-    out = cc_on(d, g, policy);
-    while (!out.ok() && out.code == ErrorCode::device_lost &&
-           (d = route_device()) != kNoDevice) {
-      out = cc_on(d, g, policy);
-    }
-  }
-  if (d == kNoDevice || (!out.ok() && out.code == ErrorCode::device_lost)) {
-    out = adaptive::cc(fleet_.device(0), g,
-                       Policy::cpu().with_symmetrize(policy.symmetrize));
-    out.degraded = true;
-  }
-  if (out.ok()) {
-    rcache_store(g, svc::Algo::cc, 0, 0.0, policy, svc::Payload(out));
-  }
-  return out;
+  return query<CcResult>(g, {.algo = svc::Algo::cc,
+                             .policy = policy,
+                             .stream = policy.options.engine.stream});
+}
+
+PageRankResult Session::pagerank(const Graph& g, double damping,
+                                 const Policy& policy) {
+  return query<PageRankResult>(g, {.algo = svc::Algo::pagerank,
+                                   .damping = damping,
+                                   .policy = policy,
+                                   .stream = policy.options.engine.stream});
 }
 
 MstResult Session::mst(const Graph& g, const Policy& policy) {
   if (policy.mode == Policy::Mode::cpu_serial) {
     return adaptive::mst(fleet_.device(0), g, policy);
   }
-  simt::DeviceIndex d = route_device();
-  MstResult out;
-  if (d != kNoDevice) {
-    out = adaptive::mst(fleet_.device(d), g, policy);
-    while (!out.ok() && out.code == ErrorCode::device_lost &&
-           (d = route_device()) != kNoDevice) {
-      out = adaptive::mst(fleet_.device(d), g, policy);
-    }
-  }
-  if (d == kNoDevice || (!out.ok() && out.code == ErrorCode::device_lost)) {
-    out = adaptive::mst(fleet_.device(0), g,
-                        Policy::cpu().with_symmetrize(policy.symmetrize));
-    out.degraded = true;
-  }
-  return out;
-}
-
-PageRankResult Session::pagerank(const Graph& g, double damping,
-                                 const Policy& policy) {
-  if (policy.mode == Policy::Mode::cpu_serial) {
-    return adaptive::pagerank(fleet_.device(0), g, damping, policy);
-  }
-  if (const svc::Payload* hit =
-          rcache_lookup(g, svc::Algo::pagerank, 0, damping, policy)) {
-    return std::get<PageRankResult>(*hit);
-  }
-  simt::DeviceIndex d = route_device();
-  PageRankResult out;
-  if (d != kNoDevice) {
-    out = pagerank_on(d, g, damping, policy);
-    while (!out.ok() && out.code == ErrorCode::device_lost &&
-           (d = route_device()) != kNoDevice) {
-      out = pagerank_on(d, g, damping, policy);
-    }
-  }
-  if (d == kNoDevice || (!out.ok() && out.code == ErrorCode::device_lost)) {
-    out = adaptive::pagerank(fleet_.device(0), g, damping, Policy::cpu());
-    out.degraded = true;
-  }
-  if (out.ok()) {
-    rcache_store(g, svc::Algo::pagerank, 0, damping, policy,
-                 svc::Payload(out));
-  }
-  return out;
+  return route<MstResult>(
+      [&](simt::DeviceIndex d) {
+        return adaptive::mst(fleet_.device(d), g, policy);
+      },
+      [&] {
+        return adaptive::mst(fleet_.device(0), g,
+                             Policy::cpu().with_symmetrize(policy.symmetrize));
+      });
 }
 
 BfsResult Session::bfs(GraphId id, NodeId source, const Policy& policy) {

@@ -46,10 +46,11 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "api/algorithms.h"
-#include "gpu_graph/device_graph.h"
+#include "api/exec.h"
 #include "graph/incremental_cc.h"
 #include "service/result_cache.h"
 #include "simt/cluster.h"
@@ -66,11 +67,6 @@ class Session {
   // Primary constructor: the spec describes the whole fleet. An empty
   // ClusterSpec means a single default device (the historical behavior).
   explicit Session(const simt::ClusterSpec& spec = {});
-  // Deprecated shim for the old positional (DeviceProps, TimingModel)
-  // signature; forwards to ClusterSpec::single(props, tm).
-  [[deprecated("use Session(simt::ClusterSpec)")]]
-  explicit Session(const simt::DeviceProps& props,
-                   simt::TimingModel tm = simt::TimingModel::fermi_default());
   ~Session();
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -167,17 +163,12 @@ class Session {
   static Session& default_session();
 
  private:
-  // One device's resident replica of a registered graph.
+  // One device's copy of a registered graph and the Graph::version() it was
+  // made from. Not uploaded after evict(), after a faulted patch, or on a
+  // device that was dead at registration: the next query re-uploads.
   struct Pin {
-    gg::DeviceGraph dg;
-    bool with_weights = false;
+    exec::Resident res;
     std::uint64_t version = 0;
-    // False after evict(): the registration survives but the device copy is
-    // gone until the next query re-uploads.
-    bool resident = true;
-    // Lazily uploaded symmetrized closure for cc() on directed graphs.
-    std::optional<gg::DeviceGraph> sym_dg;
-    std::uint64_t sym_version = 0;
   };
   struct Registration {
     const Graph* g = nullptr;
@@ -198,24 +189,22 @@ class Session {
   // Earliest-ready healthy device (default-stream ready time, ties lowest
   // ordinal); kNoDevice when the whole fleet is dead.
   simt::DeviceIndex route_device() const;
-  void release_pin(simt::DeviceIndex d, Pin& pin);
-  // Refreshes device d's pin of `reg` (re-upload on eviction, version bump,
-  // or missing weights); throws simt::DeviceFault on upload failure.
-  Pin& ensure_fresh(Registration& reg, simt::DeviceIndex d, bool with_weights);
-  // Device-resident symmetrized closure for cc(); `target` is the CSR the
-  // query runs on (g.csr() when already symmetric).
-  gg::DeviceGraph& ensure_sym(Registration& reg, simt::DeviceIndex d,
-                              const graph::Csr& target);
+  void release_pins(Registration& reg);
+  // Device d's copy of `reg`, re-uploaded first when evicted or stale (the
+  // graph mutated since); throws simt::DeviceFault on upload failure.
+  exec::Resident& ensure_fresh(Registration& reg, simt::DeviceIndex d);
 
-  // One device attempt per algorithm; a device_lost error triggers failover
-  // in the public entry points.
-  BfsResult bfs_on(simt::DeviceIndex d, const Graph& g, NodeId source,
-                   const Policy& policy);
-  SsspResult sssp_on(simt::DeviceIndex d, const Graph& g, NodeId source,
-                     const Policy& policy);
-  CcResult cc_on(simt::DeviceIndex d, const Graph& g, const Policy& policy);
-  PageRankResult pagerank_on(simt::DeviceIndex d, const Graph& g,
-                             double damping, const Policy& policy);
+  // The bfs/sssp/cc/pagerank path: the cpu_serial policy answers on the
+  // oracle; otherwise a cached answer, else route() over exec::run against
+  // the resident copy (call-scoped for unregistered graphs), caching an
+  // exact answer.
+  template <typename R>
+  R query(const Graph& g, const exec::Query& q);
+  // Runs attempt(d) on the earliest-ready healthy device, failing over while
+  // devices die, and answers from oracle() -- flagged degraded -- once none
+  // is left.
+  template <typename R, typename Attempt, typename Oracle>
+  R route(Attempt&& attempt, Oracle&& oracle);
 
   // ---- result cache plumbing ----
   // GraphId for registered graphs, uid otherwise — never an address, so a
@@ -223,15 +212,12 @@ class Session {
   std::uint64_t rcache_graph_key(const Graph& g) const;
   // Invalidates stale entries when g's version moved since last seen.
   void rcache_refresh_version(const Graph& g);
-  // Cached payload for the key (charging the modeled copy cost to device
-  // 0's current stream) or nullptr; only registered graphs are served.
-  const svc::Payload* rcache_lookup(const Graph& g, svc::Algo algo,
-                                    NodeId source, double damping,
-                                    const Policy& policy);
-  // Stores a completed exact payload (no-op when the cache is off, the graph
-  // is unregistered, or the result is not ok).
-  void rcache_store(const Graph& g, svc::Algo algo, NodeId source,
-                    double damping, const Policy& policy,
+  // Cached payload for q (charging the modeled copy cost to device 0's
+  // current stream) or nullptr; only registered graphs are served.
+  const svc::Payload* rcache_lookup(const Graph& g, const exec::Query& q);
+  // Stores a completed exact payload (no-op when the cache is off or the
+  // graph is unregistered).
+  void rcache_store(const Graph& g, const exec::Query& q,
                     svc::Payload payload);
 
   simt::Fleet fleet_;

@@ -65,7 +65,9 @@ double DegreeHistogram::cdf_at(std::uint32_t value) const {
   for (std::uint32_t v = 0; v < dense_limit_ && v <= value; ++v) acc += dense_[v];
   if (value >= dense_limit_) {
     for (std::size_t k = 0; k < tail_.size(); ++k) {
-      const std::uint64_t hi = (1ull << (k + 1)) - 1;
+      // Bin k is [2^k, 2^(k+1)); the top bin ends at the type's maximum
+      // (shifting by 64 would be undefined).
+      const std::uint64_t hi = k + 1 < 64 ? (1ull << (k + 1)) - 1 : ~0ull;
       if (hi <= value) acc += tail_[k];  // whole bin below (approximate tail CDF)
     }
   }

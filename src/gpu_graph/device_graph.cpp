@@ -22,13 +22,24 @@ DeviceGraph DeviceGraph::upload(simt::Device& dev, const graph::Csr& g,
   }
   dg.outdeg_stddev =
       g.num_nodes > 0 ? std::sqrt(sq / static_cast<double>(g.num_nodes)) : 0.0;
-  dg.row_offsets = dev.alloc<std::uint32_t>(g.row_offsets.size(), "csr.row_offsets");
-  dev.memcpy_h2d(dg.row_offsets, std::span<const std::uint32_t>(g.row_offsets));
-  dg.col_indices = dev.alloc<std::uint32_t>(g.col_indices.size(), "csr.col_indices");
-  dev.memcpy_h2d(dg.col_indices, std::span<const std::uint32_t>(g.col_indices));
-  if (with_weights) {
-    dg.weights = dev.alloc<std::uint32_t>(g.weights.size(), "csr.weights");
-    dev.memcpy_h2d(dg.weights, std::span<const std::uint32_t>(g.weights));
+  try {
+    dg.row_offsets =
+        dev.alloc<std::uint32_t>(g.row_offsets.size(), "csr.row_offsets");
+    dev.memcpy_h2d(dg.row_offsets,
+                   std::span<const std::uint32_t>(g.row_offsets));
+    dg.col_indices =
+        dev.alloc<std::uint32_t>(g.col_indices.size(), "csr.col_indices");
+    dev.memcpy_h2d(dg.col_indices,
+                   std::span<const std::uint32_t>(g.col_indices));
+    if (with_weights) {
+      dg.weights = dev.alloc<std::uint32_t>(g.weights.size(), "csr.weights");
+      dev.memcpy_h2d(dg.weights, std::span<const std::uint32_t>(g.weights));
+    }
+  } catch (const simt::DeviceFault&) {
+    // A faulted upload leaves no half copy behind: callers never see it, so
+    // nothing else could free its accounting.
+    dg.release(dev);
+    throw;
   }
   return dg;
 }

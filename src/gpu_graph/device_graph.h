@@ -81,9 +81,9 @@ struct DeviceGraph {
 };
 
 // Makes the CSC view resident ahead of a pull iteration. `host_csc` is the
-// caller-provided CSC (the API layers pass Graph's cached copy); when null,
+// caller-provided CSC (exec::run passes Graph's cached copy); when null,
 // the transpose is built once into `scratch` and kept for the rest of the
-// traversal (one-shot paths).
+// traversal.
 void ensure_csc_resident(simt::Device& dev, DeviceGraph& dg,
                          const graph::Csr& g, const graph::Csr* host_csc,
                          bool with_weights,

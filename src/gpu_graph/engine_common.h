@@ -18,8 +18,8 @@ struct RelabeledGraph;
 namespace gg {
 
 // Host-side alternate-representation views for the in-engine representation
-// controller (DESIGN.md "Representation adaptivity"). Non-owning: the
-// API/Session layers pass the Graph's cached views so repeated queries share
+// controller (DESIGN.md "Representation adaptivity"). Non-owning: exec::run
+// (api/exec.h) passes the Graph's cached views so repeated queries share
 // one conversion; a null member means that layout is unavailable and the
 // controller will not select it. `initial` is the upload-time decision the
 // traversal starts in.
@@ -64,9 +64,9 @@ struct EngineOptions {
   double hybrid_cpu_cycles_per_node = 8.0;
 
   // Host CSC (graph::build_csc) for pull iterations. When null and a pull
-  // iteration occurs, the engine builds the transpose itself (one-shot
-  // paths); the API/Session layers pass the Graph's cached CSC so repeated
-  // queries share one build. The device copy is uploaded lazily into the
+  // iteration occurs, the engine builds the transpose itself; exec::run
+  // (api/exec.h) passes the Graph's cached CSC so repeated queries share one
+  // build. The device copy is uploaded lazily into the
   // DeviceGraph on the first pull iteration and stays resident (Session
   // pinning keeps it across queries). Not owned; must outlive the call.
   const graph::Csr* csc = nullptr;

@@ -4,47 +4,45 @@
 #include <array>
 #include <map>
 #include <numeric>
-#include <tuple>
+#include <utility>
+#include <vector>
 
 namespace graph {
 
-bool is_symmetric(const Csr& g) {
-  // Count-compare arc multisets in both directions via sorted (min,max) keys
-  // is wrong for direction; instead compare per-pair directed multiplicities.
-  std::map<std::pair<NodeId, NodeId>, std::int64_t> balance;
-  for (std::uint32_t v = 0; v < g.num_nodes; ++v) {
-    for (const NodeId t : g.neighbors(v)) {
-      if (v == t) continue;  // self loops are their own reverse
-      const auto key = std::minmax(v, t);
-      balance[{key.first, key.second}] += v < t ? 1 : -1;
+namespace {
+
+// Every arc u->v is matched by an arc v->u (with the same weight when
+// `by_weight`), multiplicity counted, iff each node's out-arcs and in-arcs
+// form the same multiset. The transpose lists the in-arcs per row, so the
+// check is one transpose plus a sort of each row: O(m log d). Graph::csc()
+// runs it on the first query that may pull after every mutation, so it must
+// stay cheap.
+bool arcs_match_reverse(const Csr& g, bool by_weight) {
+  const Csr t = transpose(g);
+  std::vector<std::pair<NodeId, std::uint32_t>> out;
+  std::vector<std::pair<NodeId, std::uint32_t>> in;
+  const auto sorted_row = [&](const Csr& c, std::uint32_t v, auto& row) {
+    row.clear();
+    for (std::uint32_t e = c.row_offsets[v]; e < c.row_offsets[v + 1]; ++e) {
+      row.emplace_back(c.col_indices[e], by_weight ? c.weights[e] : 0);
     }
-  }
-  for (const auto& [key, count] : balance) {
-    if (count != 0) return false;
+    std::sort(row.begin(), row.end());
+  };
+  for (std::uint32_t v = 0; v < g.num_nodes; ++v) {
+    if (g.degree(v) != t.degree(v)) return false;
+    sorted_row(g, v, out);
+    sorted_row(t, v, in);
+    if (out != in) return false;
   }
   return true;
 }
 
+}  // namespace
+
+bool is_symmetric(const Csr& g) { return arcs_match_reverse(g, false); }
+
 bool is_weight_symmetric(const Csr& g) {
-  if (!g.has_weights()) return is_symmetric(g);
-  // Same balance trick, but the key carries the weight: (u,v,w) must be
-  // matched by (v,u,w), multiplicity counted. Self loops pair with
-  // themselves.
-  std::map<std::tuple<NodeId, NodeId, std::uint32_t>, std::int64_t> balance;
-  for (std::uint32_t v = 0; v < g.num_nodes; ++v) {
-    const auto nbrs = g.neighbors(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const NodeId t = nbrs[i];
-      if (v == t) continue;
-      const std::uint32_t w = g.weights[g.row_offsets[v] + i];
-      const auto key = std::minmax(v, t);
-      balance[{key.first, key.second, w}] += v < t ? 1 : -1;
-    }
-  }
-  for (const auto& [key, count] : balance) {
-    if (count != 0) return false;
-  }
-  return true;
+  return arcs_match_reverse(g, g.has_weights());
 }
 
 RelabeledGraph relabel(const Csr& g, std::span<const NodeId> new_id) {

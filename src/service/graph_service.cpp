@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "common/check.h"
 #include "cpu/bfs_serial.h"
@@ -51,10 +53,6 @@ GraphService::GraphService(ServiceOptions opts, const simt::ClusterSpec& cluster
   }
 }
 
-GraphService::GraphService(ServiceOptions opts, const simt::DeviceProps& props,
-                           simt::TimingModel tm)
-    : GraphService(std::move(opts), simt::ClusterSpec::single(props, tm)) {}
-
 GraphService::~GraphService() {
   for (auto& entry : graphs_) release_graph(*entry);
 }
@@ -67,8 +65,7 @@ void GraphService::place_graph(GraphEntry& entry) {
     for (const simt::DeviceIndex d : entry.plan.replicas) {
       Replica rep;
       rep.device = d;
-      rep.dg = gg::DeviceGraph::upload(fleet_.device(d), entry.g.csr(),
-                                       entry.g.is_weighted());
+      rep.res.upload(fleet_.device(d), entry.g);
       entry.replicas.push_back(std::move(rep));
     }
   } else {
@@ -80,8 +77,7 @@ void GraphService::place_graph(GraphEntry& entry) {
 
 void GraphService::release_graph(GraphEntry& entry) {
   for (Replica& rep : entry.replicas) {
-    rep.dg.release(fleet_.device(rep.device));
-    if (rep.sym_dg) rep.sym_dg->release(fleet_.device(rep.device));
+    rep.res.release(fleet_.device(rep.device));
   }
   entry.replicas.clear();
   if (entry.sharded) {
@@ -570,18 +566,12 @@ void GraphService::execute_single(PendingQuery q) {
     simt::Device& dev = fleet_.device(route.device);
     Replica* rep = replica_on(entry, route.device);
     AGG_CHECK(rep != nullptr);
-    const std::uint64_t mark = dev.mem_mark();
-    const bool had_sym = rep->sym_dg.has_value();
     try {
-      run_device_query(q, entry, route, out);
+      out.payload = exec::run(dev, rep->res, g,
+                              {q.req.algo, q.req.source, q.req.damping,
+                               q.req.policy, route.stream});
       break;
     } catch (const simt::DeviceFault& f) {
-      dev.mem_reclaim(mark);
-      if (!had_sym && rep->sym_dg) {
-        // The symmetrized upload of this attempt died with the fault; its
-        // accounting was just reclaimed, so drop the handle without release.
-        rep->sym_dg.reset();
-      }
       ++attempts;
       bump("svc.fault");
       bump(std::string("svc.fault.") + simt::fault_kind_name(f.kind()));
@@ -720,35 +710,20 @@ void GraphService::execute_mutation(PendingQuery q) {
         const double r0 = dev.stream_ready_us(s0);
         if (barrier > r0) dev.account_host_compute(barrier - r0);
         try {
-          const gg::DeviceGraph::PatchStats ps =
-              rep.dg.patch(dev, entry.g.csr(), entry.g.is_weighted());
+          const gg::DeviceGraph::PatchStats ps = rep.res.patch(dev, entry.g);
           out.rebuilt = out.rebuilt || ps.rebuilt;
           bump(ps.rebuilt ? "svc.mutate.rebuild" : "svc.mutate.patch");
           bump("svc.mutate.bytes", static_cast<double>(ps.bytes_sent));
-          if (rep.sym_dg) {
-            // The symmetrized closure is a derived structure; drop it and
-            // let the next cc query re-derive it from the new CSR.
-            rep.sym_dg->release(dev);
-            rep.sym_dg.reset();
-          }
         } catch (const simt::DeviceFault&) {
-          // The replica's device copy may be half-patched: release it and
-          // re-upload from scratch; if the device cannot even hold a fresh
-          // copy, drop the replica (routing skips it from now on).
+          // The replica's device copy may be half-patched: re-upload it from
+          // scratch; if the device cannot even hold a fresh copy, drop the
+          // replica (routing skips it from now on).
           bump("svc.fault");
-          rep.dg.release(dev);
-          if (rep.sym_dg) {
-            rep.sym_dg->release(dev);
-            rep.sym_dg.reset();
-          }
-          const std::uint64_t mark = dev.mem_mark();
           try {
-            rep.dg = gg::DeviceGraph::upload(dev, entry.g.csr(),
-                                             entry.g.is_weighted());
+            rep.res.upload(dev, entry.g);
             out.rebuilt = true;
             bump("svc.mutate.reupload");
           } catch (const simt::DeviceFault&) {
-            dev.mem_reclaim(mark);
             dead.push_back(ri);
           }
         }
@@ -944,220 +919,21 @@ void GraphService::execute_sharded(PendingQuery q, GraphEntry& entry,
   done_.push_back(std::move(out));
 }
 
-void GraphService::run_device_query(const PendingQuery& q, GraphEntry& entry,
-                                    const Route& route, QueryOutcome& out) {
-  simt::Device& dev = fleet_.device(route.device);
-  Replica& rep = *replica_on(entry, route.device);
-  const simt::StreamId stream = route.stream;
-  const adaptive::Graph& g = entry.g;
-  adaptive::Policy policy = q.req.policy;
-  policy.options.engine.stream = stream;
-  const bool fixed = policy.mode == adaptive::Policy::Mode::fixed_variant;
-
-  switch (q.req.algo) {
-    case Algo::bfs: {
-      adaptive::BfsResult r;
-      gg::GpuBfsResult gr;
-      gg::RepSet rs;
-      if (fixed) {
-        gg::EngineOptions eo = policy.options.engine;
-        const gg::Representation rp =
-            gg::normalize_representation(policy.variant).representation;
-        if (rp != gg::Representation::plain) {
-          // Alternate layouts reuse the Graph's cached host views; the
-          // device copies nest in the replica and stay resident.
-          rs.rel = &g.relabelled_view();
-          rs.bin = &g.binned_view();
-          rs.initial = rp;
-          eo.reps = &rs;
-        }
-        gr = gg::run_bfs(dev, rep.dg, g.csr(), q.req.source,
-                         gg::fixed_variant(policy.variant), eo);
-      } else {
-        rt::AdaptiveOptions ao = policy.options;
-        if (policy.wants_rep()) {
-          rs.rel = &g.relabelled_view();
-          rs.bin = &g.binned_view();
-          ao.engine.reps = &rs;
-        }
-        gr = rt::adaptive_bfs(dev, rep.dg, g.csr(), q.req.source, ao);
-      }
-      r.level = std::move(gr.level);
-      r.metrics = std::move(gr.metrics);
-      out.payload = std::move(r);
-      break;
-    }
-    case Algo::sssp: {
-      adaptive::SsspResult r;
-      gg::GpuSsspResult gr;
-      gg::RepSet rs;
-      if (fixed) {
-        const gg::Representation rp =
-            gg::normalize_representation(policy.variant).representation;
-        if (rp == gg::Representation::plain) {
-          gr = gg::run_sssp(dev, rep.dg, g.csr(), q.req.source,
-                            gg::fixed_variant(policy.variant),
-                            policy.options.engine);
-        } else {
-          const graph::RelabeledGraph& view =
-              rp == gg::Representation::relabelled ? g.relabelled_view()
-                                                   : g.binned_view();
-          gg::DeviceGraph* rdg = nullptr;
-          {
-            simt::StreamGuard sguard(dev, stream);
-            rdg = &rep.dg.ensure_rep_resident(dev, rp, view,
-                                              /*with_weights=*/true);
-          }
-          gr = gg::run_sssp(dev, *rdg, view.csr, view.new_id[q.req.source],
-                            gg::fixed_variant(policy.variant),
-                            policy.options.engine);
-          rt::rep_payload_to_original(gr.dist, view);
-        }
-      } else {
-        rt::AdaptiveOptions ao = policy.options;
-        if (policy.wants_rep()) {
-          rs.rel = &g.relabelled_view();
-          rs.bin = &g.binned_view();
-          ao.engine.reps = &rs;
-        }
-        gr = rt::adaptive_sssp(dev, rep.dg, g.csr(), q.req.source, ao);
-      }
-      r.dist = std::move(gr.dist);
-      r.metrics = std::move(gr.metrics);
-      out.payload = std::move(r);
-      break;
-    }
-    case Algo::cc: {
-      // cc needs both arcs; lazily upload the symmetrized closure once per
-      // replica device.
-      const bool needs_sym =
-          policy.symmetrize == adaptive::Symmetrize::always ||
-          (policy.symmetrize == adaptive::Symmetrize::auto_detect &&
-           !g.is_symmetric());
-      gg::DeviceGraph* dg = &rep.dg;
-      const graph::Csr* csr = &g.csr();
-      if (needs_sym) {
-        csr = &g.symmetrized();
-        if (!rep.sym_dg) {
-          simt::StreamGuard sguard(dev, stream);
-          rep.sym_dg = gg::DeviceGraph::upload(dev, *csr,
-                                               /*with_weights=*/false);
-        }
-        dg = &*rep.sym_dg;
-      }
-      adaptive::CcResult r;
-      gg::GpuCcResult gr;
-      gg::RepSet rs;
-      if (fixed) {
-        const gg::Representation rp =
-            gg::normalize_representation(policy.variant).representation;
-        if (rp == gg::Representation::plain) {
-          gr = gg::run_cc(dev, *dg, *csr, gg::fixed_variant(policy.variant),
-                          policy.options.engine);
-        } else {
-          const graph::RelabeledGraph& view =
-              rp == gg::Representation::relabelled ? g.relabelled_view(needs_sym)
-                                                   : g.binned_view(needs_sym);
-          gg::DeviceGraph* rdg = nullptr;
-          {
-            simt::StreamGuard sguard(dev, stream);
-            rdg = &dg->ensure_rep_resident(dev, rp, view,
-                                           /*with_weights=*/false);
-          }
-          gr = gg::run_cc(dev, *rdg, view.csr,
-                          gg::fixed_variant(policy.variant),
-                          policy.options.engine);
-          rt::rep_canonicalize_cc(gr, view);
-        }
-      } else {
-        rt::AdaptiveOptions ao = policy.options;
-        if (policy.wants_rep()) {
-          rs.rel = &g.relabelled_view(needs_sym);
-          rs.bin = &g.binned_view(needs_sym);
-          ao.engine.reps = &rs;
-        }
-        gr = rt::adaptive_cc(dev, *dg, *csr, ao);
-      }
-      r.component = std::move(gr.component);
-      r.num_components = gr.num_components;
-      r.metrics = std::move(gr.metrics);
-      out.payload = std::move(r);
-      break;
-    }
-    case Algo::pagerank: {
-      gg::PageRankOptions po;
-      po.damping = q.req.damping;
-      po.engine = policy.options.engine;
-      adaptive::PageRankResult r;
-      gg::GpuPageRankResult gr =
-          fixed ? gg::run_pagerank(dev, rep.dg, g.csr(),
-                                   gg::fixed_variant(policy.variant), po)
-                : rt::adaptive_pagerank(dev, rep.dg, g.csr(), po,
-                                        policy.options);
-      r.rank.assign(gr.rank.begin(), gr.rank.end());
-      r.metrics = std::move(gr.metrics);
-      out.payload = std::move(r);
-      break;
-    }
-  }
-}
-
 void GraphService::run_degraded(const PendingQuery& q, const adaptive::Graph& g,
                                 QueryOutcome& out) {
-  const cpu::CpuModel& model = cpu::CpuModel::core_i7();
   const double start = std::max(host_ready_us_, q.submit_us);
-  double dur_us = 0;
-  switch (q.req.algo) {
-    case Algo::bfs: {
-      cpu::BfsResult r = cpu::bfs(g.csr(), q.req.source);
-      dur_us = model.bfs_time_us(r.counts, g.num_nodes());
-      adaptive::BfsResult ar;
-      ar.level = std::move(r.level);
-      ar.cpu_wall_ms = r.wall_ms;
-      ar.degraded = true;
-      out.payload = std::move(ar);
-      break;
-    }
-    case Algo::sssp: {
-      cpu::SsspResult r = cpu::dijkstra(g.csr(), q.req.source);
-      dur_us = model.dijkstra_time_us(r.counts, g.num_nodes());
-      adaptive::SsspResult ar;
-      ar.dist = std::move(r.dist);
-      ar.cpu_wall_ms = r.wall_ms;
-      ar.degraded = true;
-      out.payload = std::move(ar);
-      break;
-    }
-    case Algo::cc: {
-      const bool needs_sym =
-          q.req.policy.symmetrize == adaptive::Symmetrize::always ||
-          (q.req.policy.symmetrize == adaptive::Symmetrize::auto_detect &&
-           !g.is_symmetric());
-      cpu::CcResult r =
-          cpu::connected_components(needs_sym ? g.symmetrized() : g.csr());
-      dur_us = model.cc_time_us(r.counts, g.num_nodes());
-      adaptive::CcResult ar;
-      ar.component = std::move(r.component);
-      ar.num_components = r.num_components;
-      ar.cpu_wall_ms = r.wall_ms;
-      ar.degraded = true;
-      out.payload = std::move(ar);
-      break;
-    }
-    case Algo::pagerank: {
-      cpu::PageRankOptions po;
-      po.damping = q.req.damping;
-      cpu::PageRankResult r = cpu::pagerank(g.csr(), po);
-      dur_us = model.pagerank_time_us(r.counts, g.num_nodes());
-      adaptive::PageRankResult ar;
-      ar.rank = std::move(r.rank);
-      ar.cpu_wall_ms = r.wall_ms;
-      ar.degraded = true;
-      out.payload = std::move(ar);
-      break;
-    }
-  }
-  host_ready_us_ = start + dur_us;
+  exec::CpuAnswer a = exec::run_cpu(
+      g, {q.req.algo, q.req.source, q.req.damping, q.req.policy, 0});
+  std::visit(
+      [](auto& r) {
+        if constexpr (!std::is_same_v<std::decay_t<decltype(r)>,
+                                      std::monostate>) {
+          r.degraded = true;
+        }
+      },
+      a.payload);
+  out.payload = std::move(a.payload);
+  host_ready_us_ = start + a.modeled_us;
   out.degraded = true;
   out.stream = 0;  // never dispatched to a device stream
   out.start_us = start;
@@ -1304,10 +1080,10 @@ void GraphService::execute_bfs_batch(std::vector<PendingQuery> batch) {
     const std::uint64_t mark = dev.mem_mark();
     try {
       mr = policy.mode == adaptive::Policy::Mode::fixed_variant
-               ? gg::run_bfs_multi(dev, rep.dg, g.csr(), sources,
+               ? gg::run_bfs_multi(dev, rep.res.dg, g.csr(), sources,
                                    gg::fixed_variant(policy.variant),
                                    policy.options.engine)
-               : rt::adaptive_bfs_multi(dev, rep.dg, g.csr(), sources,
+               : rt::adaptive_bfs_multi(dev, rep.res.dg, g.csr(), sources,
                                         policy.options);
     } catch (const simt::DeviceFault& f) {
       // Fused launch died: unbatch. Record the members already answered

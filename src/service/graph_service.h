@@ -67,8 +67,8 @@
 #include <vector>
 
 #include "api/algorithms.h"
+#include "api/exec.h"
 #include "api/graph_api.h"
-#include "gpu_graph/device_graph.h"
 #include "graph/incremental_cc.h"
 #include "service/placement.h"
 #include "service/resilience.h"
@@ -168,11 +168,6 @@ class GraphService {
   // ClusterSpec means a single default device (the historical behavior).
   explicit GraphService(ServiceOptions opts = {},
                         const simt::ClusterSpec& cluster = {});
-  // Deprecated shim for the old positional (DeviceProps, TimingModel)
-  // signature; forwards to ClusterSpec::single(props, tm).
-  [[deprecated("use GraphService(opts, simt::ClusterSpec)")]]
-  GraphService(ServiceOptions opts, const simt::DeviceProps& props,
-               simt::TimingModel tm = simt::TimingModel::fermi_default());
   ~GraphService();
   GraphService(const GraphService&) = delete;
   GraphService& operator=(const GraphService&) = delete;
@@ -264,9 +259,7 @@ class GraphService {
   // One device-resident copy of a replicated graph.
   struct Replica {
     simt::DeviceIndex device = 0;
-    gg::DeviceGraph dg;
-    // Lazily uploaded symmetrized CSR for cc() on directed graphs.
-    std::optional<gg::DeviceGraph> sym_dg;
+    exec::Resident res;
   };
   struct GraphEntry {
     adaptive::Graph g;
@@ -313,9 +306,6 @@ class GraphService {
   QueryOutcome make_outcome(const PendingQuery& q) const;
   void finish_outcome(QueryOutcome& out, simt::DeviceIndex device,
                       simt::StreamId stream, double start);
-  // One device attempt of q on `route`'s slot (may throw simt::DeviceFault).
-  void run_device_query(const PendingQuery& q, GraphEntry& entry,
-                        const Route& route, QueryOutcome& out);
   // Serial-oracle execution on the modeled single-core host timeline.
   void run_degraded(const PendingQuery& q, const adaptive::Graph& g,
                     QueryOutcome& out);

@@ -85,6 +85,11 @@ class Device {
   // reclaim back to it after catching.
   std::uint64_t mem_mark() const { return space_.bytes_in_use(); }
   void mem_reclaim(std::uint64_t mark) { space_.reclaim_to(mark); }
+  // The simulated address the next allocation receives. Addresses are never
+  // reused, so a buffer whose base_addr() is at or above a frontier taken
+  // earlier was allocated after it: the way a fault handler tells the
+  // structures an attempt pinned from those it found already resident.
+  std::uint64_t mem_frontier() const { return space_.next_address(); }
 
   // ---- allocation ----
   template <typename T>

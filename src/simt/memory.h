@@ -42,6 +42,8 @@ class AddressSpace {
 
   std::uint64_t bytes_in_use() const { return in_use_; }
   std::uint64_t capacity() const { return capacity_; }
+  // The base address the next allocation receives. Addresses only grow.
+  std::uint64_t next_address() const { return next_; }
 
  private:
   static constexpr std::uint64_t kAlignment = 256;

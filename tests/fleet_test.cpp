@@ -1,7 +1,7 @@
 // Fleet serving (PR-8): ClusterSpec/Fleet construction, placement decisions,
 // deterministic routing across sim-thread counts, replica failover vs the CPU
-// oracles, sharded execution equality, the deprecated single-device API
-// shims, and Session's opaque GraphId registration.
+// oracles, sharded execution equality, and Session's opaque GraphId
+// registration.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -327,49 +327,6 @@ TEST(ShardedTest, BfsAndCcMatchSingleDevice) {
   EXPECT_EQ(got_cc.cc().component, want_cc.cc().component);
   EXPECT_EQ(got_cc.cc().num_components, want_cc.cc().num_components);
 }
-
-// ---- deprecated API shims ----
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(ShimTest, OldServiceCtorMatchesClusterSpecSingle) {
-  const auto csr = test_graph(3);
-  auto run = [&](svc::GraphService service) {
-    const auto gid =
-        service.add_graph(adaptive::Graph::from_csr(graph::Csr(csr)));
-    auto out = run_bfs_stream(service, gid, 8);
-    return std::make_pair(std::move(out), service.makespan_us());
-  };
-  auto [new_out, new_mk] = run(svc::GraphService(
-      plain_options(), simt::ClusterSpec::single(
-                           simt::DeviceProps::fermi_c2070(),
-                           simt::TimingModel::fermi_default())));
-  auto [old_out, old_mk] = run(svc::GraphService(
-      plain_options(), simt::DeviceProps::fermi_c2070(),
-      simt::TimingModel::fermi_default()));
-  ASSERT_EQ(new_out.size(), old_out.size());
-  for (std::size_t i = 0; i < new_out.size(); ++i) {
-    EXPECT_EQ(new_out[i].bfs().level, old_out[i].bfs().level);
-  }
-  EXPECT_DOUBLE_EQ(new_mk, old_mk);
-}
-
-TEST(ShimTest, OldSessionCtorMatchesClusterSpecSingle) {
-  const auto g = adaptive::Graph::from_csr(test_graph(4));
-  adaptive::Session session_new(
-      simt::ClusterSpec::single(simt::DeviceProps::fermi_c2070()));
-  adaptive::Session session_old(simt::DeviceProps::fermi_c2070());
-  const auto a = session_new.bfs(g, 0);
-  const auto b = session_old.bfs(g, 0);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a.level, b.level);
-  EXPECT_DOUBLE_EQ(session_new.device().makespan_us(),
-                   session_old.device().makespan_us());
-}
-
-#pragma GCC diagnostic pop
 
 // ---- Session: opaque GraphId registration ----
 
