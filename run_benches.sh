@@ -7,54 +7,45 @@
 cd "$(dirname "$0")"
 export SIMT_THREADS="${SIMT_THREADS:-$(nproc)}"
 mkdir -p results
+
+# Binaries that archive a diffable artifact under results/, one row each:
+#   binary|extra arguments|file the output is tee'd to (empty: none)
+# Every other binary in build/bench runs without arguments.
+ARCHIVED=(
+  # Serial-vs-pooled launch speedup (name / real_time / items_per_second).
+  "micro_simt|--benchmark_out=results/BENCH_simt.json --benchmark_out_format=json|"
+  # The adaptive runtime's decision trace and counter registry.
+  "table4_adaptive|--trace-out=results/TRACE_table4_adaptive.jsonl --trace-format=jsonl --metrics-out=results/METRICS_table4_adaptive.json|"
+  # Fused MS-BFS throughput, makespan vs stream concurrency.
+  "ext_service||results/BENCH_service.txt"
+  # Fault overhead, dead-device degradation.
+  "ext_resilience||results/BENCH_resilience.txt"
+  # Warm/cold speedup, hit rates on Zipfian streams.
+  "ext_cache||results/BENCH_cache.txt"
+  # Incremental patch vs replace-everything steady-state QPS.
+  "ext_dynamic||results/BENCH_dynamic.txt"
+  # Push vs pull vs DO times, pull-iteration counts, DO/push speedups.
+  "ext_direction|--json-out=results/BENCH_direction.json|"
+)
+
 {
   echo "###### config: SIMT_THREADS=${SIMT_THREADS}"
   echo
   for b in build/bench/*; do
-    if [ -x "$b" ] && [ -f "$b" ]; then
-      echo "###### $(basename "$b")"
-      if [ "$(basename "$b")" = micro_simt ]; then
-        # Machine-readable copy (name / real_time / items_per_second) for
-        # tracking the serial-vs-pooled launch speedup across revisions.
-        "$b" --benchmark_out=results/BENCH_simt.json --benchmark_out_format=json
-      elif [ "$(basename "$b")" = table4_adaptive ]; then
-        # Archive the adaptive runtime's decision trace and counter registry
-        # next to the bench output (deterministic: diffable across revisions).
-        "$b" --trace-out=results/TRACE_table4_adaptive.jsonl \
-             --trace-format=jsonl \
-             --metrics-out=results/METRICS_table4_adaptive.json
-      elif [ "$(basename "$b")" = ext_service ]; then
-        # Archive the serving-layer acceptance numbers (fused MS-BFS
-        # throughput, concurrency makespans) as a diffable artifact.
-        "$b" | tee results/BENCH_service.txt
-      elif [ "$(basename "$b")" = ext_resilience ]; then
-        # Archive the resilience acceptance numbers (fault overhead,
-        # dead-device degradation) as a diffable artifact.
-        "$b" | tee results/BENCH_resilience.txt
-      elif [ "$(basename "$b")" = ext_cache ]; then
-        # Archive the result-cache acceptance numbers (warm/cold speedup,
-        # hit rates on Zipfian streams) as a diffable artifact.
-        "$b" | tee results/BENCH_cache.txt
-      elif [ "$(basename "$b")" = ext_dynamic ]; then
-        # Archive the dynamic-graph acceptance numbers (incremental-patch
-        # vs replace-everything steady-state QPS) as a diffable artifact.
-        "$b" | tee results/BENCH_dynamic.txt
-      elif [ "$(basename "$b")" = ext_fleet ]; then
-        # Archive the fleet-serving acceptance numbers (replicated makespan
-        # scaling, failover, sharded execution) as a diffable artifact.
-        "$b" | tee results/BENCH_fleet.txt
-      elif [ "$(basename "$b")" = ext_direction ]; then
-        # Machine-readable push-vs-pull-vs-DO numbers (per-dataset times,
-        # pull-iteration counts, DO/push speedups) for cross-revision diffs.
-        "$b" --json-out=results/BENCH_direction.json
-      elif [ "$(basename "$b")" = ext_representation ]; then
-        # Machine-readable layout-axis numbers (plain/relabelled/binned/
-        # adaptive times, switch counts, speedups) for cross-revision diffs.
-        "$b" --json-out=results/BENCH_representation.json
-      else
-        "$b"
-      fi
-      echo
+    [ -x "$b" ] && [ -f "$b" ] || continue
+    name=$(basename "$b")
+    args="" artifact=""
+    for row in "${ARCHIVED[@]}"; do
+      IFS='|' read -r bin extra file <<< "$row"
+      if [ "$bin" = "$name" ]; then args=$extra artifact=$file; fi
+    done
+    echo "###### $name"
+    # $args is split on purpose: it holds several flags, none with spaces.
+    if [ -n "$artifact" ]; then
+      "$b" $args | tee "$artifact"
+    else
+      "$b" $args
     fi
+    echo
   done
 } 2>&1

@@ -1,329 +1,96 @@
 #include "api/session.h"
 
-#include <algorithm>
-
-#include "trace/counters.h"
-#include "trace/trace_sink.h"
+#include <utility>
+#include <vector>
 
 namespace adaptive {
 namespace {
 
-void bump(std::string_view name, double d = 1) {
-  auto& reg = trace::CounterRegistry::instance();
-  if (reg.enabled()) reg.counter(name).add(d);
-}
-
-void gauge_max(const char* name, double v) {
-  auto& reg = trace::CounterRegistry::instance();
-  if (reg.enabled()) reg.gauge(name).set_max(v);
+// A synchronous client's service: one slot per device (its default stream)
+// and nothing that reorders, merges or re-runs queries. A fault reaches the
+// session as the outcome's code; query() answers device_lost on the oracle.
+// Every device holds a full copy, so no placement shards.
+svc::ServiceOptions session_options() {
+  svc::ServiceOptions opts;
+  opts.concurrency = 1;
+  opts.batch_bfs = false;
+  opts.collapse = false;
+  opts.cache_bytes = 0;  // enable_result_cache() resizes it
+  opts.resilience.max_retries = 0;
+  opts.resilience.degrade_to_cpu = false;
+  opts.placement.allow_shard = false;
+  return opts;
 }
 
 }  // namespace
 
-Session::Session(const simt::ClusterSpec& spec) : fleet_(spec) {}
+Session::Session(const simt::ClusterSpec& spec)
+    : service_(session_options(), spec) {}
 
-Session::~Session() {
-  for (auto& [id, reg] : regs_) release_pins(reg);
+svc::GraphId Session::service_id(GraphId id) const {
+  const auto it = ids_.find(id);
+  AGG_CHECK_MSG(it != ids_.end(), "unknown GraphId");
+  return it->second;
 }
 
-Session::Registration* Session::find_reg(const Graph& g) {
-  auto it = by_uid_.find(g.uid());
-  if (it == by_uid_.end()) return nullptr;
-  return &regs_.at(it->second);
+GraphId Session::register_graph(const Graph& g) {
+  if (!is_registered(g)) ids_.emplace(g.uid(), service_.borrow_graph(g));
+  return g.uid();
 }
 
-const Session::Registration* Session::find_reg(const Graph& g) const {
-  auto it = by_uid_.find(g.uid());
-  if (it == by_uid_.end()) return nullptr;
-  return &regs_.at(it->second);
+GraphId Session::register_graph(Graph& g) {
+  if (!is_registered(g)) ids_.emplace(g.uid(), service_.borrow_graph(g));
+  return g.uid();
 }
 
-const Graph& Session::graph_for(GraphId id) const {
-  auto it = regs_.find(id);
-  AGG_CHECK_MSG(it != regs_.end(), "unknown GraphId");
-  return *it->second.g;
+void Session::unregister_graph(GraphId id) {
+  const auto it = ids_.find(id);
+  if (it == ids_.end()) return;
+  service_.remove_graph(it->second);
+  ids_.erase(it);
+}
+
+void Session::evict(GraphId id) {
+  if (is_registered(id)) service_.evict(ids_.at(id));
+}
+
+void Session::evict_all() {
+  for (const auto& [id, sid] : ids_) service_.evict(sid);
+}
+
+bool Session::is_resident(const Graph& g) const {
+  return is_registered(g) && service_.resident(ids_.at(g.uid()));
+}
+
+void Session::mutate_graph(Graph& g, const graph::EdgeDelta& delta) {
+  AGG_CHECK_MSG(is_registered(g), "mutate_graph: graph not registered");
+  mutate_graph(g.uid(), delta);
+}
+
+void Session::mutate_graph(GraphId id, const graph::EdgeDelta& delta) {
+  service_.submit_mutation(service_id(id), delta);
+  const svc::QueryOutcome out = drain_one();
+  AGG_CHECK_MSG(out.ok(), out.error_message().c_str());
+}
+
+svc::QueryOutcome Session::drain_one() {
+  std::vector<svc::QueryOutcome> outs = service_.drain();
+  AGG_CHECK(outs.size() == 1);
+  return std::move(outs.front());
 }
 
 simt::DeviceIndex Session::route_device() const {
   simt::DeviceIndex best = kNoDevice;
   double best_ready = 0;
-  for (simt::DeviceIndex d = 0; d < fleet_.size(); ++d) {
-    if (!fleet_.device(d).healthy()) continue;
-    const double ready = fleet_.device(d).stream_ready_us(0);
+  for (simt::DeviceIndex d = 0; d < fleet().size(); ++d) {
+    if (!fleet().device(d).healthy()) continue;
+    const double ready = fleet().device(d).stream_ready_us(0);
     if (best == kNoDevice || ready < best_ready) {
       best = d;
       best_ready = ready;
     }
   }
   return best;
-}
-
-void Session::release_pins(Registration& reg) {
-  for (simt::DeviceIndex d = 0; d < fleet_.size(); ++d) {
-    reg.pins[d].res.release(fleet_.device(d));
-  }
-}
-
-exec::Resident& Session::ensure_fresh(Registration& reg, simt::DeviceIndex d) {
-  Pin& pin = reg.pins[d];
-  const Graph& g = *reg.g;
-  if (!pin.res.uploaded() || pin.version != g.version()) {
-    // Evicted pin or graph mutated since the upload: refresh transparently,
-    // charged to the current query.
-    pin.res.upload(fleet_.device(d), g);
-    pin.version = g.version();
-  }
-  return pin.res;
-}
-
-GraphId Session::register_graph(const Graph& g) {
-  if (Registration* reg = find_reg(g)) {
-    // Idempotent: refresh every device's replica and return the existing id.
-    for (simt::DeviceIndex d = 0; d < fleet_.size(); ++d) {
-      if (fleet_.device(d).healthy()) ensure_fresh(*reg, d);
-    }
-    return by_uid_.at(g.uid());
-  }
-  Registration reg;
-  reg.g = &g;
-  reg.uid = g.uid();
-  reg.pins.resize(fleet_.size());
-  for (simt::DeviceIndex d = 0; d < fleet_.size(); ++d) {
-    // A dead device takes no replica; queries route around it.
-    if (fleet_.device(d).healthy()) ensure_fresh(reg, d);
-  }
-  const GraphId id = next_graph_id_++;
-  by_uid_[g.uid()] = id;
-  regs_.emplace(id, std::move(reg));
-  return id;
-}
-
-GraphId Session::register_graph(Graph& g) {
-  const GraphId id = register_graph(static_cast<const Graph&>(g));
-  regs_.at(id).mutable_g = &g;
-  return id;
-}
-
-void Session::mutate_graph(Graph& g, const graph::EdgeDelta& delta) {
-  auto it = by_uid_.find(g.uid());
-  AGG_CHECK_MSG(it != by_uid_.end(), "mutate_graph: graph not registered");
-  mutate_graph(it->second, delta);
-}
-
-void Session::mutate_graph(GraphId id, const graph::EdgeDelta& delta) {
-  auto rit = regs_.find(id);
-  AGG_CHECK_MSG(rit != regs_.end(), "unknown GraphId");
-  Registration& reg = rit->second;
-  AGG_CHECK_MSG(reg.mutable_g != nullptr,
-                "mutate_graph: graph was registered const; use the mutable "
-                "register_graph overload");
-  Graph& g = *reg.mutable_g;
-  const std::string err = graph::delta_error(g.csr(), delta);
-  AGG_CHECK_MSG(err.empty(), err.c_str());
-  if (delta.empty()) return;
-
-  // Old-component view (pre-delta) drives the delta-aware invalidation.
-  if (!reg.inc_cc) reg.inc_cc = graph::IncrementalCc(g.csr());
-  const std::vector<std::uint32_t> affected =
-      svc::affected_components(reg.inc_cc->labels(), delta);
-  std::vector<std::uint32_t> old_labels;
-  if (rcache_.enabled()) old_labels = reg.inc_cc->labels();
-
-  g.apply_delta(delta);
-  reg.inc_cc->apply(g.csr(), delta);
-
-  bump("svc.mutate");
-  bump("svc.mutate.edges", static_cast<double>(delta.num_ops()));
-
-  // Incrementally patch every healthy resident replica; the version written
-  // into the pin stops ensure_fresh from re-uploading wholesale.
-  for (simt::DeviceIndex d = 0; d < fleet_.size(); ++d) {
-    Pin& pin = reg.pins[d];
-    if (!pin.res.uploaded() || !fleet_.device(d).healthy()) continue;
-    simt::Device& dev = fleet_.device(d);
-    try {
-      const auto ps = pin.res.patch(dev, g);
-      bump(ps.rebuilt ? "svc.mutate.rebuild" : "svc.mutate.patch");
-      bump("svc.mutate.bytes", static_cast<double>(ps.bytes_sent));
-      pin.version = g.version();
-    } catch (const simt::DeviceFault&) {
-      // A fault mid-patch leaves the replica inconsistent: drop residency;
-      // the next query against this device re-uploads from scratch.
-      pin.res.release(dev);
-    }
-  }
-
-  if (rcache_.enabled()) {
-    const auto res = rcache_.delta_invalidate(
-        id, g.version(), [&](const svc::CacheKey& k) {
-          return svc::entry_survives_delta(k, old_labels, affected);
-        });
-    rcache_versions_[reg.uid] = g.version();
-    if (res.kept > 0) bump("svc.cache.delta_keep", static_cast<double>(res.kept));
-    if (res.dropped > 0) {
-      bump("svc.cache.invalidate", static_cast<double>(res.dropped));
-    }
-    if (trace::active()) {
-      trace::ServiceEvent ev;
-      ev.action = "cache_delta";
-      ev.graph = id;
-      ev.version = g.version();
-      ev.bytes = res.kept;
-      ev.ts_us = fleet_.device(0).now_us();
-      trace::Tracer::instance().service(ev);
-    }
-  }
-}
-
-const graph::IncrementalCc& Session::incremental_cc(GraphId id) {
-  auto it = regs_.find(id);
-  AGG_CHECK_MSG(it != regs_.end(), "unknown GraphId");
-  Registration& reg = it->second;
-  if (!reg.inc_cc) reg.inc_cc = graph::IncrementalCc(reg.g->csr());
-  return *reg.inc_cc;
-}
-
-void Session::unregister_graph(const Graph& g) {
-  auto it = by_uid_.find(g.uid());
-  if (it == by_uid_.end()) return;
-  unregister_graph(it->second);
-}
-
-void Session::unregister_graph(GraphId id) {
-  auto it = regs_.find(id);
-  if (it == regs_.end()) return;
-  Registration& reg = it->second;
-  release_pins(reg);
-  // Cached answers are only served to registered graphs; drop them so their
-  // bytes return to the budget.
-  if (rcache_.enabled()) rcache_.invalidate_graph(id);
-  rcache_versions_.erase(reg.uid);
-  by_uid_.erase(reg.uid);
-  regs_.erase(it);
-}
-
-bool Session::is_registered(const Graph& g) const {
-  return by_uid_.count(g.uid()) > 0;
-}
-
-GraphId Session::graph_id(const Graph& g) const {
-  auto it = by_uid_.find(g.uid());
-  return it == by_uid_.end() ? 0 : it->second;
-}
-
-void Session::evict(const Graph& g) {
-  auto it = by_uid_.find(g.uid());
-  if (it != by_uid_.end()) evict(it->second);
-}
-
-void Session::evict(GraphId id) {
-  auto it = regs_.find(id);
-  if (it != regs_.end()) release_pins(it->second);
-}
-
-void Session::evict_all() {
-  for (auto& [id, reg] : regs_) release_pins(reg);
-}
-
-bool Session::is_resident(const Graph& g) const {
-  const Registration* reg = find_reg(g);
-  if (reg == nullptr) return false;
-  return std::any_of(reg->pins.begin(), reg->pins.end(),
-                     [](const Pin& pin) { return pin.res.uploaded(); });
-}
-
-void Session::enable_result_cache(std::size_t capacity_bytes) {
-  rcache_.set_capacity(capacity_bytes);
-  if (capacity_bytes == 0) {
-    rcache_.clear();
-    rcache_versions_.clear();
-  }
-}
-
-std::uint64_t Session::rcache_graph_key(const Graph& g) const {
-  const GraphId id = graph_id(g);
-  return id != 0 ? id : g.uid();
-}
-
-void Session::rcache_refresh_version(const Graph& g) {
-  auto [it, inserted] = rcache_versions_.try_emplace(g.uid(), g.version());
-  if (inserted || it->second == g.version()) return;
-  // The graph mutated since the last query: every cached answer for it is
-  // stale. The version in the key already guarantees no hit; dropping them
-  // eagerly returns their bytes to the budget.
-  const std::size_t dropped = rcache_.invalidate_graph(rcache_graph_key(g));
-  it->second = g.version();
-  if (dropped > 0) {
-    bump("svc.cache.invalidate", static_cast<double>(dropped));
-    if (trace::active()) {
-      trace::ServiceEvent ev;
-      ev.action = "cache_invalidate";
-      ev.graph = rcache_graph_key(g);
-      ev.version = g.version();
-      ev.bytes = dropped;  // entry count; their bytes are already released
-      ev.ts_us = fleet_.device(0).now_us();
-      trace::Tracer::instance().service(ev);
-    }
-  }
-}
-
-const svc::Payload* Session::rcache_lookup(const Graph& g,
-                                           const exec::Query& q) {
-  if (!rcache_.enabled() || !is_registered(g)) return nullptr;
-  rcache_refresh_version(g);
-  const svc::CacheKey key =
-      svc::make_cache_key(rcache_graph_key(g), g.version(), q.algo, q.source,
-                          q.damping, q.policy);
-  const auto* e = rcache_.lookup(key);
-  if (e == nullptr) {
-    bump("svc.cache.miss");
-    return nullptr;
-  }
-  // Serve from host memory at modeled copy cost; no kernel, no transfer.
-  // Charged to device 0 — cache hits keep the single-device clock semantics
-  // regardless of fleet size.
-  fleet_.device(0).account_host_compute(rcache_cost_.hit_us(e->bytes));
-  bump("svc.cache.hit");
-  if (trace::active()) {
-    trace::ServiceEvent ev;
-    ev.action = "cache_hit";
-    ev.algo = svc::algo_name(q.algo);
-    ev.graph = rcache_graph_key(g);
-    ev.version = g.version();
-    ev.source = q.source;
-    ev.bytes = e->bytes;
-    ev.ts_us = fleet_.device(0).now_us();
-    trace::Tracer::instance().service(ev);
-  }
-  return &e->value;
-}
-
-void Session::rcache_store(const Graph& g, const exec::Query& q,
-                           svc::Payload payload) {
-  if (!rcache_.enabled() || !is_registered(g)) return;
-  rcache_refresh_version(g);
-  const svc::CacheKey key =
-      svc::make_cache_key(rcache_graph_key(g), g.version(), q.algo, q.source,
-                          q.damping, q.policy);
-  const std::size_t bytes = svc::payload_bytes(payload);
-  const std::size_t before = rcache_.entries();
-  const std::size_t evicted = rcache_.insert(key, std::move(payload), bytes);
-  if (evicted > 0) bump("svc.cache.evict", static_cast<double>(evicted));
-  if (rcache_.entries() > before - evicted) {
-    bump("svc.cache.insert");
-    gauge_max("svc.cache.bytes", static_cast<double>(rcache_.bytes_in_use()));
-    if (trace::active()) {
-      trace::ServiceEvent ev;
-      ev.action = "cache_insert";
-      ev.algo = svc::algo_name(q.algo);
-      ev.graph = rcache_graph_key(g);
-      ev.version = g.version();
-      ev.source = q.source;
-      ev.bytes = bytes;
-      ev.ts_us = fleet_.device(0).now_us();
-      trace::Tracer::instance().service(ev);
-    }
-  }
 }
 
 template <typename R, typename Attempt, typename Oracle>
@@ -344,22 +111,38 @@ template <typename R>
 R Session::query(const Graph& g, const exec::Query& q) {
   const auto oracle = [&] { return std::get<R>(exec::run_cpu(g, q).payload); };
   if (q.policy.mode == Policy::Mode::cpu_serial) return oracle();
-  if (const svc::Payload* hit = rcache_lookup(g, q)) return std::get<R>(*hit);
-  R out = route<R>(
-      [&](simt::DeviceIndex d) {
-        exec::Resident call_scoped;
-        try {
-          Registration* reg = find_reg(g);
-          exec::Resident& res =
-              reg != nullptr ? ensure_fresh(*reg, d) : call_scoped;
-          return std::get<R>(exec::run(fleet_.device(d), res, g, q));
-        } catch (const simt::DeviceFault& f) {
-          return detail::fault_result<R>(f);
-        }
-      },
-      oracle);
-  if (out.ok()) rcache_store(g, q, svc::Payload(out));
-  return out;
+  const auto it = ids_.find(g.uid());
+  if (it == ids_.end()) {
+    return route<R>(
+        [&](simt::DeviceIndex d) {
+          exec::Resident call_scoped;
+          try {
+            return std::get<R>(exec::run(fleet().device(d), call_scoped, g, q));
+          } catch (const simt::DeviceFault& f) {
+            return detail::fault_result<R>(f);
+          }
+        },
+        oracle);
+  }
+  service_.submit({.algo = q.algo,
+                   .graph = it->second,
+                   .source = q.source,
+                   .damping = q.damping,
+                   .policy = q.policy});
+  svc::QueryOutcome out = drain_one();
+  AGG_CHECK_MSG(out.code != ErrorCode::invalid_argument, out.error.c_str());
+  if (out.code == ErrorCode::device_lost) {
+    // The service failed over while a device was left; none is.
+    R r = oracle();
+    r.degraded = true;
+    return r;
+  }
+  if (out.ok()) return std::get<R>(std::move(out.payload));
+  R r;
+  r.status = out.status;
+  r.code = out.code;
+  r.error = std::move(out.error);
+  return r;
 }
 
 BfsResult Session::bfs(const Graph& g, NodeId source, const Policy& policy) {
@@ -392,14 +175,14 @@ PageRankResult Session::pagerank(const Graph& g, double damping,
 
 MstResult Session::mst(const Graph& g, const Policy& policy) {
   if (policy.mode == Policy::Mode::cpu_serial) {
-    return adaptive::mst(fleet_.device(0), g, policy);
+    return adaptive::mst(device(), g, policy);
   }
   return route<MstResult>(
       [&](simt::DeviceIndex d) {
-        return adaptive::mst(fleet_.device(d), g, policy);
+        return adaptive::mst(fleet().device(d), g, policy);
       },
       [&] {
-        return adaptive::mst(fleet_.device(0), g,
+        return adaptive::mst(device(), g,
                              Policy::cpu().with_symmetrize(policy.symmetrize));
       });
 }

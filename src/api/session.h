@@ -1,65 +1,51 @@
-// adaptive::Session — the primary entry point of the public API: a fleet of
-// simulated devices (one by default) shared across calls, with graphs kept
-// device-resident between queries.
+// adaptive::Session — the primary entry point of the public API: a
+// synchronous front over svc::GraphService (service/graph_service.h) that
+// keeps graphs device-resident between queries on a fleet of simulated
+// devices (one by default).
 //
 //   adaptive::Session session;  // one default device
 //   adaptive::Graph g = adaptive::Graph::from_edges(4, {{0,1},{1,2},{2,3}});
 //   adaptive::GraphId id = session.register_graph(g);  // uploaded once
 //   auto a = session.bfs(g, 0);         // no upload: graph is resident
-//   auto b = session.sssp(g, 0);        // same resident CSR
+//   auto b = session.sssp(id, 0);       // same resident CSR
 //
-//   // Multi-device: a ClusterSpec describes the fleet; registered graphs are
-//   // replicated to every device and queries balance across them by
-//   // earliest-modeled-ready-time.
-//   adaptive::Session fleet(simt::ClusterSpec::homogeneous(
-//       4, simt::DeviceProps::fermi_c2070()));
+//   // Multi-device: registered graphs are replicated to every device.
+//   adaptive::Session fleet(simt::ClusterSpec::homogeneous(4));
 //
-// Registration is keyed by Graph::uid() — a process-unique object identity —
-// so re-creating a graph at a recycled address can never alias a stale
-// registration. register_graph returns an opaque GraphId accepted by the
-// id-taking query overloads; the Graph object must stay alive while
-// registered. Mutating a registered graph (set_uniform_weights) is detected
-// via Graph::version() and triggers a transparent re-upload on the next
-// query. Queries on unregistered graphs work too — they upload/release per
-// call, exactly like the free functions in api/algorithms.h.
+// Registration borrows the Graph, which must outlive it. The GraphId is the
+// graph's process-unique Graph::uid(), so a graph re-created at a recycled
+// address never aliases a stale registration or cached answer. Changing a
+// registered graph in place (set_uniform_weights) moves Graph::version():
+// the next query re-uploads it and its cached answers are dropped.
+// mutate_graph() patches the resident copies instead.
 //
-// Fleet routing: each query runs on the healthy device whose default stream
-// is ready earliest (ties: lowest ordinal). When a device dies mid-query
-// (permanent fault), the query fails over to the next healthy device; the
-// serial CPU oracle answers — with Result::degraded set — only when no
-// healthy device remains. Cache hits and CPU work are charged to the modeled
-// host/device-0 timelines, so single-device sessions behave exactly as
-// before.
+// A query on a registered graph is one submit and one drain. The service
+// runs one slot per device (its default stream) without batching,
+// collapsing, retries or CPU degradation: a transient fault fails the
+// query, a dead device fails over to the earliest-ready healthy one, and the
+// serial CPU oracle answers (Result::degraded) only once every device is
+// dead. A bad source or an unweighted sssp aborts.
 //
-// Under memory pressure, evict() / evict_all() release the device copies
-// while keeping registrations — the next query re-uploads transparently.
-// enable_result_cache(bytes) additionally serves repeat queries on
-// registered graphs from a byte-bounded LRU of completed exact results
-// (service/result_cache.h) at modeled host-copy cost; Graph::version() bumps
-// invalidate the graph's entries.
+// Unregistered graphs, and mst on any graph, run call-scoped on the
+// earliest-ready healthy device, uploading and releasing per call like the
+// free functions in api/algorithms.h, with the same failover.
 //
-// The device-less convenience overloads (adaptive::bfs(g, s) etc.) are thin
-// wrappers over Session::default_session(), a thread-local instance — so
-// legacy call sites now share one device per thread instead of constructing
-// a fresh one per call.
+// The device-less overloads (adaptive::bfs(g, s), ...) wrap
+// default_session(), a thread-local instance, so legacy call sites share
+// one device per thread.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
-#include <vector>
 
 #include "api/algorithms.h"
 #include "api/exec.h"
-#include "graph/incremental_cc.h"
-#include "service/result_cache.h"
+#include "service/graph_service.h"
 #include "simt/cluster.h"
-#include "simt/device.h"
 
 namespace adaptive {
 
-// Opaque registration handle returned by Session::register_graph; stable for
-// the lifetime of the registration, never reused within a session.
+// Opaque registration handle returned by Session::register_graph; never 0.
 using GraphId = std::uint64_t;
 
 class Session {
@@ -67,40 +53,40 @@ class Session {
   // Primary constructor: the spec describes the whole fleet. An empty
   // ClusterSpec means a single default device (the historical behavior).
   explicit Session(const simt::ClusterSpec& spec = {});
-  ~Session();
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
   // Legacy accessors: device 0 of the fleet.
-  simt::Device& device() { return fleet_.device(0); }
-  const simt::Device& device() const { return fleet_.device(0); }
-  simt::Fleet& fleet() { return fleet_; }
-  std::uint32_t num_devices() const { return fleet_.size(); }
+  simt::Device& device() { return fleet().device(0); }
+  const simt::Device& device() const { return fleet().device(0); }
+  simt::Fleet& fleet() { return service_.fleet(); }
+  const simt::Fleet& fleet() const { return service_.fleet(); }
+  std::uint32_t num_devices() const { return service_.num_devices(); }
 
   // ---- residency ----
-  // Uploads the graph's CSR (with weights when present) to every fleet
-  // device and keeps the replicas resident until unregister_graph() or
-  // destruction. Idempotent: re-registering an already-registered graph
-  // refreshes it and returns its existing id.
+  // Uploads the graph's CSR (with weights when present) to every healthy
+  // fleet device and keeps the replicas resident until unregister_graph()
+  // or destruction. Idempotent: re-registering returns the existing id.
   GraphId register_graph(const Graph& g);
   // Mutable registration: identical residency semantics, but additionally
   // entitles the session to mutate the graph in place via mutate_graph().
   // Non-const Graph lvalues resolve here automatically.
   GraphId register_graph(Graph& g);
-  void unregister_graph(const Graph& g);
+  void unregister_graph(const Graph& g) { unregister_graph(graph_id(g)); }
   void unregister_graph(GraphId id);
-  bool is_registered(const Graph& g) const;
-  bool is_registered(GraphId id) const { return regs_.count(id) > 0; }
+  bool is_registered(const Graph& g) const { return is_registered(g.uid()); }
+  bool is_registered(GraphId id) const { return ids_.count(id) > 0; }
   // The registration id of `g`, or 0 when unregistered.
-  GraphId graph_id(const Graph& g) const;
-  std::size_t num_registered() const { return regs_.size(); }
+  GraphId graph_id(const Graph& g) const {
+    return is_registered(g) ? g.uid() : 0;
+  }
+  std::size_t num_registered() const { return ids_.size(); }
 
   // Releases the device copies of a registered graph (memory pressure) while
   // keeping the registration: the next query against it transparently
-  // re-uploads. A lazily pinned symmetrized closure (cc) is dropped outright
-  // — it is re-derived on demand. Cached results stay valid: eviction
-  // changes residency, not answers.
-  void evict(const Graph& g);
+  // re-uploads. Cached results stay valid: eviction changes residency, not
+  // answers.
+  void evict(const Graph& g) { evict(graph_id(g)); }
   void evict(GraphId id);
   // evict() for every registered graph; frees all device graph memory.
   void evict_all();
@@ -108,32 +94,27 @@ class Session {
   // at least one device.
   bool is_resident(const Graph& g) const;
 
-  // ---- mutation (ISSUE 9: dynamic graphs) ----
+  // ---- mutation (dynamic graphs) ----
   // Applies a batched edge delta to a graph registered via the mutable
-  // register_graph overload: bumps Graph::version(), incrementally patches
-  // every resident device replica (dirty-region transfers; compacting
-  // rebuild when the edge buffer capacity is exceeded) instead of the
-  // re-upload a version mismatch would otherwise trigger, drops the stale
-  // symmetrized closure per-structure, advances the incremental CC state,
-  // and delta-invalidates the result cache — entries whose source component
-  // is untouched by the delta survive under the new version. Aborts on an
-  // inapplicable delta or a const registration.
+  // register_graph overload, as one svc::GraphService::submit_mutation
+  // (see there). Aborts on an inapplicable delta or a const registration.
   void mutate_graph(GraphId id, const graph::EdgeDelta& delta);
   void mutate_graph(Graph& g, const graph::EdgeDelta& delta);
-  // The incremental CC labels of a registered graph (initialized lazily on
-  // first use; byte-identical to cpu::connected_components on the current
-  // CSR). Exposed for tests and delta-aware consumers.
-  const graph::IncrementalCc& incremental_cc(GraphId id);
+  // The incremental CC labels of a registered graph (built lazily;
+  // byte-identical to cpu::connected_components on the current CSR).
+  const graph::IncrementalCc& incremental_cc(GraphId id) {
+    return service_.incremental_cc(service_id(id));
+  }
 
   // ---- result cache ----
-  // Enables (capacity > 0) or disables (0) the session's query-result cache:
-  // repeat queries on *registered* graphs with the same (graph id + version,
-  // algo, source/params, policy) are answered from host memory at modeled
-  // copy cost (svc::CacheCostModel) without touching any device. Off by
-  // default.
-  void enable_result_cache(std::size_t capacity_bytes);
+  // Enables (capacity > 0) or disables (0) the service's result cache:
+  // repeat queries on *registered* graphs are answered from host memory at
+  // modeled copy cost on the service's host timeline. Off by default.
+  void enable_result_cache(std::size_t capacity_bytes) {
+    service_.set_cache_capacity(capacity_bytes);
+  }
   const svc::ResultCache<svc::Payload>& result_cache() const {
-    return rcache_;
+    return service_.result_cache();
   }
 
   // ---- queries ----
@@ -163,71 +144,31 @@ class Session {
   static Session& default_session();
 
  private:
-  // One device's copy of a registered graph and the Graph::version() it was
-  // made from. Not uploaded after evict(), after a faulted patch, or on a
-  // device that was dead at registration: the next query re-uploads.
-  struct Pin {
-    exec::Resident res;
-    std::uint64_t version = 0;
-  };
-  struct Registration {
-    const Graph* g = nullptr;
-    // Non-null only for graphs registered via the mutable overload; gates
-    // mutate_graph.
-    Graph* mutable_g = nullptr;
-    std::uint64_t uid = 0;
-    std::vector<Pin> pins;  // one per fleet device, ordinal-indexed
-    // Weak-connectivity labels maintained across deltas; constructed on the
-    // first mutate_graph / incremental_cc call.
-    std::optional<graph::IncrementalCc> inc_cc;
-  };
   static constexpr simt::DeviceIndex kNoDevice = ~simt::DeviceIndex{0};
 
-  Registration* find_reg(const Graph& g);
-  const Registration* find_reg(const Graph& g) const;
-  const Graph& graph_for(GraphId id) const;
+  // The service's id for a registered graph; aborts on an unknown id.
+  svc::GraphId service_id(GraphId id) const;
+  const Graph& graph_for(GraphId id) const {
+    return service_.graph(service_id(id));
+  }
+  // The single outcome of the item just submitted.
+  svc::QueryOutcome drain_one();
+  // The bfs/sssp/cc/pagerank path: the cpu_serial policy answers on the
+  // oracle, a registered graph through the service, an unregistered one
+  // call-scoped through route().
+  template <typename R>
+  R query(const Graph& g, const exec::Query& q);
   // Earliest-ready healthy device (default-stream ready time, ties lowest
   // ordinal); kNoDevice when the whole fleet is dead.
   simt::DeviceIndex route_device() const;
-  void release_pins(Registration& reg);
-  // Device d's copy of `reg`, re-uploaded first when evicted or stale (the
-  // graph mutated since); throws simt::DeviceFault on upload failure.
-  exec::Resident& ensure_fresh(Registration& reg, simt::DeviceIndex d);
-
-  // The bfs/sssp/cc/pagerank path: the cpu_serial policy answers on the
-  // oracle; otherwise a cached answer, else route() over exec::run against
-  // the resident copy (call-scoped for unregistered graphs), caching an
-  // exact answer.
-  template <typename R>
-  R query(const Graph& g, const exec::Query& q);
   // Runs attempt(d) on the earliest-ready healthy device, failing over while
   // devices die, and answers from oracle() -- flagged degraded -- once none
   // is left.
   template <typename R, typename Attempt, typename Oracle>
   R route(Attempt&& attempt, Oracle&& oracle);
 
-  // ---- result cache plumbing ----
-  // GraphId for registered graphs, uid otherwise — never an address, so a
-  // recycled allocation cannot alias a cached answer.
-  std::uint64_t rcache_graph_key(const Graph& g) const;
-  // Invalidates stale entries when g's version moved since last seen.
-  void rcache_refresh_version(const Graph& g);
-  // Cached payload for q (charging the modeled copy cost to device 0's
-  // current stream) or nullptr; only registered graphs are served.
-  const svc::Payload* rcache_lookup(const Graph& g, const exec::Query& q);
-  // Stores a completed exact payload (no-op when the cache is off or the
-  // graph is unregistered).
-  void rcache_store(const Graph& g, const exec::Query& q,
-                    svc::Payload payload);
-
-  simt::Fleet fleet_;
-  std::map<GraphId, Registration> regs_;
-  std::map<std::uint64_t, GraphId> by_uid_;
-  GraphId next_graph_id_ = 1;
-  svc::ResultCache<svc::Payload> rcache_{0};  // disabled until enabled
-  svc::CacheCostModel rcache_cost_{};
-  // Last Graph::version() seen per registered graph, for eager invalidation.
-  std::map<std::uint64_t, std::uint64_t> rcache_versions_;  // uid -> version
+  svc::GraphService service_;
+  std::map<GraphId, svc::GraphId> ids_;  // Graph::uid() -> service id
 };
 
 }  // namespace adaptive

@@ -36,6 +36,31 @@ void bump_route(simt::DeviceIndex device) {
   bump("svc.route.dev" + std::to_string(device));
 }
 
+// Why `req` cannot be answered on `g`, or nullptr.
+const char* request_error(const QueryRequest& req, const adaptive::Graph& g) {
+  if (req.policy.mode == adaptive::Policy::Mode::cpu_serial) {
+    return "cpu_serial policies are not servable (wall-clock timing)";
+  }
+  if (req.algo == Algo::sssp && !g.is_weighted()) {
+    return "sssp requires edge weights";
+  }
+  if ((req.algo == Algo::bfs || req.algo == Algo::sssp) &&
+      req.source >= g.num_nodes()) {
+    return "source out of range";
+  }
+  return nullptr;
+}
+
+// Marks `out` failed with `code`: a bad request counts as completed, any
+// other failure as failed.
+void set_error(QueryOutcome& out, adaptive::ErrorCode code, std::string why) {
+  out.status = adaptive::Status::error;
+  out.error = std::move(why);
+  out.code = code;
+  bump(code == adaptive::ErrorCode::invalid_argument ? "svc.completed"
+                                                      : "svc.failed");
+}
+
 }  // namespace
 
 GraphService::GraphService(ServiceOptions opts, const simt::ClusterSpec& cluster)
@@ -45,6 +70,12 @@ GraphService::GraphService(ServiceOptions opts, const simt::ClusterSpec& cluster
                                               gg::kMaxBatchedSources);
   streams_.resize(fleet_.size());
   for (simt::DeviceIndex d = 0; d < fleet_.size(); ++d) {
+    if (opts_.concurrency == 1) {
+      // One slot: the default stream, behind the upload and the caller's
+      // own work on the device (see the header).
+      streams_[d].push_back(0);
+      continue;
+    }
     streams_[d].reserve(opts_.concurrency);
     for (std::uint32_t i = 0; i < opts_.concurrency; ++i) {
       streams_[d].push_back(
@@ -54,23 +85,30 @@ GraphService::GraphService(ServiceOptions opts, const simt::ClusterSpec& cluster
 }
 
 GraphService::~GraphService() {
-  for (auto& entry : graphs_) release_graph(*entry);
+  for (auto& entry : graphs_) {
+    if (entry) release_graph(*entry);
+  }
+}
+
+GraphService::GraphEntry& GraphService::at(GraphId id) const {
+  AGG_CHECK_MSG(id < graphs_.size() && graphs_[id], "unknown GraphId");
+  return *graphs_[id];
 }
 
 void GraphService::place_graph(GraphEntry& entry) {
-  entry.plan = plan_placement(entry.g.csr(), entry.g.is_weighted(), fleet_,
-                              opts_.placement);
+  const adaptive::Graph& g = *entry.g;
+  entry.plan =
+      plan_placement(g.csr(), g.is_weighted(), fleet_, opts_.placement);
   if (entry.plan.replicated()) {
     entry.replicas.reserve(entry.plan.replicas.size());
     for (const simt::DeviceIndex d : entry.plan.replicas) {
       Replica rep;
       rep.device = d;
-      rep.res.upload(fleet_.device(d), entry.g);
+      if (fleet_.device(d).healthy()) rep.res.upload(fleet_.device(d), g);
       entry.replicas.push_back(std::move(rep));
     }
   } else {
-    entry.sharded = make_sharded(fleet_, entry.g.csr(), entry.g.is_weighted(),
-                                 entry.plan);
+    entry.sharded = make_sharded(fleet_, g.csr(), g.is_weighted(), entry.plan);
     bump("svc.placement.sharded");
   }
 }
@@ -87,102 +125,149 @@ void GraphService::release_graph(GraphEntry& entry) {
 }
 
 GraphId GraphService::add_graph(adaptive::Graph g) {
-  auto entry = std::make_unique<GraphEntry>(std::move(g));
+  auto entry = std::make_unique<GraphEntry>();
+  entry->g = entry->mut = &entry->owned.emplace(std::move(g));
+  return insert(std::move(entry));
+}
+
+GraphId GraphService::borrow_graph(const adaptive::Graph& g) {
+  auto entry = std::make_unique<GraphEntry>();
+  entry->g = &g;
+  return insert(std::move(entry));
+}
+
+GraphId GraphService::borrow_graph(adaptive::Graph& g) {
+  auto entry = std::make_unique<GraphEntry>();
+  entry->g = entry->mut = &g;
+  return insert(std::move(entry));
+}
+
+GraphId GraphService::insert(std::unique_ptr<GraphEntry> entry) {
+  entry->version = entry->g->version();
   place_graph(*entry);
   graphs_.push_back(std::move(entry));
   return static_cast<GraphId>(graphs_.size() - 1);
 }
 
 void GraphService::update_graph(GraphId id, adaptive::Graph g) {
-  AGG_CHECK(id < graphs_.size());
-  GraphEntry& entry = *graphs_[id];
+  GraphEntry& entry = at(id);
   release_graph(entry);
-  entry.g = std::move(g);
+  entry.g = entry.mut = &entry.owned.emplace(std::move(g));
+  entry.version = entry.g->version();
   entry.gen = next_gen_++;
+  // The labels describe the replaced graph; a later delta must not advance
+  // them.
+  entry.inc_cc.reset();
   place_graph(entry);
-  // Every cached answer for this id is stale regardless of version: the
-  // upload generation in the key already guarantees no hit, dropping them
-  // eagerly returns their bytes to the budget.
-  const std::size_t dropped = cache_.invalidate_graph(id);
-  if (dropped > 0) {
-    bump("svc.cache.invalidate", static_cast<double>(dropped));
-    gauge_max("svc.cache.bytes", static_cast<double>(cache_.bytes_in_use()));
-    if (trace::active()) {
-      trace::ServiceEvent ev;
-      ev.action = "cache_invalidate";
-      ev.graph = id;
-      ev.version = (entry.gen << 32) ^ entry.g.version();
-      ev.bytes = dropped;  // entry count; their bytes are already released
-      ev.ts_us = fleet_.device(0).now_us();
-      trace::Tracer::instance().service(ev);
-    }
+  // The upload generation in the key already rules out a stale hit.
+  drop_cached(id);
+}
+
+void GraphService::remove_graph(GraphId id) {
+  GraphEntry& entry = at(id);
+  AGG_CHECK_MSG(std::none_of(queue_.begin(), queue_.end(),
+                             [&](const PendingQuery& q) {
+                               return q.req.graph == id;
+                             }),
+                "remove_graph: items pending for the graph");
+  release_graph(entry);
+  drop_cached(id);
+  graphs_[id].reset();
+}
+
+void GraphService::evict(GraphId id) {
+  for (Replica& rep : at(id).replicas) {
+    rep.res.release(fleet_.device(rep.device));
   }
+}
+
+bool GraphService::resident(GraphId id) const {
+  const GraphEntry& entry = at(id);
+  return entry.sharded.has_value() ||
+         std::any_of(entry.replicas.begin(), entry.replicas.end(),
+                     [](const Replica& rep) { return rep.res.uploaded(); });
+}
+
+void GraphService::refresh(GraphId id) {
+  GraphEntry& entry = *graphs_[id];
+  if (entry.version == entry.g->version()) return;
+  entry.version = entry.g->version();
+  entry.inc_cc.reset();
+  if (entry.sharded) {
+    release_graph(entry);
+    place_graph(entry);
+  } else {
+    evict(id);
+  }
+  // The version in the key already rules out a stale hit.
+  drop_cached(id);
+}
+
+void GraphService::drop_cached(GraphId id) {
+  const std::size_t dropped = cache_.invalidate_graph(id);
+  if (dropped == 0) return;
+  bump("svc.cache.invalidate", static_cast<double>(dropped));
+  gauge_max("svc.cache.bytes", static_cast<double>(cache_.bytes_in_use()));
+  // The entry count; their bytes are already released.
+  publish_graph_event("cache_invalidate", id, 0, dropped,
+                      fleet_.device(0).now_us());
+}
+
+void GraphService::ensure_uploaded(Replica& rep, const adaptive::Graph& g,
+                                   simt::StreamId stream) {
+  if (rep.res.uploaded()) return;
+  simt::Device& dev = fleet_.device(rep.device);
+  simt::StreamGuard sguard(dev, stream);
+  rep.res.upload(dev, g);
 }
 
 const adaptive::Graph& GraphService::graph(GraphId id) const {
-  AGG_CHECK(id < graphs_.size());
-  return graphs_[id]->g;
+  return *at(id).g;
 }
 
 const PlacementPlan& GraphService::placement(GraphId id) const {
-  AGG_CHECK(id < graphs_.size());
-  return graphs_[id]->plan;
+  return at(id).plan;
 }
 
 std::optional<QueryId> GraphService::submit(QueryRequest req) {
-  AGG_CHECK(req.graph < graphs_.size());
-  if (queue_.size() >= opts_.queue_capacity) {
-    QueryOutcome out;
-    out.id = next_id_++;
-    out.algo = req.algo;
-    out.graph = req.graph;
-    out.status = adaptive::Status::rejected;
-    out.error = "queue full";
-    out.code = adaptive::ErrorCode::queue_full;
-    out.submit_us = fleet_.makespan_us();
-    done_.push_back(std::move(out));
-    bump("svc.rejected");
-    return std::nullopt;
-  }
+  at(req.graph);  // aborts on an unknown id
   PendingQuery q;
-  q.id = next_id_++;
   q.req = std::move(req);
-  q.submit_us = fleet_.makespan_us();
-  queue_.push_back(std::move(q));
-  bump("svc.queued");
-  return queue_.back().id;
+  return enqueue(std::move(q));
 }
 
 std::optional<QueryId> GraphService::submit_mutation(GraphId graph,
                                                      graph::EdgeDelta delta) {
-  AGG_CHECK(graph < graphs_.size());
+  AGG_CHECK_MSG(at(graph).mut != nullptr,
+                "submit_mutation: the graph was borrowed const");
+  PendingQuery q;
+  q.req.graph = graph;
+  q.mutation = std::move(delta);
+  return enqueue(std::move(q));
+}
+
+std::optional<QueryId> GraphService::enqueue(PendingQuery q) {
+  q.id = next_id_++;
+  q.submit_us = fleet_.makespan_us();
   if (queue_.size() >= opts_.queue_capacity) {
-    QueryOutcome out;
-    out.id = next_id_++;
-    out.graph = graph;
-    out.mutation = true;
+    QueryOutcome out = make_outcome(q);
+    out.mutation = q.mutation.has_value();
     out.status = adaptive::Status::rejected;
     out.error = "queue full";
     out.code = adaptive::ErrorCode::queue_full;
-    out.submit_us = fleet_.makespan_us();
     done_.push_back(std::move(out));
     bump("svc.rejected");
     return std::nullopt;
   }
-  PendingQuery q;
-  q.id = next_id_++;
-  q.req.graph = graph;
-  q.mutation = std::move(delta);
-  q.submit_us = fleet_.makespan_us();
   queue_.push_back(std::move(q));
   bump("svc.queued");
   return queue_.back().id;
 }
 
 const graph::IncrementalCc& GraphService::incremental_cc(GraphId id) {
-  AGG_CHECK(id < graphs_.size());
-  GraphEntry& entry = *graphs_[id];
-  if (!entry.inc_cc) entry.inc_cc = graph::IncrementalCc(entry.g.csr());
+  GraphEntry& entry = at(id);
+  refresh(id);
+  if (!entry.inc_cc) entry.inc_cc = graph::IncrementalCc(entry.g->csr());
   return *entry.inc_cc;
 }
 
@@ -207,14 +292,6 @@ GraphService::Replica* GraphService::replica_on(GraphEntry& entry,
     if (rep.device == device) return &rep;
   }
   return nullptr;
-}
-
-std::uint32_t GraphService::healthy_replicas(const GraphEntry& entry) const {
-  std::uint32_t n = 0;
-  for (const Replica& rep : entry.replicas) {
-    if (fleet_.device(rep.device).healthy()) ++n;
-  }
-  return n;
 }
 
 GraphService::Route GraphService::route_query(const GraphEntry& entry) const {
@@ -267,7 +344,7 @@ bool GraphService::cache_servable(const QueryRequest& req) const {
 
 CacheKey GraphService::key_for(const QueryRequest& req) const {
   const GraphEntry& entry = *graphs_[req.graph];
-  return make_cache_key(req.graph, (entry.gen << 32) ^ entry.g.version(),
+  return make_cache_key(req.graph, (entry.gen << 32) ^ entry.g->version(),
                         req.algo, req.source, req.damping, req.policy);
 }
 
@@ -281,10 +358,25 @@ void GraphService::publish_service_event(const char* action,
   ev.action = action;
   ev.algo = algo_name(req.algo);
   ev.graph = req.graph;
-  ev.version = (entry.gen << 32) ^ entry.g.version();
+  ev.version = (entry.gen << 32) ^ entry.g->version();
   ev.source = req.source;
   ev.query = query;
   ev.leader = leader;
+  ev.bytes = bytes;
+  ev.ts_us = ts_us;
+  trace::Tracer::instance().service(ev);
+}
+
+void GraphService::publish_graph_event(const char* action, GraphId id,
+                                       QueryId query, std::uint64_t bytes,
+                                       double ts_us) const {
+  if (!trace::active()) return;
+  const GraphEntry& entry = *graphs_[id];
+  trace::ServiceEvent ev;
+  ev.action = action;
+  ev.graph = id;
+  ev.version = (entry.gen << 32) ^ entry.g->version();
+  ev.query = query;
   ev.bytes = bytes;
   ev.ts_us = ts_us;
   trace::Tracer::instance().service(ev);
@@ -307,6 +399,10 @@ void GraphService::serve_copy(const PendingQuery& q, const Payload& payload,
   out.stream = 0;  // never dispatched to a device stream
   out.start_us = start;
   out.finish_us = host_ready_us_;
+  check_deadline(q, out);
+}
+
+void GraphService::check_deadline(const PendingQuery& q, QueryOutcome& out) {
   if (q.req.deadline_us > 0 &&
       out.finish_us > q.submit_us + q.req.deadline_us) {
     out.status = adaptive::Status::timed_out;
@@ -339,6 +435,7 @@ void GraphService::store_result(const PendingQuery& q, const Payload& payload) {
 
 std::vector<QueryOutcome> GraphService::drain() {
   while (!queue_.empty()) {
+    refresh(queue_.front().req.graph);
     // Mutations execute strictly in admission order: everything ahead of
     // one in the FIFO has already run against the old version by the time
     // it applies, everything behind it sees the new version.
@@ -449,31 +546,11 @@ void GraphService::finish_outcome(QueryOutcome& out, simt::DeviceIndex device,
 void GraphService::execute_single(PendingQuery q) {
   QueryOutcome out = make_outcome(q);
   GraphEntry& entry = *graphs_[q.req.graph];
-  const adaptive::Graph& g = entry.g;
+  const adaptive::Graph& g = *entry.g;
 
-  if (q.req.policy.mode == adaptive::Policy::Mode::cpu_serial) {
-    out.status = adaptive::Status::error;
-    out.error = "cpu_serial policies are not servable (wall-clock timing)";
-    out.code = adaptive::ErrorCode::invalid_argument;
+  if (const char* why = request_error(q.req, g)) {
+    set_error(out, adaptive::ErrorCode::invalid_argument, why);
     done_.push_back(std::move(out));
-    bump("svc.completed");
-    return;
-  }
-  if ((q.req.algo == Algo::sssp) && !g.is_weighted()) {
-    out.status = adaptive::Status::error;
-    out.error = "sssp requires edge weights";
-    out.code = adaptive::ErrorCode::invalid_argument;
-    done_.push_back(std::move(out));
-    bump("svc.completed");
-    return;
-  }
-  if ((q.req.algo == Algo::bfs || q.req.algo == Algo::sssp) &&
-      q.req.source >= g.num_nodes()) {
-    out.status = adaptive::Status::error;
-    out.error = "source out of range";
-    out.code = adaptive::ErrorCode::invalid_argument;
-    done_.push_back(std::move(out));
-    bump("svc.completed");
     return;
   }
 
@@ -502,19 +579,12 @@ void GraphService::execute_single(PendingQuery q) {
     // permanently, so skip straight to degradation (or report the loss when
     // degradation is off). This is the single-device dead-device behavior.
     if (opts_.resilience.degrade_to_cpu) {
-      run_degraded(q, g, out);
-      bump("svc.degraded");
-      bump("svc.degraded.dead");
-      bump("svc.completed");
-      store_result(q, out.payload);
+      degrade(q, g, out, "svc.degraded.dead");
     } else {
-      out.status = adaptive::Status::error;
-      out.error = "no healthy replica for graph " +
-                  std::to_string(q.req.graph) + " (" +
-                  std::to_string(entry.replicas.size()) +
-                  " replicas, all devices lost)";
-      out.code = adaptive::ErrorCode::device_lost;
-      bump("svc.failed");
+      set_error(out, adaptive::ErrorCode::device_lost,
+                "no healthy replica for graph " + std::to_string(q.req.graph) +
+                    " (" + std::to_string(entry.replicas.size()) +
+                    " replicas, all devices lost)");
     }
     done_.push_back(std::move(out));
     return;
@@ -538,11 +608,7 @@ void GraphService::execute_single(PendingQuery q) {
     fi.cpu_start_us = std::max(host_ready_us_, q.submit_us);
     fi.cpu_estimate_us = estimate_cpu_us(q.req.algo, g);
     if (opts_.resilience.degrade_to_cpu && rt::choose_cpu_fallback(fi)) {
-      run_degraded(q, g, out);
-      bump("svc.degraded");
-      bump("svc.degraded.deadline");
-      bump("svc.completed");
-      store_result(q, out.payload);
+      degrade(q, g, out, "svc.degraded.deadline");
       done_.push_back(std::move(out));
       return;
     }
@@ -567,6 +633,7 @@ void GraphService::execute_single(PendingQuery q) {
     Replica* rep = replica_on(entry, route.device);
     AGG_CHECK(rep != nullptr);
     try {
+      ensure_uploaded(*rep, g, route.stream);
       out.payload = exec::run(dev, rep->res, g,
                               {q.req.algo, q.req.source, q.req.damping,
                                q.req.policy, route.stream});
@@ -577,7 +644,7 @@ void GraphService::execute_single(PendingQuery q) {
       bump(std::string("svc.fault.") + simt::fault_kind_name(f.kind()));
       const FaultAction action =
           next_action(opts_.resilience, attempts, f.permanent(), dev.healthy(),
-                      healthy_replicas(entry) > 0);
+                      route_query(entry).ok);
       if (action == FaultAction::retry) {
         const double delay = backoff_us(opts_.resilience, attempts);
         {
@@ -602,22 +669,16 @@ void GraphService::execute_single(PendingQuery q) {
         continue;
       }
       if (action == FaultAction::degrade) {
-        run_degraded(q, g, out);
-        bump("svc.degraded");
-        bump(f.permanent() ? "svc.degraded.dead" : "svc.degraded.fault");
-        bump("svc.completed");
-        store_result(q, out.payload);
+        degrade(q, g, out,
+                f.permanent() ? "svc.degraded.dead" : "svc.degraded.fault");
         done_.push_back(std::move(out));
         return;
       }
-      out.status = adaptive::Status::error;
-      out.error = f.what();
-      out.code = adaptive::detail::fault_code(f);
+      set_error(out, adaptive::detail::fault_code(f), f.what());
       out.device = route.device;
       out.stream = route.stream;
       out.start_us = ready;
       done_.push_back(std::move(out));
-      bump("svc.failed");
       return;
     }
   }
@@ -626,15 +687,7 @@ void GraphService::execute_single(PendingQuery q) {
   // The payload is complete and exact, so it enters the cache even when the
   // deadline check right after drops it from this outcome.
   store_result(q, out.payload);
-  if (q.req.deadline_us > 0 &&
-      out.finish_us > q.submit_us + q.req.deadline_us) {
-    out.status = adaptive::Status::timed_out;
-    out.code = adaptive::ErrorCode::deadline_exceeded;
-    out.payload = std::monostate{};
-    bump("svc.timeout");
-  } else {
-    bump("svc.completed");
-  }
+  check_deadline(q, out);
   done_.push_back(std::move(out));
 }
 
@@ -644,15 +697,13 @@ void GraphService::execute_mutation(PendingQuery q) {
   GraphEntry& entry = *graphs_[q.req.graph];
   const graph::EdgeDelta& delta = *q.mutation;
 
-  const std::string err = graph::delta_error(entry.g.csr(), delta);
+  const std::string err = graph::delta_error(entry.g->csr(), delta);
   if (!err.empty()) {
     // The graph is untouched: an inapplicable delta is the caller's bug and
     // must not leave host/device state out of sync.
-    out.status = adaptive::Status::error;
-    out.error = "inapplicable delta: " + err;
-    out.code = adaptive::ErrorCode::invalid_argument;
+    set_error(out, adaptive::ErrorCode::invalid_argument,
+              "inapplicable delta: " + err);
     done_.push_back(std::move(out));
-    bump("svc.completed");
     return;
   }
   const double start = std::max(host_ready_us_, q.submit_us);
@@ -669,7 +720,7 @@ void GraphService::execute_mutation(PendingQuery q) {
 
   // Snapshot the pre-delta component labels: the cache keep-test below is
   // defined entirely in terms of the OLD partition.
-  if (!entry.inc_cc) entry.inc_cc = graph::IncrementalCc(entry.g.csr());
+  if (!entry.inc_cc) entry.inc_cc = graph::IncrementalCc(entry.g->csr());
   std::vector<std::uint32_t> old_labels;
   std::vector<std::uint32_t> affected;
   if (cache_.enabled()) {
@@ -681,8 +732,9 @@ void GraphService::execute_mutation(PendingQuery q) {
   // Host-side apply + incremental CC update, charged to the modeled host
   // timeline (the same single-core line degraded queries and cache hits
   // use): proportional to the delta plus the CC rescan it forced.
-  entry.g.apply_delta(delta);
-  entry.inc_cc->apply(entry.g.csr(), delta);
+  entry.mut->apply_delta(delta);
+  entry.version = entry.g->version();
+  entry.inc_cc->apply(entry.g->csr(), delta);
   const std::size_t host_bytes =
       delta.num_ops() * 16 + entry.inc_cc->last_edges_rescanned() * 8;
   host_ready_us_ = start + opts_.cache_cost.hit_us(host_bytes);
@@ -690,7 +742,8 @@ void GraphService::execute_mutation(PendingQuery q) {
   double finish = host_ready_us_;
 
   if (entry.plan.replicated()) {
-    // Patch every healthy replica in place. The patch transfer is ordered
+    // Patch every healthy resident replica in place (an evicted one uploads
+    // the new graph on its next attempt). The patch transfer is ordered
     // after everything already issued on the device (max over the stream
     // pool): a dispatched pre-mutation query may still be reading the very
     // buffers the patch overwrites. Post-mutation queries in turn start
@@ -699,7 +752,7 @@ void GraphService::execute_mutation(PendingQuery q) {
     for (std::size_t ri = 0; ri < entry.replicas.size(); ++ri) {
       Replica& rep = entry.replicas[ri];
       simt::Device& dev = fleet_.device(rep.device);
-      if (!dev.healthy()) continue;
+      if (!dev.healthy() || !rep.res.uploaded()) continue;
       double barrier = host_ready_us_;
       for (const simt::StreamId s : streams_[rep.device]) {
         barrier = std::max(barrier, dev.stream_ready_us(s));
@@ -710,7 +763,7 @@ void GraphService::execute_mutation(PendingQuery q) {
         const double r0 = dev.stream_ready_us(s0);
         if (barrier > r0) dev.account_host_compute(barrier - r0);
         try {
-          const gg::DeviceGraph::PatchStats ps = rep.res.patch(dev, entry.g);
+          const gg::DeviceGraph::PatchStats ps = rep.res.patch(dev, *entry.g);
           out.rebuilt = out.rebuilt || ps.rebuilt;
           bump(ps.rebuilt ? "svc.mutate.rebuild" : "svc.mutate.patch");
           bump("svc.mutate.bytes", static_cast<double>(ps.bytes_sent));
@@ -720,7 +773,7 @@ void GraphService::execute_mutation(PendingQuery q) {
           // replica (routing skips it from now on).
           bump("svc.fault");
           try {
-            rep.res.upload(dev, entry.g);
+            rep.res.upload(dev, *entry.g);
             out.rebuilt = true;
             bump("svc.mutate.reupload");
           } catch (const simt::DeviceFault&) {
@@ -764,7 +817,7 @@ void GraphService::execute_mutation(PendingQuery q) {
   // Delta-aware cache invalidation: survivors are re-keyed to the new
   // version so post-mutation repeats still hit.
   if (cache_.enabled()) {
-    const std::uint64_t new_version = (entry.gen << 32) ^ entry.g.version();
+    const std::uint64_t new_version = (entry.gen << 32) ^ entry.g->version();
     const auto res = cache_.delta_invalidate(
         q.req.graph, new_version, [&](const CacheKey& k) {
           return entry_survives_delta(k, old_labels, affected);
@@ -774,28 +827,10 @@ void GraphService::execute_mutation(PendingQuery q) {
       bump("svc.cache.invalidate", static_cast<double>(res.dropped));
     }
     gauge_max("svc.cache.bytes", static_cast<double>(cache_.bytes_in_use()));
-    if (trace::active()) {
-      trace::ServiceEvent ev;
-      ev.action = "cache_delta";
-      ev.graph = q.req.graph;
-      ev.version = new_version;
-      ev.query = q.id;
-      ev.bytes = res.kept;  // survivors; dropped bytes already released
-      ev.ts_us = finish;
-      trace::Tracer::instance().service(ev);
-    }
+    // Survivors; the dropped entries' bytes are already released.
+    publish_graph_event("cache_delta", q.req.graph, q.id, res.kept, finish);
   }
-
-  if (trace::active()) {
-    trace::ServiceEvent ev;
-    ev.action = "mutate";
-    ev.graph = q.req.graph;
-    ev.version = (entry.gen << 32) ^ entry.g.version();
-    ev.query = q.id;
-    ev.bytes = delta.num_ops();
-    ev.ts_us = finish;
-    trace::Tracer::instance().service(ev);
-  }
+  publish_graph_event("mutate", q.req.graph, q.id, delta.num_ops(), finish);
   out.finish_us = finish;
   done_.push_back(std::move(out));
   bump("svc.completed");
@@ -803,7 +838,7 @@ void GraphService::execute_mutation(PendingQuery q) {
 
 void GraphService::execute_sharded(PendingQuery q, GraphEntry& entry,
                                    QueryOutcome out) {
-  const adaptive::Graph& g = entry.g;
+  const adaptive::Graph& g = *entry.g;
   ShardedGraph& sg = *entry.sharded;
   bump("svc.sharded");
 
@@ -814,18 +849,12 @@ void GraphService::execute_sharded(PendingQuery q, GraphEntry& entry,
     const Shard& sh = sg.shards[si];
     if (fleet_.device(sh.device).healthy()) continue;
     if (opts_.resilience.degrade_to_cpu) {
-      run_degraded(q, g, out);
-      bump("svc.degraded");
-      bump("svc.degraded.dead");
-      bump("svc.completed");
-      store_result(q, out.payload);
+      degrade(q, g, out, "svc.degraded.dead");
     } else {
-      out.status = adaptive::Status::error;
-      out.error = "shard " + std::to_string(si) + " of graph " +
-                  std::to_string(q.req.graph) + " on " +
-                  fleet_.device(sh.device).label() + " lost";
-      out.code = adaptive::ErrorCode::device_lost;
-      bump("svc.failed");
+      set_error(out, adaptive::ErrorCode::device_lost,
+                "shard " + std::to_string(si) + " of graph " +
+                    std::to_string(q.req.graph) + " on " +
+                    fleet_.device(sh.device).label() + " lost");
     }
     done_.push_back(std::move(out));
     return;
@@ -834,11 +863,7 @@ void GraphService::execute_sharded(PendingQuery q, GraphEntry& entry,
   // SSSP / PageRank have no sharded kernels: the exact CPU oracle answers
   // (degraded outcome), never a wrong answer.
   if (q.req.algo == Algo::sssp || q.req.algo == Algo::pagerank) {
-    run_degraded(q, g, out);
-    bump("svc.degraded");
-    bump("svc.degraded.sharded");
-    bump("svc.completed");
-    store_result(q, out.payload);
+    degrade(q, g, out, "svc.degraded.sharded");
     done_.push_back(std::move(out));
     return;
   }
@@ -886,16 +911,10 @@ void GraphService::execute_sharded(PendingQuery q, GraphEntry& entry,
     bump("svc.fault");
     bump(std::string("svc.fault.") + simt::fault_kind_name(f.kind()));
     if (opts_.resilience.degrade_to_cpu) {
-      run_degraded(q, g, out);
-      bump("svc.degraded");
-      bump(f.permanent() ? "svc.degraded.dead" : "svc.degraded.fault");
-      bump("svc.completed");
-      store_result(q, out.payload);
+      degrade(q, g, out,
+              f.permanent() ? "svc.degraded.dead" : "svc.degraded.fault");
     } else {
-      out.status = adaptive::Status::error;
-      out.error = f.what();
-      out.code = adaptive::detail::fault_code(f);
-      bump("svc.failed");
+      set_error(out, adaptive::detail::fault_code(f), f.what());
     }
     done_.push_back(std::move(out));
     return;
@@ -907,20 +926,12 @@ void GraphService::execute_sharded(PendingQuery q, GraphEntry& entry,
   out.start_us = run.start_us;
   out.finish_us = run.finish_us;
   store_result(q, out.payload);
-  if (q.req.deadline_us > 0 &&
-      out.finish_us > q.submit_us + q.req.deadline_us) {
-    out.status = adaptive::Status::timed_out;
-    out.code = adaptive::ErrorCode::deadline_exceeded;
-    out.payload = std::monostate{};
-    bump("svc.timeout");
-  } else {
-    bump("svc.completed");
-  }
+  check_deadline(q, out);
   done_.push_back(std::move(out));
 }
 
-void GraphService::run_degraded(const PendingQuery& q, const adaptive::Graph& g,
-                                QueryOutcome& out) {
+void GraphService::degrade(const PendingQuery& q, const adaptive::Graph& g,
+                           QueryOutcome& out, const char* why) {
   const double start = std::max(host_ready_us_, q.submit_us);
   exec::CpuAnswer a = exec::run_cpu(
       g, {q.req.algo, q.req.source, q.req.damping, q.req.policy, 0});
@@ -938,6 +949,10 @@ void GraphService::run_degraded(const PendingQuery& q, const adaptive::Graph& g,
   out.stream = 0;  // never dispatched to a device stream
   out.start_us = start;
   out.finish_us = host_ready_us_;
+  bump("svc.degraded");
+  bump(why);
+  bump("svc.completed");
+  store_result(q, out.payload);
 }
 
 double GraphService::estimate_cpu_us(Algo algo, const adaptive::Graph& g) const {
@@ -976,7 +991,7 @@ double GraphService::estimate_cpu_us(Algo algo, const adaptive::Graph& g) const 
 
 void GraphService::execute_bfs_batch(std::vector<PendingQuery> batch) {
   GraphEntry& entry = *graphs_[batch.front().req.graph];
-  const adaptive::Graph& g = entry.g;
+  const adaptive::Graph& g = *entry.g;
   const std::size_t k = batch.size();
 
   // Per-member validity and cache screening: invalid members get an error
@@ -986,14 +1001,19 @@ void GraphService::execute_bfs_batch(std::vector<PendingQuery> batch) {
   outs.reserve(k);
   std::vector<char> resolved(k, 0);
   std::vector<std::size_t> live;
+  // Records the members already answered, then runs each live member
+  // through the single-query path.
+  const auto unbatch = [&] {
+    for (std::size_t i = 0; i < k; ++i) {
+      if (resolved[i]) done_.push_back(std::move(outs[i]));
+    }
+    for (const std::size_t i : live) execute_single(std::move(batch[i]));
+  };
   for (std::size_t i = 0; i < k; ++i) {
     const PendingQuery& q = batch[i];
     QueryOutcome out = make_outcome(q);
-    if (q.req.source >= g.num_nodes()) {
-      out.status = adaptive::Status::error;
-      out.error = "source out of range";
-      out.code = adaptive::ErrorCode::invalid_argument;
-      bump("svc.completed");
+    if (const char* why = request_error(q.req, g)) {
+      set_error(out, adaptive::ErrorCode::invalid_argument, why);
       resolved[i] = 1;
     } else {
       const ResultCache<Payload>::Entry* e =
@@ -1017,12 +1037,8 @@ void GraphService::execute_bfs_batch(std::vector<PendingQuery> batch) {
   if (!live.empty()) {
     const Route route = route_query(entry);
     if (!route.ok) {
-      // No healthy replica: record what's already resolved and route the
-      // live members through the single-query degradation path.
-      for (std::size_t i = 0; i < k; ++i) {
-        if (resolved[i]) done_.push_back(std::move(outs[i]));
-      }
-      for (const std::size_t i : live) execute_single(std::move(batch[i]));
+      // No healthy replica: the single-query path degrades or fails.
+      unbatch();
       return;
     }
     simt::Device& dev = fleet_.device(route.device);
@@ -1077,8 +1093,10 @@ void GraphService::execute_bfs_batch(std::vector<PendingQuery> batch) {
     adaptive::Policy policy = batch[live.front()].req.policy;
     policy.options.engine.stream = stream;
     gg::GpuBfsMultiResult mr;
-    const std::uint64_t mark = dev.mem_mark();
+    std::uint64_t mark = dev.mem_mark();
     try {
+      ensure_uploaded(rep, g, stream);
+      mark = dev.mem_mark();
       mr = policy.mode == adaptive::Policy::Mode::fixed_variant
                ? gg::run_bfs_multi(dev, rep.res.dg, g.csr(), sources,
                                    gg::fixed_variant(policy.variant),
@@ -1086,18 +1104,13 @@ void GraphService::execute_bfs_batch(std::vector<PendingQuery> batch) {
                : rt::adaptive_bfs_multi(dev, rep.res.dg, g.csr(), sources,
                                         policy.options);
     } catch (const simt::DeviceFault& f) {
-      // Fused launch died: unbatch. Record the members already answered
-      // (invalid / timed out / cache hits), then route each live member
-      // through the single-query path, whose retry/failover/degradation
-      // policy applies per query.
+      // The re-upload or the fused launch died: unbatch, so the retry/
+      // failover/degradation policy applies per query.
       dev.mem_reclaim(mark);
       bump("svc.fault");
       bump(std::string("svc.fault.") + simt::fault_kind_name(f.kind()));
       bump("svc.batch_aborted");
-      for (std::size_t i = 0; i < k; ++i) {
-        if (resolved[i]) done_.push_back(std::move(outs[i]));
-      }
-      for (const std::size_t i : live) execute_single(std::move(batch[i]));
+      unbatch();
       return;
     }
 
@@ -1150,15 +1163,7 @@ void GraphService::execute_bfs_batch(std::vector<PendingQuery> batch) {
         publish_service_event("collapse", q.req, q.id, slot_leader[s],
                               payload_bytes(out.payload), out.finish_us);
       }
-      if (q.req.deadline_us > 0 &&
-          out.finish_us > q.submit_us + q.req.deadline_us) {
-        out.status = adaptive::Status::timed_out;
-        out.code = adaptive::ErrorCode::deadline_exceeded;
-        out.payload = std::monostate{};
-        bump("svc.timeout");
-      } else {
-        bump("svc.completed");
-      }
+      check_deadline(q, out);
     }
     bump("svc.batches");
     bump("svc.batched", static_cast<double>(live.size()));

@@ -4,7 +4,15 @@
 // ClusterSpec configures more, possibly heterogeneous), places registered
 // graphs on it (service/placement.h), and executes submitted queries on
 // per-device pools of simt streams so their kernels and transfers interleave
-// on each device's modeled clock.
+// on each device's modeled clock. adaptive::Session (api/session.h) is a
+// synchronous front over one: a submit and a drain per query.
+//
+// Graphs are owned (add_graph) or borrowed (borrow_graph: the caller keeps
+// the Graph alive). A borrowed graph the caller changes in place — its
+// version() moves outside submit_mutation — loses its device copies, cached
+// answers and incremental CC labels when the next item for it is drained;
+// evict() drops the device copies alone. Either way the next query routed
+// to a device re-uploads the graph there, inside its faultable attempt.
 //
 // Placement & routing: a graph that fits a device is uploaded to every
 // replica device (full replication — the hot-read-traffic placement); a
@@ -22,6 +30,9 @@
 // (= stream-pool size). Each dispatch picks the earliest-ready
 // (device, stream) pair among the graph's healthy replicas, so up to
 // N * concurrency queries are in flight on the modeled timelines at once.
+// A one-slot pool (concurrency 1) is the device's default stream, so a
+// serial service orders its queries behind the graph upload and any other
+// work issued on the device, exactly like a caller running them itself.
 // Admission control rejects submissions when the pending queue is full;
 // per-query deadlines time out queries before dispatch (the chosen slot
 // cannot start in time) or after execution.
@@ -114,7 +125,10 @@ struct QueryOutcome {
   std::uint32_t device = 0;      // fleet ordinal it ran on (replicated path)
   bool failover = false;         // rerouted around a dead replica device
   bool sharded = false;          // answered by the sharded BSP executor
-  simt::StreamId stream = 0;     // stream it ran on; 0 = never dispatched
+  // Stream it ran on. 0 is the default stream a one-slot service dispatches
+  // on, and also what queries that never reached a device report (cached,
+  // collapsed, degraded), so read those flags before the stream.
+  simt::StreamId stream = 0;
   double submit_us = 0;          // modeled time of submission
   double start_us = 0;           // stream time when dispatched
   double finish_us = 0;          // stream time when complete
@@ -145,7 +159,9 @@ struct QueryOutcome {
 };
 
 struct ServiceOptions {
-  std::uint32_t concurrency = 4;    // in-flight slots per device (simt streams)
+  // In-flight slots per device: created simt streams, or the default
+  // stream alone when 1 (see Scheduling above).
+  std::uint32_t concurrency = 4;
   std::size_t queue_capacity = 64;  // pending submissions before rejection
   bool batch_bfs = true;            // fuse same-graph BFS prefixes
   std::uint32_t max_batch = 32;     // <= gg::kMaxBatchedSources
@@ -174,22 +190,43 @@ class GraphService {
 
   // Takes ownership and places the graph on the fleet: replicated uploads
   // when it fits a device, vertex-cut shards otherwise. All queries against
-  // the returned id run on the resident copies (no per-query upload).
+  // the returned id run on the resident copies (no per-query upload). A dead
+  // device takes no copy; routing skips it.
   GraphId add_graph(adaptive::Graph g);
-  // Replaces the resident graph under `id`: placement is re-planned, device
-  // copies are re-uploaded, and every cached result for the id is retired.
+  // Places a graph the caller owns and keeps alive until remove_graph() or
+  // the service's end. Only a mutable borrow accepts submit_mutation.
+  GraphId borrow_graph(const adaptive::Graph& g);
+  GraphId borrow_graph(adaptive::Graph& g);
+  GraphId borrow_graph(adaptive::Graph&&) = delete;
+  // Replaces the graph under `id` with an owned one: placement is
+  // re-planned, device copies are re-uploaded, and every cached result and
+  // the incremental CC labels for the id are retired.
   void update_graph(GraphId id, adaptive::Graph g);
+  // Releases the graph's device copies and cached results. The id is never
+  // reused; no pending item may target it.
+  void remove_graph(GraphId id);
+  // Releases the replicated device copies but keeps the graph and its cached
+  // results: the next query routed to a device re-uploads there. A sharded
+  // placement stays resident.
+  void evict(GraphId id);
+  // True when some device holds a copy of the graph.
+  bool resident(GraphId id) const;
   const adaptive::Graph& graph(GraphId id) const;
-  std::size_t num_graphs() const { return graphs_.size(); }
   // The placement the service chose for `id` (tests, introspection).
   const PlacementPlan& placement(GraphId id) const;
 
   simt::Fleet& fleet() { return fleet_; }
+  const simt::Fleet& fleet() const { return fleet_; }
   std::uint32_t num_devices() const { return fleet_.size(); }
   // Legacy accessor: device 0.
   simt::Device& device() { return fleet_.device(0); }
   const ServiceOptions& options() const { return opts_; }
   const ResultCache<Payload>& result_cache() const { return cache_; }
+  // Resizes the result-cache budget; 0 empties and disables the cache.
+  void set_cache_capacity(std::size_t bytes) {
+    opts_.cache_bytes = bytes;
+    cache_.set_capacity(bytes);
+  }
 
   // Arms deterministic fault injection on one device (default: device 0,
   // the single-device behavior). Install after add_graph() so the resident
@@ -217,12 +254,13 @@ class GraphService {
   // is exact: queries admitted before the mutation answer against the old
   // version, queries after it against the new one. Execution validates the
   // delta (an inapplicable one yields an invalid_argument outcome, the
-  // graph untouched), applies it to the owned Graph, incrementally patches
-  // every healthy replica behind a per-device stream barrier (sharded
+  // graph untouched), applies it to the Graph, incrementally patches every
+  // healthy resident replica behind a per-device stream barrier (sharded
   // placements re-place wholesale), advances the incremental CC labels, and
   // delta-invalidates the cache — entries whose source component the delta
   // does not touch survive re-keyed to the new version
   // (svc.cache.delta_keep). Admission control applies as for submit().
+  // Aborts on a const borrow.
   std::optional<QueryId> submit_mutation(GraphId graph,
                                          graph::EdgeDelta delta);
 
@@ -262,7 +300,12 @@ class GraphService {
     exec::Resident res;
   };
   struct GraphEntry {
-    adaptive::Graph g;
+    std::optional<adaptive::Graph> owned;  // add_graph / update_graph
+    const adaptive::Graph* g = nullptr;    // owned or borrowed
+    adaptive::Graph* mut = nullptr;        // null for a const borrow
+    // g->version() as of the last drained item: a move since means the
+    // caller changed a borrowed graph (see refresh()).
+    std::uint64_t version = 0;
     // Upload generation: bumped by update_graph() and folded into the cache
     // key version so replaced graphs never serve stale hits.
     std::uint64_t gen = 0;
@@ -271,7 +314,6 @@ class GraphService {
     std::optional<ShardedGraph> sharded; // sharded placement
     // Weak-connectivity labels maintained across deltas (lazily built).
     std::optional<graph::IncrementalCc> inc_cc;
-    GraphEntry(adaptive::Graph graph) : g(std::move(graph)) {}
   };
   // A routed dispatch slot: the chosen replica device and stream.
   struct Route {
@@ -282,15 +324,30 @@ class GraphService {
     double ready_us = 0;
   };
 
+  // The live entry under `id`; aborts on an unknown or removed id.
+  GraphEntry& at(GraphId id) const;
+  GraphId insert(std::unique_ptr<GraphEntry> entry);
+  // Admits q (stamping its id and submit time) or records its rejection.
+  std::optional<QueryId> enqueue(PendingQuery q);
   void place_graph(GraphEntry& entry);
   void release_graph(GraphEntry& entry);
+  // Retires what a borrowed graph's outside change made stale: device
+  // copies (replicas re-upload on their next attempt, shards are re-placed
+  // now), cached results and incremental CC labels.
+  void refresh(GraphId id);
+  // Drops every cached result of `id`, returning their bytes to the budget.
+  void drop_cached(GraphId id);
+  // Re-uploads an evicted replica on the query's stream. Called inside the
+  // attempt, before exec::run's allocator mark, so a fault here is handled
+  // like a kernel fault.
+  void ensure_uploaded(Replica& rep, const adaptive::Graph& g,
+                       simt::StreamId stream);
   // Earliest-ready (device, stream) among the entry's healthy replicas;
   // ties: lowest device ordinal, then lowest stream id.
   Route route_query(const GraphEntry& entry) const;
   // Earliest-ready stream of `device`'s pool, lowest id wins.
   simt::StreamId pick_stream(simt::DeviceIndex device) const;
   Replica* replica_on(GraphEntry& entry, simt::DeviceIndex device);
-  std::uint32_t healthy_replicas(const GraphEntry& entry) const;
 
   bool batchable(const PendingQuery& a, const PendingQuery& b) const;
   // Collapses identical pending queries onto q's execution, then runs q.
@@ -306,9 +363,13 @@ class GraphService {
   QueryOutcome make_outcome(const PendingQuery& q) const;
   void finish_outcome(QueryOutcome& out, simt::DeviceIndex device,
                       simt::StreamId stream, double start);
-  // Serial-oracle execution on the modeled single-core host timeline.
-  void run_degraded(const PendingQuery& q, const adaptive::Graph& g,
-                    QueryOutcome& out);
+  // Times out a query that finished past its deadline (dropping the
+  // payload); counts it completed otherwise.
+  void check_deadline(const PendingQuery& q, QueryOutcome& out);
+  // Answers q on the serial oracle on the modeled single-core host
+  // timeline, counts it under svc.degraded and `why`, and caches it.
+  void degrade(const PendingQuery& q, const adaptive::Graph& g,
+               QueryOutcome& out, const char* why);
   // Modeled upper bound of the serial execution time (full-scan counts).
   double estimate_cpu_us(Algo algo, const adaptive::Graph& g) const;
 
@@ -330,10 +391,14 @@ class GraphService {
   void publish_service_event(const char* action, const QueryRequest& req,
                              QueryId query, QueryId leader, std::uint64_t bytes,
                              double ts_us) const;
+  // An event about the whole graph (no algo or source).
+  void publish_graph_event(const char* action, GraphId id, QueryId query,
+                           std::uint64_t bytes, double ts_us) const;
 
   ServiceOptions opts_;
   simt::Fleet fleet_;
-  // streams_[d] = device d's stream pool (`concurrency` entries).
+  // streams_[d] = device d's stream pool: `concurrency` created streams, or
+  // the default stream alone for one slot.
   std::vector<std::vector<simt::StreamId>> streams_;
   std::vector<std::unique_ptr<GraphEntry>> graphs_;
   std::deque<PendingQuery> queue_;

@@ -11,54 +11,18 @@ double backoff_us(const ResiliencePolicy& policy, int attempt) {
   return std::min(d, policy.backoff_cap_us);
 }
 
-adaptive::ErrorCode fault_error_code(const simt::DeviceFault& f) {
-  switch (f.kind()) {
-    case simt::FaultKind::alloc:
-      return adaptive::ErrorCode::device_oom;
-    case simt::FaultKind::transfer:
-      return adaptive::ErrorCode::transfer_failed;
-    case simt::FaultKind::kernel:
-      return adaptive::ErrorCode::kernel_fault;
-  }
-  return adaptive::ErrorCode::internal;
-}
-
-bool retryable(const simt::DeviceFault& f) { return !f.permanent(); }
-
-FaultAction next_action(const ResiliencePolicy& policy, int attempts_done,
-                        bool permanent, bool device_healthy) {
-  if (!permanent && device_healthy && attempts_done <= policy.max_retries) {
-    return FaultAction::retry;
-  }
-  return policy.degrade_to_cpu ? FaultAction::degrade : FaultAction::fail;
-}
-
 FaultAction next_action(const ResiliencePolicy& policy, int attempts_done,
                         bool permanent, bool device_healthy,
                         bool replica_available) {
-  const FaultAction single =
-      next_action(policy, attempts_done, permanent, device_healthy);
-  if (single == FaultAction::retry) return single;
+  if (!permanent && device_healthy && attempts_done <= policy.max_retries) {
+    return FaultAction::retry;
+  }
   // The device is lost (or retries are exhausted on a dead device): prefer a
   // healthy replica over the CPU oracle.
   if ((permanent || !device_healthy) && replica_available) {
     return FaultAction::failover;
   }
-  return single;
-}
-
-const char* fault_action_name(FaultAction a) {
-  switch (a) {
-    case FaultAction::retry:
-      return "retry";
-    case FaultAction::degrade:
-      return "degrade";
-    case FaultAction::fail:
-      return "fail";
-    case FaultAction::failover:
-      return "failover";
-  }
-  return "?";
+  return policy.degrade_to_cpu ? FaultAction::degrade : FaultAction::fail;
 }
 
 }  // namespace svc

@@ -9,10 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-
-#include "api/algorithms.h"
-#include "simt/fault.h"
 
 namespace svc {
 
@@ -31,27 +27,17 @@ struct ResiliencePolicy {
 // Backoff delay before retry `attempt` (1-based), in modeled microseconds.
 double backoff_us(const ResiliencePolicy& policy, int attempt);
 
-// Maps a device fault to the typed taxonomy: alloc -> device_oom,
-// transfer -> transfer_failed, kernel -> kernel_fault.
-adaptive::ErrorCode fault_error_code(const simt::DeviceFault& f);
-
-// Whether a fault is worth retrying on-device (a permanent fault is not).
-bool retryable(const simt::DeviceFault& f);
-
 // Decision for one faulted attempt: retry on-device, fail over to another
-// replica device, degrade to CPU, or give up and report the fault.
+// replica device, degrade to CPU, or give up and report the fault. A
+// transient fault on a healthy device retries while retries remain. When
+// the faulting device is dead (permanent fault) and another healthy replica
+// holds the graph, the query fails over instead of degrading — CPU
+// degradation is reserved for "no replica left". Transient faults never
+// fail over (the replica would re-pay the backoff anyway and determinism
+// favors a stable stream placement).
 enum class FaultAction : std::uint8_t { retry, degrade, fail, failover };
-FaultAction next_action(const ResiliencePolicy& policy, int attempts_done,
-                        bool permanent, bool device_healthy);
-// Fleet form: when the faulting device is dead (permanent fault) and another
-// healthy replica holds the graph, the query fails over instead of degrading
-// — CPU degradation is reserved for "no replica left". Transient faults keep
-// the single-device retry/degrade schedule (the replica would re-pay the
-// backoff anyway and determinism favors a stable stream placement).
 FaultAction next_action(const ResiliencePolicy& policy, int attempts_done,
                         bool permanent, bool device_healthy,
                         bool replica_available);
-
-const char* fault_action_name(FaultAction a);
 
 }  // namespace svc

@@ -1,4 +1,4 @@
-// Query-result cache shared by svc::GraphService and adaptive::Session.
+// Query-result cache of svc::GraphService (and so of adaptive::Session).
 //
 // Motivation (ISSUE 5 / ROADMAP "serving scale"): skewed query traffic —
 // millions of users hitting the same (graph, algo, source) keys — pays full
@@ -8,8 +8,8 @@
 // launch, no PCIe round-trip, no stream occupancy.
 //
 // Keying & invalidation: entries are keyed by CacheKey — a stable graph key
-// (service graph id + upload generation, or the Session's hashed CSR
-// address), the graph *version* (adaptive::Graph::version() bumps on every
+// (the service's graph id; the version field adds its upload generation),
+// the graph *version* (adaptive::Graph::version() bumps on every
 // mutation), the algorithm, its source/parameters, and a policy signature.
 // A version bump therefore never produces a stale hit, and re-uploading a
 // graph under the same id bumps the upload generation, which retires every

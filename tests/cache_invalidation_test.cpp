@@ -11,6 +11,7 @@
 
 #include "common/prng.h"
 #include "cpu/bfs_serial.h"
+#include "cpu/cc_serial.h"
 #include "graph/delta.h"
 #include "graph/gen/generators.h"
 #include "service/graph_service.h"
@@ -132,6 +133,46 @@ TEST(CacheInvalidation, DeleteTouchingCachedSourceEvictsIt) {
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_FALSE(outcomes[0].cached);
   EXPECT_EQ(outcomes[0].bfs().level,
+            cpu::bfs(service.graph(gid).csr(), 0).level);
+}
+
+// Regression: update_graph must retire the replaced graph's incremental CC
+// labels. Kept, they describe the old partition: the new graph's labels read
+// wrong, and a later delta keeps a cached answer that it changed.
+TEST(CacheInvalidation, UpdateGraphRetiresIncrementalCcLabels) {
+  const auto undirected = [](std::vector<graph::Edge> edges) {
+    std::vector<graph::Edge> arcs;
+    for (const graph::Edge& e : edges) {
+      arcs.push_back(e);
+      arcs.push_back({e.dst, e.src});
+    }
+    return adaptive::Graph::from_csr(graph::csr_from_edges(6, arcs));
+  };
+  svc::GraphService service(cached_opts());
+  const auto gid =
+      service.add_graph(undirected({{0, 1}, {1, 2}, {3, 4}, {4, 5}}));
+  graph::EdgeDelta bridge;  // builds the labels: {0 1 2} {3 4 5}
+  bridge.inserts.push_back({0, 2});
+  service.submit_mutation(gid, bridge);
+  for (const auto& out : service.drain()) ASSERT_TRUE(out.ok());
+
+  service.update_graph(gid,
+                       undirected({{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}));
+  EXPECT_EQ(service.incremental_cc(gid).labels(),
+            cpu::connected_components(service.graph(gid).csr()).component);
+
+  service.submit(bfs_req(gid, 0));
+  for (const auto& out : service.drain()) ASSERT_TRUE(out.ok());
+  graph::EdgeDelta cut;  // 4 and 5 become unreachable from 0
+  cut.deletes.push_back({3, 4});
+  cut.deletes.push_back({4, 3});
+  service.submit_mutation(gid, cut);
+  service.submit(bfs_req(gid, 0));
+  const auto outcomes = service.drain();
+  ASSERT_EQ(outcomes.size(), 2u);
+  ASSERT_TRUE(outcomes[1].ok());
+  EXPECT_FALSE(outcomes[1].cached);
+  EXPECT_EQ(outcomes[1].bfs().level,
             cpu::bfs(service.graph(gid).csr(), 0).level);
 }
 

@@ -7,6 +7,10 @@
 // (adaptive::bfs(dev, g, ...)), on a registered Session, or through a
 // one-device GraphService with concurrency 1 and no cache or batching.
 //
+// Modeled clock: a registered Session and a one-slot GraphService charge
+// every query exactly what running it by hand on a resident copy does, on
+// the device's default stream.
+//
 // Fault rollback: a faulted attempt must not strand device structures it
 // pinned lazily (the CSC of a pull iteration, a nested layout, the cc
 // closure). Once the graph is evicted (Session) or replaced (GraphService),
@@ -21,6 +25,7 @@
 
 #include "api/algorithms.h"
 #include "api/session.h"
+#include "common/prng.h"
 #include "conformance_corpus.h"
 #include "graph/csr.h"
 #include "graph/gen/generators.h"
@@ -215,6 +220,101 @@ TEST(ExecTest, OneShotSessionAndServiceAgreeOnEveryCombination) {
     }
   }
   EXPECT_GT(combos, 200u);
+}
+
+// ---- the modeled clock across fronts ----
+
+// What one front reported for a query stream: each answer, each query's
+// modeled total time, and device 0's clock at the end.
+struct Timeline {
+  std::vector<std::vector<std::uint32_t>> answers;
+  std::vector<double> total_us;
+  double now_us = 0;
+
+  void add(const svc::Payload& p) {
+    if (const auto* r = std::get_if<adaptive::BfsResult>(&p)) {
+      answers.push_back(r->level);
+      total_us.push_back(r->metrics.total_us);
+    } else if (const auto* r = std::get_if<adaptive::SsspResult>(&p)) {
+      answers.push_back(r->dist);
+      total_us.push_back(r->metrics.total_us);
+    } else {
+      ADD_FAILURE() << "no answer";
+    }
+  }
+};
+
+TEST(ExecTest, SessionAndOneSlotServiceKeepTheDefaultStreamTimeline) {
+  adaptive::Graph g =
+      adaptive::Graph::from_csr(graph::gen::road_network(4096, 1));
+  g.set_uniform_weights(1, 1000, 5);
+  const Policy policy = Policy::adapt()
+                            .with_direction(gg::Direction::adaptive)
+                            .with_representation(gg::Representation::adaptive);
+  std::vector<svc::QueryRequest> reqs(200);
+  agg::Prng prng(9);
+  for (svc::QueryRequest& req : reqs) {
+    req.algo = prng.bernoulli(0.25) ? svc::Algo::sssp : svc::Algo::bfs;
+    req.source = static_cast<graph::NodeId>(prng.bounded(g.num_nodes()));
+    req.policy = policy;
+  }
+
+  // Reference: one resident copy, every query by hand on stream 0.
+  Timeline want;
+  {
+    simt::Device dev;
+    exec::Resident res;
+    res.upload(dev, g);
+    for (const svc::QueryRequest& req : reqs) {
+      want.add(exec::run(dev, res, g,
+                         {req.algo, req.source, req.damping, req.policy, 0}));
+    }
+    want.now_us = dev.now_us();
+    res.release(dev);
+  }
+
+  Timeline session_got;
+  {
+    adaptive::Session session;
+    session.register_graph(g);
+    for (const svc::QueryRequest& req : reqs) {
+      if (req.algo == svc::Algo::sssp) {
+        session_got.add(session.sssp(g, req.source, req.policy));
+      } else {
+        session_got.add(session.bfs(g, req.source, req.policy));
+      }
+    }
+    session_got.now_us = session.device().now_us();
+  }
+
+  Timeline service_got;
+  {
+    svc::ServiceOptions opts = serial_service();
+    opts.collapse = false;
+    svc::GraphService service(opts);
+    const svc::GraphId gid = service.add_graph(g);
+    for (svc::QueryRequest req : reqs) {
+      req.graph = gid;
+      ASSERT_TRUE(service.submit(req).has_value());
+      const std::vector<svc::QueryOutcome> outs = service.drain();
+      ASSERT_EQ(outs.size(), 1u);
+      service_got.add(outs.front().payload);
+    }
+    service_got.now_us = service.device().now_us();
+  }
+
+  for (const auto& [name, got] : {std::pair{"Session", &session_got},
+                                  std::pair{"GraphService", &service_got}}) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(got->answers.size(), reqs.size());
+    std::size_t moved = 0;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      EXPECT_EQ(got->answers[i], want.answers[i]) << "query " << i;
+      moved += got->total_us[i] != want.total_us[i];
+    }
+    EXPECT_EQ(moved, 0u) << "queries whose metrics.total_us moved";
+    EXPECT_EQ(got->now_us, want.now_us);
+  }
 }
 
 // ---- fault rollback ----
