@@ -1,0 +1,372 @@
+// Pins the modeled clock: runs a fixed matrix of queries in-process and
+// compares every modeled number and a digest of every answer with
+// tests/golden/modeled.jsonl. The matrix is
+//
+//  * the 54 one-shot runs of the CLI matrix (5 algorithms x 5 policies, plus
+//    adaptive BFS/SSSP with adaptive direction and representation, on a
+//    4,096-node RMAT and a 4,096-node road graph), through adaptive::;
+//  * the paper path: rt::adaptive_{bfs,sssp,cc} with default options and
+//    gg::run_{bfs,sssp} with U_T_BM and U_B_QU, on both graphs;
+//  * 16 mixed BFS/SSSP queries through a registered Session, and the same
+//    queries through a one-device GraphService at concurrency 4.
+//
+// A change that moves a modeled number fails here. Run the test with
+// AGG_UPDATE_GOLDEN=1 to rewrite the file, and explain every changed line.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <variant>
+#include <vector>
+
+#include "api/algorithms.h"
+#include "api/session.h"
+#include "graph/gen/generators.h"
+#include "runtime/adaptive_engine.h"
+#include "service/graph_service.h"
+#include "trace/json_writer.h"
+
+namespace {
+
+constexpr const char* kGoldenPath = AGG_GOLDEN_DIR "/modeled.jsonl";
+
+// FNV-1a over 64-bit words.
+struct Digest {
+  std::uint64_t h = 1469598103934665603ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  template <typename T>
+  void add_all(const std::vector<T>& xs) {
+    add(xs.size());
+    for (const T x : xs) {
+      if constexpr (std::is_floating_point_v<T>) {
+        add(std::bit_cast<std::uint64_t>(x));
+      } else {
+        add(static_cast<std::uint64_t>(x));
+      }
+    }
+  }
+  std::string hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+    return buf;
+  }
+};
+
+std::string digest_of(const adaptive::BfsPayload& p) {
+  Digest d;
+  d.add_all(p.level);
+  return d.hex();
+}
+std::string digest_of(const adaptive::SsspPayload& p) {
+  Digest d;
+  d.add_all(p.dist);
+  return d.hex();
+}
+std::string digest_of(const adaptive::CcPayload& p) {
+  Digest d;
+  d.add_all(p.component);
+  d.add(p.num_components);
+  return d.hex();
+}
+std::string digest_of(const adaptive::PageRankPayload& p) {
+  Digest d;
+  d.add_all(p.rank);
+  return d.hex();
+}
+std::string digest_of(const adaptive::MstPayload& p) {
+  Digest d;
+  d.add(p.total_weight);
+  d.add(p.num_trees);
+  d.add(p.edges_in_forest);
+  return d.hex();
+}
+
+// One JSON line: the case name, the answer's digest, the traversal metrics
+// and the device counters the case moved.
+std::string line(const std::string& name, const std::string& digest,
+                 const gg::TraversalMetrics& m, const simt::DeviceStats& before,
+                 const simt::DeviceStats& after) {
+  trace::JsonWriter w;
+  w.begin_object();
+  w.field("case", name);
+  w.field("digest", digest);
+  w.field("total_us", m.total_us);
+  w.field("kernel_us", m.kernel_us);
+  w.field("transfer_us", m.transfer_us);
+  w.field("kernels", m.kernels);
+  w.field("iterations", static_cast<std::uint64_t>(m.iterations.size()));
+  w.field("switches", m.switches);
+  w.field("decisions", m.decisions);
+  w.field("transactions", after.transactions - before.transactions);
+  w.field("atomics", after.atomics - before.atomics);
+  w.field("warps", after.warps_executed - before.warps_executed);
+  w.end_object();
+  return w.take();
+}
+
+struct Graphs {
+  adaptive::Graph plain;     // as generated
+  adaptive::Graph weighted;  // uniform weights 1..1000, as `agg sssp` assigns
+};
+
+Graphs make_graphs(graph::Csr csr) {
+  Graphs gs{adaptive::Graph::from_csr(csr), adaptive::Graph::from_csr(csr)};
+  gs.weighted.set_uniform_weights(1, 1000);
+  return gs;
+}
+
+graph::Csr rmat_4096() {
+  graph::gen::RmatParams p;
+  p.scale = 12;
+  p.seed = 1;
+  return graph::gen::rmat(p);
+}
+
+adaptive::Policy policy_named(const std::string& name) {
+  if (name == "adaptive") return adaptive::Policy::adapt();
+  if (name == "do") {
+    return adaptive::Policy::adapt()
+        .with_direction(gg::Direction::adaptive)
+        .with_representation(gg::Representation::adaptive);
+  }
+  return adaptive::Policy::fixed(name);
+}
+
+// The CLI matrix: one fresh device per run, as `agg <algo> --policy=...`.
+void one_shot(const std::string& gname, const Graphs& gs,
+              std::vector<std::string>& out) {
+  const char* policies[] = {"adaptive", "U_T_BM", "U_T_BM_PULL", "U_B_QU_REL",
+                            "U_T_BM_BIN"};
+  const auto run = [&](const std::string& algo, const std::string& pname) {
+    simt::Device dev;
+    const adaptive::Policy p = policy_named(pname);
+    const std::string name = "oneshot/" + gname + "/" + algo + "/" + pname;
+    const simt::DeviceStats before = dev.stats();
+    if (algo == "bfs") {
+      const auto r = adaptive::bfs(dev, gs.plain, gs.plain.default_source(), p);
+      ASSERT_TRUE(r.ok()) << name;
+      out.push_back(line(name, digest_of(r), r.metrics, before, dev.stats()));
+    } else if (algo == "sssp") {
+      const auto r =
+          adaptive::sssp(dev, gs.weighted, gs.weighted.default_source(), p);
+      ASSERT_TRUE(r.ok()) << name;
+      out.push_back(line(name, digest_of(r), r.metrics, before, dev.stats()));
+    } else if (algo == "cc") {
+      const auto r = adaptive::cc(dev, gs.plain, p);
+      ASSERT_TRUE(r.ok()) << name;
+      out.push_back(line(name, digest_of(r), r.metrics, before, dev.stats()));
+    } else if (algo == "pagerank") {
+      const auto r = adaptive::pagerank(dev, gs.plain, 0.85, p);
+      ASSERT_TRUE(r.ok()) << name;
+      out.push_back(line(name, digest_of(r), r.metrics, before, dev.stats()));
+    } else {
+      const auto r = adaptive::mst(dev, gs.weighted, p);
+      ASSERT_TRUE(r.ok()) << name;
+      out.push_back(line(name, digest_of(r), r.metrics, before, dev.stats()));
+    }
+  };
+  for (const char* algo : {"bfs", "sssp", "cc", "pagerank", "mst"}) {
+    for (const char* p : policies) run(algo, p);
+  }
+  run("bfs", "do");
+  run("sssp", "do");
+}
+
+// The paper benches' entry points, called directly as they call them.
+void paper_path(const std::string& gname, const Graphs& gs,
+                std::vector<std::string>& out) {
+  const graph::Csr& g = gs.plain.csr();
+  const graph::Csr& gw = gs.weighted.csr();
+  const graph::NodeId src = gs.plain.default_source();
+  const auto record = [&](const std::string& what, auto&& call) {
+    simt::Device dev;
+    const simt::DeviceStats before = dev.stats();
+    const auto r = call(dev);
+    Digest d;
+    if constexpr (requires { r.level; }) d.add_all(r.level);
+    if constexpr (requires { r.dist; }) d.add_all(r.dist);
+    if constexpr (requires { r.component; }) d.add_all(r.component);
+    out.push_back(line("paper/" + gname + "/" + what, d.hex(), r.metrics,
+                       before, dev.stats()));
+  };
+  record("rt.adaptive_bfs", [&](simt::Device& dev) {
+    return rt::adaptive_bfs(dev, g, src);
+  });
+  record("rt.adaptive_sssp", [&](simt::Device& dev) {
+    return rt::adaptive_sssp(dev, gw, src);
+  });
+  record("rt.adaptive_cc", [&](simt::Device& dev) {
+    return rt::adaptive_cc(dev, gs.plain.symmetrized());
+  });
+  for (const char* v : {"U_T_BM", "U_B_QU"}) {
+    const gg::Variant var = gg::parse_variant(v);
+    record(std::string("gg.run_bfs/") + v, [&](simt::Device& dev) {
+      return gg::run_bfs(dev, g, src, var);
+    });
+    record(std::string("gg.run_sssp/") + v, [&](simt::Device& dev) {
+      return gg::run_sssp(dev, gw, src, var);
+    });
+  }
+}
+
+struct MixedQuery {
+  bool sssp;
+  bool road;
+  graph::NodeId source;
+};
+
+// Alternates BFS/SSSP and, every two queries, the graph.
+std::vector<MixedQuery> mixed_queries(const Graphs& road, const Graphs& rmat) {
+  std::vector<MixedQuery> qs;
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    const bool on_road = (i / 2) % 2 == 0;
+    const std::uint32_t n =
+        (on_road ? road : rmat).plain.num_nodes();
+    qs.push_back({i % 2 == 1, on_road, (i * 977u + 13u) % n});
+  }
+  return qs;
+}
+
+void session_path(const Graphs& road, const Graphs& rmat,
+                  std::vector<std::string>& out) {
+  adaptive::Session session;
+  session.register_graph(road.weighted);
+  session.register_graph(rmat.weighted);
+  const simt::Device& dev = session.device();
+  int i = 0;
+  for (const MixedQuery& q : mixed_queries(road, rmat)) {
+    const adaptive::Graph& g = q.road ? road.weighted : rmat.weighted;
+    const std::string name = "session/" + std::to_string(i++) + "/" +
+                             (q.road ? "road/" : "rmat/") +
+                             (q.sssp ? "sssp" : "bfs");
+    const simt::DeviceStats before = dev.stats();
+    if (q.sssp) {
+      const auto r = session.sssp(g, q.source);
+      ASSERT_TRUE(r.ok()) << name;
+      out.push_back(line(name, digest_of(r), r.metrics, before, dev.stats()));
+    } else {
+      const auto r = session.bfs(g, q.source);
+      ASSERT_TRUE(r.ok()) << name;
+      out.push_back(line(name, digest_of(r), r.metrics, before, dev.stats()));
+    }
+  }
+}
+
+void service_path(const Graphs& road, const Graphs& rmat,
+                  std::vector<std::string>& out) {
+  svc::ServiceOptions opts;
+  opts.concurrency = 4;
+  svc::GraphService service(opts);
+  const svc::GraphId road_id = service.borrow_graph(road.weighted);
+  const svc::GraphId rmat_id = service.borrow_graph(rmat.weighted);
+  const simt::Device& dev = service.device();
+  const simt::DeviceStats before = dev.stats();
+  for (const MixedQuery& q : mixed_queries(road, rmat)) {
+    svc::QueryRequest req;
+    req.algo = q.sssp ? svc::Algo::sssp : svc::Algo::bfs;
+    req.graph = q.road ? road_id : rmat_id;
+    req.source = q.source;
+    ASSERT_TRUE(service.submit(req).has_value());
+  }
+  for (const svc::QueryOutcome& o : service.drain()) {
+    ASSERT_TRUE(o.ok()) << o.error_message();
+    std::string digest;
+    const gg::TraversalMetrics* m = nullptr;
+    if (const auto* b = std::get_if<adaptive::BfsResult>(&o.payload)) {
+      digest = digest_of(*b);
+      m = &b->metrics;
+    } else {
+      const auto& s = std::get<adaptive::SsspResult>(o.payload);
+      digest = digest_of(s);
+      m = &s.metrics;
+    }
+    trace::JsonWriter w;
+    w.begin_object();
+    w.field("case", "service/" + std::to_string(o.id));
+    w.field("digest", digest);
+    w.field("stream", o.stream);
+    w.field("batch_size", o.batch_size);
+    w.field("start_us", o.start_us);
+    w.field("finish_us", o.finish_us);
+    w.field("total_us", m->total_us);
+    w.field("kernels", m->kernels);
+    w.field("iterations", static_cast<std::uint64_t>(m->iterations.size()));
+    w.field("decisions", m->decisions);
+    w.end_object();
+    out.push_back(w.take());
+  }
+  const simt::DeviceStats after = dev.stats();
+  trace::JsonWriter w;
+  w.begin_object();
+  w.field("case", "service/total");
+  w.field("makespan_us", service.device().makespan_us());
+  w.field("kernel_us", after.kernel_time_us - before.kernel_time_us);
+  w.field("transfer_us", after.transfer_time_us - before.transfer_time_us);
+  w.field("kernels", after.kernels_launched - before.kernels_launched);
+  w.field("transactions", after.transactions - before.transactions);
+  w.field("atomics", after.atomics - before.atomics);
+  w.field("warps", after.warps_executed - before.warps_executed);
+  w.end_object();
+  out.push_back(w.take());
+}
+
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream f(path);
+  std::vector<std::string> lines;
+  for (std::string l; std::getline(f, l);) lines.push_back(l);
+  return lines;
+}
+
+std::string case_of(const std::string& json_line) {
+  const auto v = trace::json_parse(json_line);
+  if (!v) return "<unparseable>";
+  const trace::JsonValue* c = v->find("case");
+  return c ? c->string : "<no case>";
+}
+
+TEST(ModeledGolden, MatrixMatchesGoldenFile) {
+  const Graphs rmat = make_graphs(rmat_4096());
+  const Graphs road = make_graphs(graph::gen::road_network(4096, 1));
+
+  std::vector<std::string> lines;
+  one_shot("rmat", rmat, lines);
+  one_shot("road", road, lines);
+  paper_path("rmat", rmat, lines);
+  paper_path("road", road, lines);
+  session_path(road, rmat, lines);
+  service_path(road, rmat, lines);
+  ASSERT_FALSE(HasFatalFailure());
+
+  if (const char* u = std::getenv("AGG_UPDATE_GOLDEN"); u && *u == '1') {
+    std::ofstream f(kGoldenPath, std::ios::binary | std::ios::trunc);
+    for (const std::string& l : lines) f << l << '\n';
+    ASSERT_TRUE(f.good()) << "cannot write " << kGoldenPath;
+    GTEST_SKIP() << "rewrote " << kGoldenPath;
+  }
+
+  const std::vector<std::string> golden = read_lines(kGoldenPath);
+  ASSERT_FALSE(golden.empty()) << "missing " << kGoldenPath
+                               << "; generate it with AGG_UPDATE_GOLDEN=1";
+  EXPECT_EQ(lines.size(), golden.size());
+  std::ostringstream diff;
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < std::min(lines.size(), golden.size()); ++i) {
+    if (lines[i] == golden[i]) continue;
+    if (++differing <= 5) {
+      diff << "case " << case_of(golden[i]) << "\n  golden: " << golden[i]
+           << "\n  now:    " << lines[i] << "\n";
+    }
+  }
+  EXPECT_EQ(differing, 0u) << differing << " line(s) differ; first ones:\n"
+                           << diff.str();
+}
+
+}  // namespace
