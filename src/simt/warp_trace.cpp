@@ -29,16 +29,14 @@ WarpCost WarpCost::operator*(double k) const {
 }
 
 void AtomicTally::reset() {
-  if (used_ > 0) {
-    std::fill(slots_.begin(), slots_.end(), Slot{});
-    used_ = 0;
-  }
+  for (const std::size_t i : used_) slots_[i] = Slot{};
+  used_.clear();
   max_count_ = 0;
   total_ = 0;
 }
 
 void AtomicTally::add(std::uint64_t addr, std::uint64_t count) {
-  if (used_ * 2 >= slots_.size()) grow();
+  if (used_.size() * 2 >= slots_.size()) grow();
   // addr 0 is an invalid device address, safe to use as the empty marker.
   AGG_DCHECK(addr != 0);
   std::uint64_t h = addr;
@@ -51,7 +49,7 @@ void AtomicTally::add(std::uint64_t addr, std::uint64_t count) {
   }
   if (slots_[i].key == 0) {
     slots_[i].key = addr;
-    ++used_;
+    used_.push_back(i);
   }
   slots_[i].count += count;
   max_count_ = std::max(max_count_, slots_[i].count);
@@ -59,21 +57,17 @@ void AtomicTally::add(std::uint64_t addr, std::uint64_t count) {
 }
 
 void AtomicTally::merge_into(AtomicTally& dst) const {
-  if (total_ == 0) return;
-  for (const Slot& s : slots_) {
-    if (s.key != 0) dst.add(s.key, s.count);
-  }
+  for (const std::size_t i : used_) dst.add(slots_[i].key, slots_[i].count);
 }
 
 void AtomicTally::grow() {
-  std::vector<Slot> old = std::move(slots_);
+  const std::vector<Slot> old = std::move(slots_);
+  const std::vector<std::size_t> old_used = std::move(used_);
   slots_.assign(old.size() * 2, Slot{});
-  used_ = 0;
+  used_.clear();
   const std::uint64_t keep_max = max_count_;
   const std::uint64_t keep_total = total_;
-  for (const Slot& s : old) {
-    if (s.key != 0) add(s.key, s.count);
-  }
+  for (const std::size_t i : old_used) add(old[i].key, old[i].count);
   max_count_ = keep_max;
   total_ = keep_total;
 }

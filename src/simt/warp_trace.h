@@ -75,7 +75,9 @@ struct WarpCost {
 };
 
 // Open-addressing counter map used to find the hottest atomic address of a
-// kernel launch. Reused across launches to avoid allocation churn.
+// kernel launch. Reused across launches to avoid allocation churn; it
+// remembers which slots a launch filled, so reset() and merge_into() cost
+// the addresses that launch touched, not the table a larger launch grew.
 class AtomicTally {
  public:
   void reset();
@@ -95,7 +97,7 @@ class AtomicTally {
     std::uint64_t count = 0;
   };
   std::vector<Slot> slots_ = std::vector<Slot>(1024);
-  std::size_t used_ = 0;
+  std::vector<std::size_t> used_;  // occupied slot indices, in insertion order
   std::uint64_t max_count_ = 0;
   std::uint64_t total_ = 0;
 };

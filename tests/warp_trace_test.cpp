@@ -324,6 +324,42 @@ TEST(WarpTraceOracle, LineBufferRefetchCountsAreExact) {
   }
 }
 
+// ---- AtomicTally reuse ----------------------------------------------------------
+
+// A small launch after a large one: the reused tally clears only the slots
+// the large launch filled, and must count and merge exactly like a fresh one.
+TEST(AtomicTallyReuse, ResetAfterGrowthMatchesAFreshTally) {
+  AtomicTally grown;
+  // 6,000 distinct addresses grow the table from 1,024 to 16,384 slots.
+  for (std::uint64_t a = 1; a <= 6000; ++a) grown.add(kBase + 8 * a, a % 7 + 1);
+  grown.reset();
+  EXPECT_EQ(grown.max_count(), 0u);
+  EXPECT_EQ(grown.total(), 0u);
+
+  AtomicTally fresh;
+  for (AtomicTally* t : {&grown, &fresh}) {
+    t->add(kBase + 64, 3);
+    t->add(kBase + 128);
+    t->add(kBase + 64, 2);
+    t->add(kBase + 8 * 17);  // an address the large launch used
+  }
+  EXPECT_EQ(grown.max_count(), fresh.max_count());
+  EXPECT_EQ(grown.total(), fresh.total());
+  EXPECT_EQ(grown.max_count(), 5u);
+  EXPECT_EQ(grown.total(), 7u);
+
+  AtomicTally into_grown;
+  AtomicTally into_fresh;
+  into_grown.add(kBase + 128, 9);
+  into_fresh.add(kBase + 128, 9);
+  grown.merge_into(into_grown);
+  fresh.merge_into(into_fresh);
+  EXPECT_EQ(into_grown.max_count(), into_fresh.max_count());
+  EXPECT_EQ(into_grown.total(), into_fresh.total());
+  EXPECT_EQ(into_grown.max_count(), 10u);
+  EXPECT_EQ(into_grown.total(), 16u);
+}
+
 // ---- TimingModel validation ---------------------------------------------------
 
 void construct(const TimingModel& tm) {
