@@ -57,6 +57,10 @@ svc::Payload dispatch(simt::Device& dev, Resident& res,
   const bool fixed = p.mode == Policy::Mode::fixed_variant;
   const gg::VariantSelector variant = gg::fixed_variant(p.variant);
   rt::AdaptiveOptions ao = p.options;
+  // Every adaptive BFS and SSSP query of the API runs small frontiers as
+  // persistent runs (DESIGN.md "Persistent iterations"); the answers and
+  // decisions are those of the per-iteration runtime.
+  ao.persistent = true;
   gg::EngineOptions& eo = ao.engine;  // all a fixed variant runs on
   eo.stream = q.stream;
   // The layout asked for: a fixed variant's _REL/_BIN suffix, or the

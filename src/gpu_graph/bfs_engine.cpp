@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "gpu_graph/device_graph.h"
+#include "gpu_graph/persistent_run.h"
 #include "gpu_graph/workset.h"
 #include "simt/launch.h"
 
@@ -184,7 +185,8 @@ std::uint32_t derive_block_tpb(double avg_outdegree) {
 }
 
 GpuBfsResult run_bfs(simt::Device& dev, const graph::Csr& g, graph::NodeId source,
-                     const VariantSelector& selector, const EngineOptions& opts) {
+                     const VariantSelector& selector, const EngineOptions& opts,
+                     const PersistentBound& persistent) {
   // Fig. 8 lines 1-3: create data structures, initialize, transfer. The
   // one-shot upload (and its PCIe cost) belongs to this query, so it is
   // folded into the reported totals on top of the resident-form metrics.
@@ -192,7 +194,7 @@ GpuBfsResult run_bfs(simt::Device& dev, const graph::Csr& g, graph::NodeId sourc
   const simt::DeviceStats stats_before = dev.stats();
   const double t_begin = dev.now_us();
   DeviceGraph dg = DeviceGraph::upload(dev, g, /*with_weights=*/false);
-  GpuBfsResult result = run_bfs(dev, dg, g, source, selector, opts);
+  GpuBfsResult result = run_bfs(dev, dg, g, source, selector, opts, persistent);
   dg.release(dev);
   result.metrics.total_us = dev.now_us() - t_begin;
   result.metrics.transfer_us =
@@ -202,7 +204,8 @@ GpuBfsResult run_bfs(simt::Device& dev, const graph::Csr& g, graph::NodeId sourc
 
 GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
                      graph::NodeId source, const VariantSelector& selector,
-                     const EngineOptions& opts) {
+                     const EngineOptions& opts,
+                     const PersistentBound& persistent) {
   AGG_CHECK(source < g.num_nodes);
   simt::StreamGuard sguard(dev, opts.stream);
   const simt::DeviceStats stats_before = dev.stats();
@@ -305,12 +308,15 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
     // hybrid execution keeps host and device copies in sync at switches).
     dev.account_transfer(4ull * cur_g->num_nodes, /*to_device=*/false);
   }
+  PersistentRuns runs(dev, hybrid ? PersistentBound{} : persistent, "bfs",
+                      "bfs.persistent", block_tpb);
 
   std::uint32_t iteration = 0;
   while (!frontier.empty()) {
     ++iteration;
     AGG_CHECK_MSG(iteration <= max_iters, "BFS failed to converge");
-    const double t_iter = dev.now_us();
+    double t_iter = dev.now_us();
+    runs.enter(variant, on_cpu, frontier.size(), iteration, result.metrics);
 
     st.ordered = variant.ordering == Ordering::ordered;
     std::uint64_t frontier_edges = 0;
@@ -356,11 +362,15 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
       ws.clear_frontier_bitmap(dev, frontier);
     } else {
       launch_computation(dev, st, variant, frontier, opts.thread_tpb, block_tpb);
-      // Per-iteration termination signal (Fig. 8 line 4).
-      if (variant.repr == WorksetRepr::queue) {
-        ws.charge_queue_len_readback(dev);
-      } else {
-        ws.charge_changed_flag_readback(dev);
+      runs.test(updated.size(), iteration, result.metrics, t_iter);
+      // Per-iteration termination signal (Fig. 8 line 4); inside a
+      // persistent run the device tests |WS| itself.
+      if (!runs.open()) {
+        if (variant.repr == WorksetRepr::queue) {
+          ws.charge_queue_len_readback(dev);
+        } else {
+          ws.charge_changed_flag_readback(dev);
+        }
       }
     }
     std::sort(updated.begin(), updated.end());
@@ -396,6 +406,7 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
       ++result.metrics.decisions;
       next = normalize_direction(selector(sel));
       next.ordering = variant.ordering;  // ordering is fixed per traversal
+      runs.check_kept(next, variant);
       // Representation switches are single-hop from plain and only apply on
       // device (a CPU phase has no layout to speak of); anything else keeps
       // the layout the traversal is already in.
@@ -465,10 +476,10 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
       for (const std::uint32_t v : updated) ws.update().host_view()[v] = 0;
     }
 
-    record_iteration(result.metrics, "bfs",
-                     {iteration, frontier.size(), variant,
-                      dev.now_us() - t_iter, on_cpu},
-                     dev.now_us());
+    runs.record(result.metrics,
+                {iteration, frontier.size(), variant, dev.now_us() - t_iter,
+                 on_cpu},
+                dev.now_us());
     frontier.swap(updated);
     updated.clear();
     variant = next;

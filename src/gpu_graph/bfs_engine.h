@@ -23,9 +23,13 @@ struct GpuBfsResult {
 // The selector is consulted at decision points (see
 // EngineOptions::monitor_interval); between decision points the previous
 // variant keeps running. Ordered and unordered BFS differ in the visited
-// check (Fig. 4 line 8 vs 8'); both are level-synchronous.
+// check (Fig. 4 line 8 vs 8'); both are level-synchronous. A non-zero
+// `persistent` bound runs small-frontier U_B_QU push iterations inside
+// persistent kernels (gpu_graph/persistent_run.h); hybrid CPU phases, when
+// enabled, take precedence and keep one launch per kernel.
 GpuBfsResult run_bfs(simt::Device& dev, const graph::Csr& g, graph::NodeId source,
-                     const VariantSelector& selector, const EngineOptions& opts = {});
+                     const VariantSelector& selector, const EngineOptions& opts = {},
+                     const PersistentBound& persistent = {});
 
 // Resident-graph form: the caller owns an already-uploaded DeviceGraph (the
 // serving layer keeps registered graphs resident across queries), so the
@@ -33,7 +37,8 @@ GpuBfsResult run_bfs(simt::Device& dev, const graph::Csr& g, graph::NodeId sourc
 // have been uploaded from `g` on `dev`.
 GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
                      graph::NodeId source, const VariantSelector& selector,
-                     const EngineOptions& opts = {});
+                     const EngineOptions& opts = {},
+                     const PersistentBound& persistent = {});
 
 inline GpuBfsResult run_bfs(simt::Device& dev, const graph::Csr& g,
                             graph::NodeId source, Variant variant,

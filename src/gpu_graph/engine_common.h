@@ -78,6 +78,19 @@ struct EngineOptions {
   const RepSet* reps = nullptr;
 };
 
+// The working-set bound of persistent runs (DESIGN.md "Persistent
+// iterations"), derived by rt::persistent_bound from the selector's own
+// thresholds: for every |WS| < ws_below the selector keeps U_B_QU, push and
+// the running layout, so the engine may run such iterations inside one
+// persistent kernel. ws_below = 0 keeps one launch per kernel. t2 and
+// alpha_term are the two sides of the min that gave ws_below, for the trace.
+struct PersistentBound {
+  std::uint64_t ws_below = 0;
+  std::uint64_t t2 = 0;
+  bool has_alpha_term = false;
+  std::uint64_t alpha_term = 0;
+};
+
 struct SelectorInput {
   std::uint32_t iteration = 0;
   // Working-set size as known to the runtime (exact at decision points,

@@ -50,22 +50,26 @@ std::string TraversalMetrics::to_json() const {
   return w.take();
 }
 
+void publish_iteration(const char* algo, const IterationRecord& rec,
+                       double end_us) {
+  auto& tracer = trace::Tracer::instance();
+  if (!trace::active() || !tracer.has_sinks()) return;
+  trace::IterationEvent ev;
+  ev.algo = algo;
+  ev.iteration = rec.iteration;
+  ev.ws_size = rec.ws_size;
+  ev.variant = variant_name(rec.variant);
+  ev.on_cpu = rec.on_cpu;
+  ev.start_us = end_us - rec.time_us;
+  ev.dur_us = rec.time_us;
+  tracer.iteration(ev);
+}
+
 void record_iteration(TraversalMetrics& m, const char* algo,
-                      const IterationRecord& rec, double end_us) {
+                      const IterationRecord& rec, double end_us, bool held) {
   m.iterations.push_back(rec);
   if (!trace::active()) return;
-  auto& tracer = trace::Tracer::instance();
-  if (tracer.has_sinks()) {
-    trace::IterationEvent ev;
-    ev.algo = algo;
-    ev.iteration = rec.iteration;
-    ev.ws_size = rec.ws_size;
-    ev.variant = variant_name(rec.variant);
-    ev.on_cpu = rec.on_cpu;
-    ev.start_us = end_us - rec.time_us;
-    ev.dur_us = rec.time_us;
-    tracer.iteration(ev);
-  }
+  if (!held) publish_iteration(algo, rec, end_us);
   auto& reg = trace::CounterRegistry::instance();
   if (reg.enabled()) {
     reg.counter("engine.iterations").add();

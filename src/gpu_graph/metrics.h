@@ -42,9 +42,15 @@ struct TraversalMetrics {
 // Appends `rec` to m.iterations and, when tracing is active, publishes it as
 // an IterationEvent on the host track (start derived from `end_us`, the
 // device's modeled clock after the iteration's final sync) and bumps the
-// engine.* counters.
+// engine.* counters. A `held` record is not published yet: an iteration
+// inside a persistent run is published once the run is placed
+// (gpu_graph/persistent_run.h).
 void record_iteration(TraversalMetrics& m, const char* algo,
-                      const IterationRecord& rec, double end_us);
+                      const IterationRecord& rec, double end_us,
+                      bool held = false);
+// The IterationEvent half of record_iteration.
+void publish_iteration(const char* algo, const IterationRecord& rec,
+                       double end_us);
 
 // Captures the difference of two DeviceStats snapshots into metrics fields.
 void fill_from_device_delta(TraversalMetrics& m, const simt::DeviceStats& before,

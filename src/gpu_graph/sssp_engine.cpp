@@ -5,6 +5,7 @@
 #include <map>
 
 #include "gpu_graph/device_graph.h"
+#include "gpu_graph/persistent_run.h"
 #include "gpu_graph/workset.h"
 #include "simt/launch.h"
 #include "simt/primitives.h"
@@ -177,7 +178,8 @@ void launch_pull_unordered(simt::Device& dev, UnorderedState& st,
 GpuSsspResult run_unordered(simt::Device& dev, DeviceGraph& dg,
                             const graph::Csr& g, graph::NodeId source,
                             Variant variant, const VariantSelector& selector,
-                            const EngineOptions& opts) {
+                            const EngineOptions& opts,
+                            const PersistentBound& persistent) {
   const simt::DeviceStats stats_before = dev.stats();
   const double t_begin = dev.now_us();
   variant = normalize_direction(variant);
@@ -218,12 +220,15 @@ GpuSsspResult run_unordered(simt::Device& dev, DeviceGraph& dg,
   if (on_cpu) {
     dev.account_transfer(4ull * g.num_nodes, /*to_device=*/false);
   }
+  PersistentRuns runs(dev, hybrid ? PersistentBound{} : persistent, "sssp",
+                      "sssp.persistent", block_tpb);
 
   std::uint32_t iteration = 0;
   while (!frontier.empty()) {
     ++iteration;
     AGG_CHECK_MSG(iteration <= max_iters, "SSSP failed to converge");
-    const double t_iter = dev.now_us();
+    double t_iter = dev.now_us();
+    runs.enter(variant, on_cpu, frontier.size(), iteration, result.metrics);
 
     std::uint64_t frontier_edges = 0;
     for (const std::uint32_t v : frontier) frontier_edges += g.degree(v);
@@ -261,10 +266,14 @@ GpuSsspResult run_unordered(simt::Device& dev, DeviceGraph& dg,
       ws.clear_frontier_bitmap(dev, frontier);
     } else {
       launch_unordered(dev, st, variant, frontier, opts.thread_tpb, block_tpb);
-      if (variant.repr == WorksetRepr::queue) {
-        ws.charge_queue_len_readback(dev);
-      } else {
-        ws.charge_changed_flag_readback(dev);
+      runs.test(updated.size(), iteration, result.metrics, t_iter);
+      // Inside a persistent run the device tests |WS| itself.
+      if (!runs.open()) {
+        if (variant.repr == WorksetRepr::queue) {
+          ws.charge_queue_len_readback(dev);
+        } else {
+          ws.charge_changed_flag_readback(dev);
+        }
       }
     }
     std::sort(updated.begin(), updated.end());
@@ -284,6 +293,7 @@ GpuSsspResult run_unordered(simt::Device& dev, DeviceGraph& dg,
       ++result.metrics.decisions;
       next = normalize_direction(selector(sel));
       next.ordering = Ordering::unordered;
+      runs.check_kept(next, variant);
       if (!on_cpu && next != variant) ++result.metrics.switches;
     }
 
@@ -308,10 +318,10 @@ GpuSsspResult run_unordered(simt::Device& dev, DeviceGraph& dg,
       for (const std::uint32_t v : updated) ws.update().host_view()[v] = 0;
     }
 
-    record_iteration(result.metrics, "sssp",
-                     {iteration, frontier.size(), variant,
-                      dev.now_us() - t_iter, on_cpu},
-                     dev.now_us());
+    runs.record(result.metrics,
+                {iteration, frontier.size(), variant, dev.now_us() - t_iter,
+                 on_cpu},
+                dev.now_us());
     frontier.swap(updated);
     updated.clear();
     variant = next;
@@ -530,13 +540,15 @@ GpuSsspResult run_ordered(simt::Device& dev, DeviceGraph& dg,
 }  // namespace
 
 GpuSsspResult run_sssp(simt::Device& dev, const graph::Csr& g, graph::NodeId source,
-                       const VariantSelector& selector, const EngineOptions& opts) {
+                       const VariantSelector& selector, const EngineOptions& opts,
+                       const PersistentBound& persistent) {
   AGG_CHECK_MSG(g.has_weights(), "SSSP requires edge weights");
   simt::StreamGuard sguard(dev, opts.stream);
   const simt::DeviceStats stats_before = dev.stats();
   const double t_begin = dev.now_us();
   DeviceGraph dg = DeviceGraph::upload(dev, g, /*with_weights=*/true);
-  GpuSsspResult result = run_sssp(dev, dg, g, source, selector, opts);
+  GpuSsspResult result =
+      run_sssp(dev, dg, g, source, selector, opts, persistent);
   dg.release(dev);
   result.metrics.total_us = dev.now_us() - t_begin;
   result.metrics.transfer_us =
@@ -546,7 +558,8 @@ GpuSsspResult run_sssp(simt::Device& dev, const graph::Csr& g, graph::NodeId sou
 
 GpuSsspResult run_sssp(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
                        graph::NodeId source, const VariantSelector& selector,
-                       const EngineOptions& opts) {
+                       const EngineOptions& opts,
+                       const PersistentBound& persistent) {
   AGG_CHECK(source < g.num_nodes);
   AGG_CHECK_MSG(g.has_weights(), "SSSP requires edge weights");
   simt::StreamGuard sguard(dev, opts.stream);
@@ -568,7 +581,7 @@ GpuSsspResult run_sssp(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
     initial.direction = Direction::push;
     return run_ordered(dev, dg, g, source, initial, opts);
   }
-  return run_unordered(dev, dg, g, source, initial, selector, opts);
+  return run_unordered(dev, dg, g, source, initial, selector, opts, persistent);
 }
 
 }  // namespace gg

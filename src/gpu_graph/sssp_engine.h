@@ -28,14 +28,19 @@ struct GpuSsspResult {
 // Dispatches on variant.ordering: the selector's ordering choice at iteration
 // 0 fixes the algorithm; mapping/representation may change per decision
 // point (unordered only — the ordered engine honors the initial variant).
+// A non-zero `persistent` bound runs small-frontier U_B_QU push iterations
+// of the unordered engine inside persistent kernels
+// (gpu_graph/persistent_run.h); hybrid CPU phases take precedence.
 GpuSsspResult run_sssp(simt::Device& dev, const graph::Csr& g, graph::NodeId source,
-                       const VariantSelector& selector, const EngineOptions& opts = {});
+                       const VariantSelector& selector, const EngineOptions& opts = {},
+                       const PersistentBound& persistent = {});
 
 // Resident-graph form (see bfs_engine.h): `dg` must have been uploaded from
 // `g` with weights; no upload is charged to the metrics.
 GpuSsspResult run_sssp(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
                        graph::NodeId source, const VariantSelector& selector,
-                       const EngineOptions& opts = {});
+                       const EngineOptions& opts = {},
+                       const PersistentBound& persistent = {});
 
 inline GpuSsspResult run_sssp(simt::Device& dev, const graph::Csr& g,
                               graph::NodeId source, Variant variant,

@@ -81,6 +81,19 @@ std::uint32_t max_outdegree_of(const graph::Csr& g) {
   return maxd;
 }
 
+// The persistent-run bound of a traversal over `g` (none with the option
+// off). BFS reports a gather volume of at least n, SSSP a flat 2m + n.
+gg::PersistentBound persistent_for(const Thresholds& t,
+                                   const AdaptiveOptions& opts,
+                                   const graph::Csr& g, bool sssp) {
+  if (!opts.persistent) return {};
+  const std::uint64_t gather_min =
+      (sssp ? 2 * g.num_edges() : 0) + g.num_nodes;
+  return persistent_bound(
+      t, opts.direction, gather_min,
+      opts.direction == gg::Direction::adaptive ? max_outdegree_of(g) : 0);
+}
+
 // Query-start representation resolution for the engines without an
 // in-engine controller (SSSP/CC): picks the layout once, on the same pure
 // cost function the BFS controller uses. The resolved host view is either
@@ -234,7 +247,7 @@ gg::GpuBfsResult adaptive_bfs(simt::Device& dev, const graph::Csr& g,
   return gg::run_bfs(dev, g, source,
                      make_adaptive_selector(t, eo.monitor_interval, "bfs",
                                             opts.direction, opts.representation),
-                     eo);
+                     eo, persistent_for(t, opts, g, false));
 }
 
 gg::GpuSsspResult adaptive_sssp(simt::Device& dev, const graph::Csr& g,
@@ -247,7 +260,7 @@ gg::GpuSsspResult adaptive_sssp(simt::Device& dev, const graph::Csr& g,
     return gg::run_sssp(
         dev, g, source,
         make_adaptive_selector(t, eo.monitor_interval, "sssp", opts.direction),
-        eo);
+        eo, persistent_for(t, opts, g, true));
   }
   // SSSP has no in-engine rep controller: run the whole traversal in the
   // resolved layout and map distances back. The cached CSC (if any) is of
@@ -259,7 +272,7 @@ gg::GpuSsspResult adaptive_sssp(simt::Device& dev, const graph::Csr& g,
       dev, view.csr, view.new_id[source],
       make_adaptive_selector(t, eo.monitor_interval, "sssp", opts.direction,
                              rep.kind),
-      eo);
+      eo, persistent_for(t, opts, view.csr, true));
   rep_payload_to_original(r.dist, view);
   return r;
 }
@@ -336,7 +349,7 @@ gg::GpuBfsResult adaptive_bfs(simt::Device& dev, gg::DeviceGraph& dg,
   return gg::run_bfs(dev, dg, g, source,
                      make_adaptive_selector(t, eo.monitor_interval, "bfs",
                                             opts.direction, opts.representation),
-                     eo);
+                     eo, persistent_for(t, opts, g, false));
 }
 
 gg::GpuSsspResult adaptive_sssp(simt::Device& dev, gg::DeviceGraph& dg,
@@ -350,7 +363,7 @@ gg::GpuSsspResult adaptive_sssp(simt::Device& dev, gg::DeviceGraph& dg,
     return gg::run_sssp(
         dev, dg, g, source,
         make_adaptive_selector(t, eo.monitor_interval, "sssp", opts.direction),
-        eo);
+        eo, persistent_for(t, opts, g, true));
   }
   eo.csc = nullptr;
   eo.reps = nullptr;
@@ -366,7 +379,7 @@ gg::GpuSsspResult adaptive_sssp(simt::Device& dev, gg::DeviceGraph& dg,
       dev, *rdg, view.csr, view.new_id[source],
       make_adaptive_selector(t, eo.monitor_interval, "sssp", opts.direction,
                              rep.kind),
-      eo);
+      eo, persistent_for(t, opts, view.csr, true));
   rep_payload_to_original(r.dist, view);
   return r;
 }

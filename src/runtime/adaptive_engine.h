@@ -45,6 +45,15 @@ struct AdaptiveOptions {
   //    MS-BFS path always run plain (their results are not invariant under
   //    renumbering: FP summation order / in-place contraction).
   gg::Representation representation = gg::Representation::plain;
+  // Persistent runs for BFS and SSSP (an extension, not the paper's
+  // runtime; DESIGN.md "Persistent iterations"): iterations whose working
+  // set is below the derived bound rt::persistent_bound run inside one
+  // persistent kernel, with one launch and one termination readback per
+  // run. Decisions and answers are those of the per-iteration runtime;
+  // only the modeled launch and readback charges change. Off here, so the
+  // paper benches reproduce the paper's runtime; exec::run turns it on.
+  // Hybrid CPU phases, when enabled, take precedence.
+  bool persistent = false;
   gg::EngineOptions engine;            // tpb knobs (monitor_interval is set here)
 };
 

@@ -1,5 +1,8 @@
 #include "runtime/decision.h"
 
+#include <algorithm>
+#include <cmath>
+
 namespace rt {
 
 Thresholds Thresholds::for_device(const simt::DeviceProps& props,
@@ -90,6 +93,35 @@ gg::Representation decide_representation_step(
       target_resident ? t.rep_switch_fraction : t.rep_upload_fraction;
   if (remaining < fraction * static_cast<double>(num_edges)) return current;
   return want;
+}
+
+gg::PersistentBound persistent_bound(const Thresholds& t,
+                                     gg::Direction direction,
+                                     std::uint64_t gather_min,
+                                     std::uint32_t max_outdegree) {
+  gg::PersistentBound b;
+  if (direction == gg::Direction::pull || !(t.t2_ws_size > 0)) return b;
+  // For an integer |WS|, |WS| < T2 exactly when |WS| < ceil(T2).
+  b.t2 = static_cast<std::uint64_t>(std::ceil(std::min(t.t2_ws_size, 0x1p62)));
+  b.ws_below = b.t2;
+  if (direction != gg::Direction::adaptive) return b;
+  // decide_direction compares against do_alpha * (proxy + n) in doubles; it
+  // is monotone in the proxy, so this product is its smallest right side.
+  const double volume = t.do_alpha * static_cast<double>(gather_min);
+  std::uint64_t a = 0;
+  if (volume >= 0 && max_outdegree == 0) {
+    a = b.t2;  // no edges: the scatter mass is 0 and never exceeds the volume
+  } else if (volume >= 0) {
+    const double maxd = static_cast<double>(max_outdegree);
+    a = static_cast<std::uint64_t>(std::min(std::floor(volume / maxd), 0x1p62));
+    // Keep a * maxd <= volume in the same arithmetic, whatever the division
+    // rounded to: then |WS| < a gives frontier_edges < a * maxd <= volume.
+    while (a > 0 && static_cast<double>(a) * maxd > volume) --a;
+  }
+  b.has_alpha_term = true;
+  b.alpha_term = a;
+  b.ws_below = std::min(b.t2, a);
+  return b;
 }
 
 bool choose_cpu_fallback(const FallbackInput& in) {

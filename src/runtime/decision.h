@@ -22,6 +22,7 @@
 
 #include <cstdint>
 
+#include "gpu_graph/engine_common.h"
 #include "gpu_graph/variant.h"
 #include "simt/device_props.h"
 
@@ -128,6 +129,25 @@ gg::Representation decide_representation_step(
     std::uint64_t unexplored_edges, std::uint64_t num_edges,
     std::uint32_t num_nodes, double avg_outdegree, double outdeg_stddev,
     std::uint32_t max_outdegree);
+
+// The persistent-run bound F (DESIGN.md "Persistent iterations"): for every
+// working set |WS| < F the selector built on `t` provably keeps U_B_QU, push
+// and the running layout, so the engine may run such iterations inside one
+// persistent kernel without changing a decision.
+//  * decide() returns B_QU for every |WS| < T2, and
+//    decide_representation_step() never switches there;
+//  * under Direction::adaptive, push -> pull needs frontier_edges >
+//    do_alpha * gather volume, while frontier_edges <= |WS| * max_outdegree
+//    and the volume is at least `gather_min`, the smallest the engine can
+//    report (n for BFS, whose unexplored-edge proxy can reach 0; 2m + n for
+//    SSSP, whose proxy is flat).
+// So F = T2 under push, min(T2, floor(do_alpha * gather_min /
+// max_outdegree)) under adaptive direction, and 0 under pull (nothing runs
+// push). Pure; the result also carries both sides of the min for the trace.
+gg::PersistentBound persistent_bound(const Thresholds& t,
+                                     gg::Direction direction,
+                                     std::uint64_t gather_min,
+                                     std::uint32_t max_outdegree);
 
 // CPU-fallback decision for the serving layer: answer a query with the
 // serial oracle instead of launching on the device. Complements the variant

@@ -31,6 +31,56 @@ const std::string& Device::stream_name(StreamId s) const {
   return streams_[s - 1].name;
 }
 
+void Device::begin_persistent(const char* name, std::uint32_t tpb) {
+  AGG_CHECK_MSG(!run_.open, "persistent runs do not nest");
+  const std::uint64_t blocks =
+      static_cast<std::uint64_t>(props_.resident_blocks(tpb)) *
+      static_cast<std::uint64_t>(props_.num_sms);
+  PersistentRun r;
+  r.stream = current_;
+  r.start_us = now_us();
+  r.elapsed_us = tm_.launch_overhead_us;  // the run's one launch
+  r.barrier_us = grid_barrier_us(props_, tm_, blocks);
+  r.stats.name = name;
+  r.stats.blocks = blocks;
+  r.stats.total_threads = blocks * tpb;
+  r.open = true;
+  run_ = r;
+}
+
+void Device::add_phase(const KernelStats& ks) {
+  PersistentRun& r = run_;
+  if (r.phases++ > 0) r.elapsed_us += r.barrier_us;
+  // The kernel's own time without its launch overhead (assemble_kernel_time).
+  r.elapsed_us += std::max({ks.sm_time_us, ks.bw_time_us, ks.atomic_time_us});
+  KernelStats& s = r.stats;
+  s.warps_executed += ks.warps_executed;
+  s.warps_uniform += ks.warps_uniform;
+  s.issue_cycles += ks.issue_cycles;
+  s.mem_instrs += ks.mem_instrs;
+  s.transactions += ks.transactions;
+  s.atomics += ks.atomics;
+  s.max_atomic_same_addr = std::max(s.max_atomic_same_addr, ks.max_atomic_same_addr);
+  s.lane_work += ks.lane_work;
+  s.lockstep_work += ks.lockstep_work;
+  s.sm_time_us += ks.sm_time_us;
+  s.bw_time_us += ks.bw_time_us;
+  s.atomic_time_us += ks.atomic_time_us;
+  // Decisions taken inside the run are stamped with its provisional clock.
+  if (trace::active()) trace::Tracer::instance().set_time_us(now_us());
+}
+
+double Device::end_persistent() {
+  AGG_CHECK_MSG(run_.open, "no persistent run is open");
+  AGG_CHECK_MSG(current_ == run_.stream,
+                "a persistent run ends on the stream it began on");
+  KernelStats ks = run_.stats;
+  ks.time_us = run_.elapsed_us;
+  const double provisional_start = run_.start_us;
+  run_ = PersistentRun{};
+  return commit_kernel(ks) - provisional_start;
+}
+
 double Device::makespan_us() const {
   double t = clock_us_;
   for (const StreamState& st : streams_) t = std::max(t, st.ready_us);

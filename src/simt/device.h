@@ -197,10 +197,33 @@ class Device {
   }
   StreamId current_stream() const { return current_; }
 
+  // ---- persistent runs (DESIGN.md "Persistent iterations") ----
+  // Between begin_persistent() and end_persistent(), every kernel the device
+  // accounts is one phase of a single persistent kernel. A phase executes
+  // and is costed exactly as the kernel would be on its own, minus the
+  // launch overhead; consecutive phases are separated by one software grid
+  // barrier (grid_barrier_us) over the blocks the device holds resident at
+  // `tpb` — Fermi has no cooperative launch, so that caps the grid. The run
+  // is accounted when it ends, as one kernel: one op on its stream's compute
+  // engine, one fault-injector op, one observer call, one trace event.
+  // Transfers and host phases cannot happen inside a run. While it is open,
+  // now_us() is the run's provisional clock: the stream's time at
+  // begin_persistent() plus the launch overhead, phases and barriers so far.
+  void begin_persistent(const char* name, std::uint32_t tpb);
+  // Accounts the open run and returns how much later than its provisional
+  // start it was placed (0 on the default stream, where nothing else can
+  // have claimed the compute engine). The device is outside the run before
+  // the kernel fault check, so a DeviceFault thrown here leaves no run open.
+  double end_persistent();
+  // Drops an open run without accounting it (exception unwinding).
+  void abandon_persistent() { run_ = PersistentRun{}; }
+  bool in_persistent() const { return run_.open; }
+
   // ---- clock & accounting ----
   // The current stream's notion of time: completion of its last op. For the
   // default stream this is the legacy device clock.
   double now_us() const {
+    if (run_.open) return run_.start_us + run_.elapsed_us;
     return current_ == 0 ? clock_us_ : streams_[current_ - 1].ready_us;
   }
   void reset_clock() {
@@ -220,24 +243,17 @@ class Device {
   const KernelObserver& kernel_observer() const { return observer_; }
 
   void account_kernel(const KernelStats& ks) {
-    if (fault_armed_) check_fault(FaultKind::kernel, ks.name);
-    if (observer_) observer_(ks);
-    const double start_us = begin_op(compute_engine_, ks.time_us);
-    ++stats_.kernels_launched;
-    stats_.kernel_time_us += ks.time_us;
-    stats_.issue_cycles += ks.issue_cycles;
-    stats_.transactions += ks.transactions;
-    stats_.atomics += ks.atomics;
-    stats_.lane_work += ks.lane_work;
-    stats_.lockstep_work += ks.lockstep_work;
-    stats_.warps_executed += ks.warps_executed;
-    stats_.warps_uniform += ks.warps_uniform;
-    if (trace::active()) trace_kernel(ks, start_us);
+    if (run_.open) {
+      add_phase(ks);
+    } else {
+      commit_kernel(ks);
+    }
   }
 
   // Host-side compute on the application timeline (hybrid CPU/GPU phases).
   // Occupies neither device engine: it only extends the issuing stream.
   void account_host_compute(double us) {
+    AGG_CHECK_MSG(!run_.open, "host phase inside a persistent run");
     double start_us;
     if (current_ == 0) {
       start_us = clock_us_;
@@ -252,6 +268,7 @@ class Device {
   }
 
   void account_transfer(std::uint64_t bytes, bool to_device) {
+    AGG_CHECK_MSG(!run_.open, "transfer inside a persistent run");
     const double t =
         tm_.transfer_latency_us + static_cast<double>(bytes) / (props_.pcie_gbps * 1e3);
     const double start_us = begin_op(copy_engine_, t);
@@ -266,6 +283,39 @@ class Device {
     std::string name;
     double ready_us = 0;
   };
+
+  // The open persistent run: its provisional start, its clock so far, and
+  // the totals of its phases, accounted as one kernel when it ends.
+  struct PersistentRun {
+    bool open = false;
+    StreamId stream = 0;
+    double start_us = 0;
+    double elapsed_us = 0;
+    double barrier_us = 0;
+    std::uint64_t phases = 0;
+    KernelStats stats;
+  };
+
+  // Fault check, observer, timeline placement, counters and trace of one
+  // kernel; returns its modeled start.
+  double commit_kernel(const KernelStats& ks) {
+    if (fault_armed_) check_fault(FaultKind::kernel, ks.name);
+    if (observer_) observer_(ks);
+    const double start_us = begin_op(compute_engine_, ks.time_us);
+    ++stats_.kernels_launched;
+    stats_.kernel_time_us += ks.time_us;
+    stats_.issue_cycles += ks.issue_cycles;
+    stats_.transactions += ks.transactions;
+    stats_.atomics += ks.atomics;
+    stats_.lane_work += ks.lane_work;
+    stats_.lockstep_work += ks.lockstep_work;
+    stats_.warps_executed += ks.warps_executed;
+    stats_.warps_uniform += ks.warps_uniform;
+    if (trace::active()) trace_kernel(ks, start_us);
+    return start_us;
+  }
+  // Folds one kernel into the open run as a phase (device.cpp).
+  void add_phase(const KernelStats& ks);
 
   // Places an op of duration `dur_us` on `engine` honoring the current
   // stream's ordering; returns the modeled start time. Default stream: the
@@ -317,6 +367,7 @@ class Device {
   EngineTimeline copy_engine_;
   FaultInjector injector_;
   bool fault_armed_ = false;
+  PersistentRun run_;
 };
 
 // Scoped stream selection: ops accounted while the guard lives go to `s`.
@@ -332,6 +383,31 @@ class StreamGuard {
  private:
   Device& dev_;
   StreamId prev_;
+};
+
+// Scoped persistent run (Device::begin_persistent): a run still open when
+// the scope dies — an exception unwound through it — is dropped unaccounted,
+// so no fault path leaves the device inside a run.
+class PersistentScope {
+ public:
+  PersistentScope(Device& dev, const char* name, std::uint32_t tpb) : dev_(dev) {
+    dev_.begin_persistent(name, tpb);
+  }
+  ~PersistentScope() {
+    if (open_) dev_.abandon_persistent();
+  }
+  PersistentScope(const PersistentScope&) = delete;
+  PersistentScope& operator=(const PersistentScope&) = delete;
+
+  // Device::end_persistent.
+  double end() {
+    open_ = false;
+    return dev_.end_persistent();
+  }
+
+ private:
+  Device& dev_;
+  bool open_ = true;
 };
 
 }  // namespace simt

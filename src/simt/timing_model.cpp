@@ -146,4 +146,12 @@ void assemble_kernel_time(const DeviceProps& props, const TimingModel& tm,
                   tm.launch_overhead_us;
 }
 
+double grid_barrier_us(const DeviceProps& props, const TimingModel& tm,
+                       std::uint64_t blocks) {
+  const double cycles = tm.atomic_latency_cycles +
+                        static_cast<double>(blocks) * tm.atomic_serial_cycles +
+                        tm.mem_latency_cycles;
+  return cycles / (props.clock_ghz * 1e3);
+}
+
 }  // namespace simt

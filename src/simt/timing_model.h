@@ -113,4 +113,13 @@ KernelStats estimate_uniform_kernel(const DeviceProps& props, const TimingModel&
 void assemble_kernel_time(const DeviceProps& props, const TimingModel& tm,
                           double sm_cycles, KernelStats& stats);
 
+// One software grid barrier of a persistent kernel whose grid is `blocks`
+// resident blocks (DESIGN.md "Persistent iterations"): every block arrives
+// with one atomic on a shared counter (its round trip, plus the arrivals
+// serialized on that one address), then one global load observes the
+// release. Existing constants only:
+//   atomic_latency + blocks * atomic_serial + mem_latency  cycles.
+double grid_barrier_us(const DeviceProps& props, const TimingModel& tm,
+                       std::uint64_t blocks);
+
 }  // namespace simt

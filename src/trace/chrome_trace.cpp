@@ -133,6 +133,23 @@ void ChromeTraceSink::decision(const DecisionEvent& ev) {
   w.end_object();
 }
 
+void ChromeTraceSink::persistent(const PersistentEvent& ev) {
+  const std::string name =
+      std::string(ev.algo) + ".persistent." + ev.event;
+  EventBuilder e(events_, name, "i", 0, decision_tid(), ev.ts_us);
+  auto& w = e.writer();
+  w.field("s", "t");  // thread-scoped instant
+  w.key("args").begin_object();
+  w.field("iteration", ev.iteration);
+  w.field("ws_size", ev.ws_size);
+  w.field("bound", ev.bound);
+  w.field("t2", ev.t2);
+  if (ev.has_alpha_term) w.field("alpha_term", ev.alpha_term);
+  w.field("iterations", ev.iterations);
+  w.field("seq", ev.seq);
+  w.end_object();
+}
+
 void ChromeTraceSink::service(const ServiceEvent& ev) {
   // Instant event on the decision lane: why a query skipped the device
   // (cache hit / collapse) or how the result cache changed.

@@ -12,7 +12,8 @@
 //                         device's SM count for a familiar width
 //   tid kernel_lanes+1    default-stream H<->D transfers (PCIe)
 //   tid kernel_lanes+2    adaptive decisions (instant events with the full
-//                         T1/T2/T3 input snapshot in args)
+//                         T1/T2/T3 input snapshot in args) and persistent-run
+//                         entries and exits (with their bound)
 //   tid kernel_lanes+3+s  per-stream lanes (one per simt stream s >= 1): all
 //                         kernels, transfers and host phases the stream
 //                         issued, so a multi-query service schedule renders
@@ -46,6 +47,7 @@ class ChromeTraceSink : public TraceSink {
   void host(const HostEvent& ev) override;
   void iteration(const IterationEvent& ev) override;
   void decision(const DecisionEvent& ev) override;
+  void persistent(const PersistentEvent& ev) override;
   void fault(const FaultEvent& ev) override;
   void service(const ServiceEvent& ev) override;
   void flush() override;

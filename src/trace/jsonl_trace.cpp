@@ -42,6 +42,26 @@ void JsonlDecisionSink::decision(const DecisionEvent& ev) {
   switches_ += ev.switched;
 }
 
+void JsonlDecisionSink::persistent(const PersistentEvent& ev) {
+  JsonWriter w;
+  w.begin_object();
+  w.field("kind", "persistent");
+  w.field("event", ev.event);
+  w.field("algo", ev.algo);
+  w.field("iteration", ev.iteration);
+  w.field("ws_size", ev.ws_size);
+  w.field("bound", ev.bound);
+  w.field("t2", ev.t2);
+  if (ev.has_alpha_term) w.field("alpha_term", ev.alpha_term);
+  w.field("iterations", ev.iterations);
+  w.field("ts_us", ev.ts_us);
+  w.field("seq", ev.seq);
+  w.end_object();
+  lines_ += w.str();
+  lines_ += '\n';
+  ++persistent_events_;
+}
+
 void JsonlDecisionSink::fault(const FaultEvent& ev) {
   JsonWriter w;
   w.begin_object();

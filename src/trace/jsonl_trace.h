@@ -15,8 +15,13 @@
 //   {"kind":"service","action":"cache_hit","algo":"bfs","graph":0,
 //    "version":4294967296,"source":17,"query":42,"leader":0,"bytes":80288,
 //    "ts_us":1500.25,"seq":63}
+//   {"kind":"persistent","event":"exit","algo":"bfs","iteration":96,
+//    "ws_size":0,"bound":2688,"t2":2688,"iterations":95,"ts_us":401.5,
+//    "seq":880}
 // Service lines record why a query skipped the device (result-cache hit,
 // request collapse) or how the cache changed (insert/evict/invalidate).
+// Persistent lines mark where a persistent run began and ended, with both
+// sides of its bound; under the direction controller they add "alpha_term".
 #pragma once
 
 #include <string>
@@ -31,6 +36,7 @@ class JsonlDecisionSink : public TraceSink {
   explicit JsonlDecisionSink(std::string path = "");
 
   void decision(const DecisionEvent& ev) override;
+  void persistent(const PersistentEvent& ev) override;
   void fault(const FaultEvent& ev) override;
   void service(const ServiceEvent& ev) override;
   void flush() override;
@@ -40,6 +46,7 @@ class JsonlDecisionSink : public TraceSink {
   std::uint64_t switches() const { return switches_; }
   std::uint64_t faults() const { return faults_; }
   std::uint64_t service_events() const { return service_events_; }
+  std::uint64_t persistent_events() const { return persistent_events_; }
 
  private:
   std::string path_;
@@ -48,6 +55,7 @@ class JsonlDecisionSink : public TraceSink {
   std::uint64_t switches_ = 0;
   std::uint64_t faults_ = 0;
   std::uint64_t service_events_ = 0;
+  std::uint64_t persistent_events_ = 0;
 };
 
 }  // namespace trace

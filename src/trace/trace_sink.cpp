@@ -61,6 +61,11 @@ void Tracer::decision(DecisionEvent ev) {
   for (const auto& s : sinks_) s->decision(ev);
 }
 
+void Tracer::persistent(PersistentEvent ev) {
+  ev.seq = next_seq();
+  for (const auto& s : sinks_) s->persistent(ev);
+}
+
 void Tracer::fault(FaultEvent ev) {
   ev.seq = next_seq();
   for (const auto& s : sinks_) s->fault(ev);

@@ -16,7 +16,7 @@
 //    workers never emit. The Tracer therefore needs no locking.
 //
 // Event vocabulary: kernel launches, H<->D transfers, host compute phases,
-// engine iterations, and adaptive-runtime decisions. Sinks pick what they
+// engine iterations, adaptive-runtime decisions and persistent runs. Sinks pick what they
 // care about (ChromeTraceSink renders timelines; JsonlDecisionSink keeps
 // only decisions).
 #pragma once
@@ -121,6 +121,25 @@ struct DecisionEvent {
   std::uint64_t seq = 0;
 };
 
+// Entry to or exit from a persistent run (DESIGN.md "Persistent
+// iterations") with both sides of the test it makes: the working set |WS|
+// against F = min(T2, do_alpha term). The do_alpha term exists only under
+// the direction controller. An exit record carries the |WS| that failed the
+// test (0 when the traversal ended) and the iterations the run spanned.
+struct PersistentEvent {
+  const char* algo = "";
+  const char* event = "enter";  // "enter" | "exit"
+  std::uint32_t iteration = 0;
+  std::uint64_t ws_size = 0;
+  std::uint64_t bound = 0;       // F
+  std::uint64_t t2 = 0;          // ceil(T2)
+  bool has_alpha_term = false;
+  std::uint64_t alpha_term = 0;  // floor(do_alpha * G_min / max_outdegree)
+  std::uint32_t iterations = 0;  // exit only
+  double ts_us = 0;
+  std::uint64_t seq = 0;
+};
+
 // One serving-layer cache/collapse decision: why a query did (or did not)
 // skip the device. Actions: "cache_hit" (answered from the result cache),
 // "cache_miss" (lookup failed, device path follows), "cache_insert" (a
@@ -152,6 +171,7 @@ class TraceSink {
   virtual void host(const HostEvent&) {}
   virtual void iteration(const IterationEvent&) {}
   virtual void decision(const DecisionEvent&) {}
+  virtual void persistent(const PersistentEvent&) {}
   virtual void fault(const FaultEvent&) {}
   virtual void service(const ServiceEvent&) {}
   virtual void flush() {}
@@ -198,6 +218,7 @@ class Tracer {
   void host(HostEvent ev);
   void iteration(IterationEvent ev);
   void decision(DecisionEvent ev);
+  void persistent(PersistentEvent ev);
   void fault(FaultEvent ev);
   void service(ServiceEvent ev);
 

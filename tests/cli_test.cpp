@@ -6,7 +6,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <string>
+
+#include "trace/json_writer.h"
 
 namespace {
 
@@ -128,7 +132,13 @@ TEST_F(CliTest, CcAndMstAndPagerankRun) {
 TEST_F(CliTest, ProfileFlagPrintsKernelTable) {
   const auto g = path("g.agg");
   ASSERT_EQ(run("generate er --nodes=3000 --out=" + g).first, 0);
-  const auto [rc, out] = run("bfs " + g + " --profile");
+  // Every frontier of this graph is below T2, so the adaptive BFS is one
+  // persistent kernel; a fixed variant still launches each kernel.
+  auto [rc, out] = run("bfs " + g + " --profile");
+  EXPECT_EQ(rc, 0);
+  EXPECT_NE(out.find("bound by"), std::string::npos);
+  EXPECT_NE(out.find("bfs.persistent"), std::string::npos);
+  std::tie(rc, out) = run("bfs " + g + " --profile --policy=U_B_QU");
   EXPECT_EQ(rc, 0);
   EXPECT_NE(out.find("bound by"), std::string::npos);
   EXPECT_NE(out.find("workset_gen"), std::string::npos);
@@ -194,6 +204,69 @@ TEST_F(CliTest, BadTraceFormatFails) {
       run("bfs " + g + " --trace-out=" + path("t.json") + " --trace-format=xml");
   EXPECT_EQ(rc, 2);
   EXPECT_NE(out.find("unknown --trace-format"), std::string::npos);
+}
+
+// ---- resilience end to end (agg serve under a fault plan) ---------------------
+
+// A query stream against a device that faults and eventually dies: every
+// query is still answered (retried or CPU-degraded), the trace records the
+// faults, and the counters agree with it. Faults also land inside the
+// persistent runs of the served BFS queries.
+TEST_F(CliTest, ServeAnswersEveryQueryUnderInjectedFaults) {
+  const auto g = path("rmat.agg");
+  const auto trace_file = path("faults.jsonl");
+  const auto metrics_file = path("fault-metrics.json");
+  ASSERT_EQ(run("generate rmat --nodes=4096 --out=" + g).first, 0);
+  // --no-cache keeps this about resilience: with caching on, repeat sources
+  // would be answered from the cache and the per-query fault counts would
+  // depend on source collisions.
+  const auto [rc, out] = run(
+      "serve " + g + " --queries=32 --concurrency=3 --no-cache "
+      "--fault-plan=seed=7,kernel.p=0.2,transfer.p=0.05,dead.after=6000 "
+      "--trace-out=" + trace_file + " --trace-format=jsonl --metrics-out=" +
+      metrics_file);
+  ASSERT_EQ(rc, 0) << out;
+  EXPECT_NE(out.find("served 32/32 queries"), std::string::npos) << out;
+
+  std::ifstream lines(trace_file);
+  std::size_t faults = 0;
+  std::set<std::string> ops;
+  for (std::string line; std::getline(lines, line);) {
+    const auto ev = trace::json_parse(line);
+    ASSERT_TRUE(ev.has_value()) << line;
+    if (ev->find("kind")->string != "fault") continue;
+    ++faults;
+    const std::string& kind = ev->find("fault")->string;
+    EXPECT_TRUE(kind == "alloc" || kind == "transfer" || kind == "kernel")
+        << kind;
+    ops.insert(ev->find("op")->string);
+  }
+  EXPECT_GT(faults, 0u) << "fault plan injected nothing";
+  EXPECT_TRUE(ops.count("bfs.persistent")) << "no fault inside a persistent run";
+
+  std::stringstream mss;
+  mss << std::ifstream(metrics_file).rdbuf();
+  const auto doc = trace::json_parse(mss.str());
+  ASSERT_TRUE(doc.has_value());
+  const trace::JsonValue& c = *doc->find("counters");
+  const auto counter = [&](const char* name) {
+    const trace::JsonValue* v = c.find(name);
+    return v ? v->number : 0.0;
+  };
+  EXPECT_EQ(counter("svc.completed"), 32);
+  EXPECT_EQ(counter("svc.fault"), counter("simt.fault.injected"));
+  EXPECT_GT(counter("svc.retry") + counter("svc.degraded"), 0);
+}
+
+TEST_F(CliTest, ServeDegradesEveryQueryOnADeadDevice) {
+  const auto g = path("rmat.agg");
+  ASSERT_EQ(run("generate rmat --nodes=4096 --out=" + g).first, 0);
+  const auto [rc, out] =
+      run("serve " + g + " --queries=16 --no-cache --fault-plan=dead.after=1");
+  ASSERT_EQ(rc, 0) << out;
+  EXPECT_NE(out.find("served 16/16 queries"), std::string::npos) << out;
+  EXPECT_NE(out.find("degraded to CPU 16"), std::string::npos) << out;
+  EXPECT_NE(out.find("device dead"), std::string::npos) << out;
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "cpu/bfs_serial.h"
 #include "cpu/sssp_serial.h"
@@ -116,6 +119,128 @@ TEST(Decision, DeviceDerivedT2TracksSmCount) {
   const auto gtx580 = Thresholds::for_device(simt::DeviceProps::fermi_gtx580());
   EXPECT_DOUBLE_EQ(c2070.t2_ws_size, 192.0 * 14);
   EXPECT_DOUBLE_EQ(gtx580.t2_ws_size, 192.0 * 16);
+}
+
+// ---- persistent-run bound ---------------------------------------------------
+
+// For every |WS| below F = rt::persistent_bound, the selector and the pure
+// functions it composes keep U_B_QU, push and the current layout, whatever
+// the frontier's edge mass (up to |WS| * max outdegree) and however little
+// of the graph is left unexplored.
+TEST(PersistentBound, NoDecisionChangesBelowTheBound) {
+  std::uint64_t checked = 0;
+  std::uint64_t alpha_bound = 0;
+  for (const std::uint32_t n : {1u, 100u, 4096u, 1000000u}) {
+    const std::uint64_t nn = n;
+    for (const std::uint64_t m : {std::uint64_t{0}, nn, 8 * nn, 40 * nn}) {
+      for (const std::uint32_t maxd : {0u, 1u, 3u, 64u, 5000u}) {
+        if ((m == 0) != (maxd == 0)) continue;
+        const double avg = n ? static_cast<double>(m) / n : 0.0;
+        const double stddev = 4 * avg;  // skewed: the layout prefers a switch
+        for (const double t2 : {0.0, 37.5, 2688.0}) {
+          for (const double alpha : {0.0, 0.05, 0.5, 2.0}) {
+            for (const gg::Direction dir :
+                 {gg::Direction::push, gg::Direction::pull,
+                  gg::Direction::adaptive}) {
+              for (const bool sssp : {false, true}) {
+                Thresholds t = default_thresholds();
+                t.t2_ws_size = t2;
+                t.do_alpha = alpha;
+                t.rep_min_nodes = 1;
+                const std::uint64_t unexplored = sssp ? 2 * m : 0;
+                const gg::PersistentBound b = rt::persistent_bound(
+                    t, dir, (sssp ? 2 * m : 0) + n, maxd);
+                SCOPED_TRACE(testing::Message()
+                             << "n " << n << " m " << m << " maxd " << maxd
+                             << " T2 " << t2 << " alpha " << alpha << " dir "
+                             << gg::direction_name(dir) << " sssp " << sssp
+                             << " F " << b.ws_below);
+                ASSERT_LE(b.ws_below, static_cast<std::uint64_t>(std::ceil(t2)));
+                if (dir == gg::Direction::pull) {
+                  ASSERT_EQ(b.ws_below, 0u);
+                }
+                if (b.has_alpha_term && b.alpha_term < b.t2) ++alpha_bound;
+                std::vector<std::uint64_t> sizes;
+                for (std::uint64_t ws = 0; ws < std::min<std::uint64_t>(b.ws_below, 64);
+                     ++ws) {
+                  sizes.push_back(ws);
+                }
+                if (b.ws_below > 64) {
+                  sizes.insert(sizes.end(), {b.ws_below / 2, b.ws_below - 2,
+                                             b.ws_below - 1});
+                }
+                for (const gg::Representation cur :
+                     {gg::Representation::plain, gg::Representation::relabelled,
+                      gg::Representation::binned}) {
+                  const auto pick = rt::make_adaptive_selector(
+                      t, 1, "test", dir, gg::Representation::adaptive);
+                  for (const std::uint64_t ws : sizes) {
+                    const std::uint64_t fe = ws * maxd;
+                    const gg::Variant v = rt::decide(t, ws, avg, n, stddev);
+                    ASSERT_EQ(v.mapping, Mapping::block) << "ws " << ws;
+                    ASSERT_EQ(v.repr, WorksetRepr::queue) << "ws " << ws;
+                    if (dir == gg::Direction::adaptive) {
+                      ASSERT_EQ(rt::decide_direction(t, gg::Direction::push, fe,
+                                                     unexplored, n),
+                                gg::Direction::push)
+                          << "ws " << ws;
+                    }
+                    for (const bool resident : {false, true}) {
+                      ASSERT_EQ(rt::decide_representation_step(
+                                    t, cur, resident, ws, fe, 40ull * n + m, m,
+                                    n, avg, stddev, maxd),
+                                cur)
+                          << "ws " << ws;
+                    }
+                    gg::SelectorInput in;
+                    in.ws_size = ws;
+                    in.avg_outdegree = avg;
+                    in.outdeg_stddev = stddev;
+                    in.num_nodes = n;
+                    in.frontier_edges = fe;
+                    in.unexplored_edges = unexplored;
+                    in.num_edges = m;
+                    in.representation = cur;
+                    in.max_outdegree = maxd;
+                    in.rel_available = in.bin_available = true;
+                    const gg::Variant s = pick(in);
+                    ASSERT_EQ(s.mapping, Mapping::block) << "ws " << ws;
+                    ASSERT_EQ(s.repr, WorksetRepr::queue) << "ws " << ws;
+                    ASSERT_EQ(s.direction, gg::Direction::push) << "ws " << ws;
+                    ASSERT_EQ(s.representation, cur) << "ws " << ws;
+                    ++checked;
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 100000u);
+  EXPECT_GT(alpha_bound, 0u);  // the do_alpha side of the min binds somewhere
+}
+
+TEST(PersistentBound, DerivedValues) {
+  Thresholds t = default_thresholds();
+  // Push: F = T2.
+  auto b = rt::persistent_bound(t, gg::Direction::push, 4096, 17);
+  EXPECT_EQ(b.ws_below, 2688u);
+  EXPECT_FALSE(b.has_alpha_term);
+  // Adaptive BFS on a 4,096-node graph with max outdegree 17:
+  // floor(0.5 * 4096 / 17) = 120.
+  b = rt::persistent_bound(t, gg::Direction::adaptive, 4096, 17);
+  EXPECT_TRUE(b.has_alpha_term);
+  EXPECT_EQ(b.alpha_term, 120u);
+  EXPECT_EQ(b.t2, 2688u);
+  EXPECT_EQ(b.ws_below, 120u);
+  // Pull never runs push; a non-integral T2 rounds up.
+  EXPECT_EQ(rt::persistent_bound(t, gg::Direction::pull, 4096, 17).ws_below, 0u);
+  t.t2_ws_size = 37.5;
+  EXPECT_EQ(rt::persistent_bound(t, gg::Direction::push, 4096, 17).ws_below, 38u);
+  t.do_alpha = -1;
+  EXPECT_EQ(rt::persistent_bound(t, gg::Direction::adaptive, 4096, 0).ws_below, 0u);
 }
 
 // ---- inspector --------------------------------------------------------------
