@@ -8,25 +8,36 @@
 //  * the paper path: rt::adaptive_{bfs,sssp,cc} with default options and
 //    gg::run_{bfs,sssp} with U_T_BM and U_B_QU, on both graphs;
 //  * 16 mixed BFS/SSSP queries through a registered Session, and the same
-//    queries through a one-device GraphService at concurrency 4.
+//    queries through a one-device GraphService at concurrency 4;
+//  * a fleet serve: a Zipf-skewed BFS/SSSP/CC/PageRank stream on a
+//    two-device GraphService with the cache, collapsing and batching on,
+//    two mutations and an evict across three drains, then one drain under a
+//    transient fault plan.
+//
+// The Session, service and fleet blocks run at one simulator thread and
+// again at four, and both runs must produce the golden lines.
 //
 // A change that moves a modeled number fails here. Run the test with
 // AGG_UPDATE_GOLDEN=1 to rewrite the file, and explain every changed line.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
 #include "api/algorithms.h"
 #include "api/session.h"
+#include "common/prng.h"
 #include "graph/gen/generators.h"
 #include "runtime/adaptive_engine.h"
 #include "service/graph_service.h"
+#include "simt/exec_pool.h"
 #include "trace/json_writer.h"
 
 namespace {
@@ -318,6 +329,163 @@ void service_path(const Graphs& road, const Graphs& rmat,
   out.push_back(w.take());
 }
 
+// The modeled fields of one fleet outcome; `payload` must hold an answer.
+std::string fleet_line(const svc::QueryOutcome& o) {
+  trace::JsonWriter w;
+  w.begin_object();
+  w.field("case", "fleet/" + std::to_string(o.id));
+  w.field("status", static_cast<std::uint64_t>(o.status));
+  w.field("mutation", o.mutation);
+  if (o.mutation || !o.ok()) {
+    w.field("start_us", o.start_us);
+    w.field("finish_us", o.finish_us);
+    w.field("retries", o.retries);
+    w.end_object();
+    return w.take();
+  }
+  std::visit(
+      [&](const auto& r) {
+        if constexpr (!std::is_same_v<std::decay_t<decltype(r)>,
+                                      std::monostate>) {
+          w.field("digest", digest_of(r));
+        }
+      },
+      o.payload);
+  w.field("device", o.device);
+  w.field("stream", o.stream);
+  w.field("batch_size", o.batch_size);
+  w.field("cached", o.cached);
+  w.field("collapsed", o.collapsed);
+  w.field("degraded", o.degraded);
+  w.field("retries", o.retries);
+  w.field("start_us", o.start_us);
+  w.field("finish_us", o.finish_us);
+  std::visit(
+      [&](const auto& r) {
+        if constexpr (!std::is_same_v<std::decay_t<decltype(r)>,
+                                      std::monostate>) {
+          const gg::TraversalMetrics& m = r.metrics;
+          w.field("total_us", m.total_us);
+          w.field("kernel_us", m.kernel_us);
+          w.field("transfer_us", m.transfer_us);
+          w.field("kernels", m.kernels);
+          w.field("iterations",
+                  static_cast<std::uint64_t>(m.iterations.size()));
+          w.field("decisions", m.decisions);
+        }
+      },
+      o.payload);
+  w.end_object();
+  return w.take();
+}
+
+// Per device: makespan, what the serve moved of its stats, memory in use.
+void fleet_devices(const std::string& tag, const svc::GraphService& service,
+                   const std::vector<simt::DeviceStats>& before,
+                   std::vector<std::string>& out) {
+  for (simt::DeviceIndex d = 0; d < service.num_devices(); ++d) {
+    const simt::Device& dev = service.fleet().device(d);
+    const simt::DeviceStats& b = before[d];
+    const simt::DeviceStats& a = dev.stats();
+    trace::JsonWriter w;
+    w.begin_object();
+    w.field("case", "fleet/" + tag + "/dev" + std::to_string(d));
+    w.field("makespan_us", dev.makespan_us());
+    w.field("kernels", a.kernels_launched - b.kernels_launched);
+    w.field("transfers", a.transfers - b.transfers);
+    w.field("kernel_us", a.kernel_time_us - b.kernel_time_us);
+    w.field("transfer_us", a.transfer_time_us - b.transfer_time_us);
+    w.field("host_us", a.host_time_us - b.host_time_us);
+    w.field("transactions", a.transactions - b.transactions);
+    w.field("atomics", a.atomics - b.atomics);
+    w.field("warps", a.warps_executed - b.warps_executed);
+    w.field("bytes_h2d", a.bytes_h2d - b.bytes_h2d);
+    w.field("bytes_d2h", a.bytes_d2h - b.bytes_d2h);
+    w.field("mem_in_use", dev.mem_in_use());
+    w.end_object();
+    out.push_back(w.take());
+  }
+}
+
+// A seeded stream on a two-device fleet: Zipf(1.2)-repeated sources over 16
+// candidates, BFS/SSSP/CC/PageRank under adaptive+DO+AREP, two mutations and
+// an evict across three drains, then a small drain under a fault plan.
+void fleet_path(const Graphs& rmat, std::vector<std::string>& out) {
+  svc::ServiceOptions opts;
+  opts.concurrency = 4;
+  svc::GraphService service(opts, simt::ClusterSpec::homogeneous(2));
+  const svc::GraphId id = service.add_graph(rmat.weighted);
+  std::vector<simt::DeviceStats> before;
+  for (simt::DeviceIndex d = 0; d < service.num_devices(); ++d) {
+    before.push_back(service.fleet().device(d).stats());
+  }
+  const std::uint32_t n = rmat.weighted.num_nodes();
+  std::vector<double> weights;
+  for (int r = 0; r < 16; ++r) weights.push_back(1.0 / std::pow(r + 1, 1.2));
+  agg::AliasSampler zipf(weights);
+  agg::Prng rng(7);
+  const adaptive::Policy policy = policy_named("do");
+  const auto submit = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      svc::QueryRequest req;
+      req.graph = id;
+      req.policy = policy;
+      const std::uint64_t pick = rng.bounded(16);
+      req.algo = pick < 9    ? svc::Algo::bfs
+                 : pick < 13 ? svc::Algo::sssp
+                 : pick < 15 ? svc::Algo::cc
+                             : svc::Algo::pagerank;
+      req.source = static_cast<graph::NodeId>(
+          (zipf.sample(rng) * 977u + 13u) % n);
+      ASSERT_TRUE(service.submit(req).has_value());
+    }
+  };
+  const auto mutate = [&](std::uint32_t salt) {
+    graph::EdgeDelta d;
+    for (std::uint32_t k = 0; k < 8; ++k) {
+      d.inserts.push_back({(salt * 131u + k * 523u) % n,
+                           (salt * 71u + k * 1009u + 1u) % n});
+      d.insert_weights.push_back(1 + (salt + k) % 100);
+    }
+    ASSERT_TRUE(service.submit_mutation(id, std::move(d)).has_value());
+  };
+  const auto serve = [&] {
+    for (const svc::QueryOutcome& o : service.drain()) {
+      out.push_back(fleet_line(o));
+    }
+  };
+  submit(12);
+  serve();
+  submit(4);
+  mutate(1);
+  submit(6);
+  serve();
+  service.evict(id);
+  submit(6);
+  mutate(2);
+  submit(4);
+  serve();
+  fleet_devices("serve", service, before, out);
+
+  service.set_fault_plan_all(
+      simt::FaultPlan::parse("seed=11,transfer.p=0.02,kernel.p=0.05"));
+  submit(5);
+  serve();
+  fleet_devices("faults", service, before, out);
+}
+
+// The serving blocks at `threads` simulator threads.
+std::vector<std::string> serving_lines(const Graphs& road, const Graphs& rmat,
+                                       int threads) {
+  simt::ExecPool::set_threads(threads);
+  std::vector<std::string> lines;
+  session_path(road, rmat, lines);
+  service_path(road, rmat, lines);
+  fleet_path(rmat, lines);
+  simt::ExecPool::set_threads(0);
+  return lines;
+}
+
 std::vector<std::string> read_lines(const std::string& path) {
   std::ifstream f(path);
   std::vector<std::string> lines;
@@ -341,9 +509,12 @@ TEST(ModeledGolden, MatrixMatchesGoldenFile) {
   one_shot("road", road, lines);
   paper_path("rmat", rmat, lines);
   paper_path("road", road, lines);
-  session_path(road, rmat, lines);
-  service_path(road, rmat, lines);
+  const std::vector<std::string> serial = serving_lines(road, rmat, 1);
   ASSERT_FALSE(HasFatalFailure());
+  lines.insert(lines.end(), serial.begin(), serial.end());
+  const std::vector<std::string> pooled = serving_lines(road, rmat, 4);
+  ASSERT_FALSE(HasFatalFailure());
+  EXPECT_EQ(pooled, serial) << "the serving blocks differ at 4 threads";
 
   if (const char* u = std::getenv("AGG_UPDATE_GOLDEN"); u && *u == '1') {
     std::ofstream f(kGoldenPath, std::ios::binary | std::ios::trunc);
