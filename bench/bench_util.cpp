@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 
 #include "common/check.h"
 #include "cpu/bfs_serial.h"
@@ -73,9 +74,16 @@ Options parse_common(const agg::Cli& cli) {
   Options opts;
   opts.scale = cli.get_double("scale", cli.get_bool("quick", false) ? 0.2 : 1.0);
   opts.cache_dir = cli.get("cache", ".dataset-cache");
-  const auto sim_threads = cli.get_int("sim-threads", 0);
-  if (sim_threads > 0) {
-    simt::ExecPool::set_threads(static_cast<int>(sim_threads));
+  if (cli.has("sim-threads")) {
+    const std::string text = cli.get("sim-threads", "");
+    const std::optional<int> n = simt::parse_threads(text);
+    if (!n) {
+      std::fprintf(stderr,
+                   "--sim-threads=%s: expected a whole number from 1 to %d\n",
+                   text.c_str(), simt::kMaxThreads);
+      std::exit(2);
+    }
+    simt::ExecPool::set_threads(*n);
   }
   setup_tracing(cli);
   const std::string list = cli.get("datasets", "");

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "simt/device.h"
+#include "simt/exec_pool.h"
 #include "simt/launch.h"
 #include "simt/primitives.h"
 
@@ -434,6 +435,21 @@ TEST(KernelTime, IncludesLaunchOverhead) {
   const auto ks = simt::launch(dev, "empty", GridSpec::dense(1, 32),
                                [](ThreadCtx&) {});
   EXPECT_GE(ks.time_us, dev.timing().launch_overhead_us);
+}
+
+TEST(ParseThreads, AcceptsWholeNumbersInRange) {
+  EXPECT_EQ(simt::parse_threads("1"), 1);
+  EXPECT_EQ(simt::parse_threads("4"), 4);
+  EXPECT_EQ(simt::parse_threads("004"), 4);
+  EXPECT_EQ(simt::parse_threads("512"), simt::kMaxThreads);
+}
+
+TEST(ParseThreads, RejectsEverythingElse) {
+  for (const char* bad : {"", "abc", "0", "-2", "+4", " 4", "4x", "4.0",
+                          "513", "600", "100000", "5000000000",
+                          "99999999999999999999999"}) {
+    EXPECT_EQ(simt::parse_threads(bad), std::nullopt) << '"' << bad << '"';
+  }
 }
 
 }  // namespace
