@@ -16,31 +16,46 @@ std::uint64_t Graph::next_uid() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
+Graph::Derived::Derived(const Derived& other) {
+  std::lock_guard<std::recursive_mutex> lk(const_cast<Derived&>(other).mu);
+  stats = other.stats;
+  symmetric = other.symmetric;
+  weight_symmetric = other.weight_symmetric;
+  symmetrized = other.symmetrized;
+  csc = other.csc;
+  relabelled = other.relabelled;
+  binned = other.binned;
+}
+
 Graph::Graph(const Graph& other)
     : csr_(other.csr_),
       version_(other.version_),
-      stats_(other.stats_),
-      symmetric_(other.symmetric_),
-      weight_symmetric_(other.weight_symmetric_),
-      symmetrized_(other.symmetrized_),
-      csc_(other.csc_),
-      relabelled_(other.relabelled_),
-      binned_(other.binned_) {}
+      derived_(std::make_unique<Derived>(*other.derived_)) {}
 
 Graph& Graph::operator=(const Graph& other) {
   if (this == &other) return *this;
   csr_ = other.csr_;
   version_ = other.version_;
-  stats_ = other.stats_;
-  symmetric_ = other.symmetric_;
-  weight_symmetric_ = other.weight_symmetric_;
-  symmetrized_ = other.symmetrized_;
-  csc_ = other.csc_;
-  relabelled_ = other.relabelled_;
-  binned_ = other.binned_;
+  derived_ = std::make_unique<Derived>(*other.derived_);
   // Assignment replaces this object's contents wholesale: it is a new
   // registrable identity, exactly like a copy construction.
   uid_ = next_uid();
+  return *this;
+}
+
+// A moved-from graph keeps a (fresh) Derived, so it stays usable.
+Graph::Graph(Graph&& other) noexcept
+    : csr_(std::move(other.csr_)),
+      version_(other.version_),
+      uid_(other.uid_),
+      derived_(std::exchange(other.derived_, std::make_unique<Derived>())) {}
+
+Graph& Graph::operator=(Graph&& other) noexcept {
+  csr_ = std::move(other.csr_);
+  version_ = other.version_;
+  uid_ = other.uid_;
+  derived_.swap(other.derived_);
+  other.drop_derived();
   return *this;
 }
 
@@ -69,27 +84,34 @@ Graph Graph::load_binary(const std::string& path) {
 }
 
 const graph::GraphStats& Graph::stats() const {
-  if (!stats_) stats_ = graph::GraphStats::compute(csr_);
-  return *stats_;
+  std::lock_guard<std::recursive_mutex> lk(derived_->mu);
+  auto& slot = derived_->stats;
+  if (!slot) slot = graph::GraphStats::compute(csr_);
+  return *slot;
 }
 
 bool Graph::is_symmetric() const {
-  if (!symmetric_) symmetric_ = graph::is_symmetric(csr_);
-  return *symmetric_;
+  std::lock_guard<std::recursive_mutex> lk(derived_->mu);
+  auto& slot = derived_->symmetric;
+  if (!slot) slot = graph::is_symmetric(csr_);
+  return *slot;
 }
 
 bool Graph::is_weight_symmetric() const {
-  if (!weight_symmetric_) {
-    weight_symmetric_ =
-        csr_.has_weights() ? graph::is_weight_symmetric(csr_) : is_symmetric();
+  std::lock_guard<std::recursive_mutex> lk(derived_->mu);
+  auto& slot = derived_->weight_symmetric;
+  if (!slot) {
+    slot = csr_.has_weights() ? graph::is_weight_symmetric(csr_) : is_symmetric();
   }
-  return *weight_symmetric_;
+  return *slot;
 }
 
 const graph::Csr& Graph::symmetrized() const {
+  std::lock_guard<std::recursive_mutex> lk(derived_->mu);
   if (is_symmetric()) return csr_;
-  if (!symmetrized_) symmetrized_ = graph::symmetrize(csr_);
-  return *symmetrized_;
+  auto& slot = derived_->symmetrized;
+  if (!slot) slot = graph::symmetrize(csr_);
+  return *slot;
 }
 
 const graph::Csr& Graph::csc() const {
@@ -98,13 +120,16 @@ const graph::Csr& Graph::csc() const {
   // transposing a weight-asymmetric graph permutes them. The explicit
   // weighted predicate makes the aliasing decision exact instead of
   // conservatively copying every weighted graph.
+  std::lock_guard<std::recursive_mutex> lk(derived_->mu);
   if (is_weight_symmetric()) return csr_;
-  if (!csc_) csc_ = graph::build_csc(csr_);
-  return *csc_;
+  auto& slot = derived_->csc;
+  if (!slot) slot = graph::build_csc(csr_);
+  return *slot;
 }
 
 const graph::RelabeledGraph& Graph::relabelled_view(bool of_symmetrized) const {
-  auto& slot = relabelled_[of_symmetrized ? 1 : 0];
+  std::lock_guard<std::recursive_mutex> lk(derived_->mu);
+  auto& slot = derived_->relabelled[of_symmetrized ? 1 : 0];
   if (!slot) {
     slot = graph::relabel_by_degree(of_symmetrized ? symmetrized() : csr_);
   }
@@ -112,7 +137,8 @@ const graph::RelabeledGraph& Graph::relabelled_view(bool of_symmetrized) const {
 }
 
 const graph::RelabeledGraph& Graph::binned_view(bool of_symmetrized) const {
-  auto& slot = binned_[of_symmetrized ? 1 : 0];
+  std::lock_guard<std::recursive_mutex> lk(derived_->mu);
+  auto& slot = derived_->binned[of_symmetrized ? 1 : 0];
   if (!slot) slot = graph::build_binned(of_symmetrized ? symmetrized() : csr_);
   return *slot;
 }
@@ -121,25 +147,13 @@ void Graph::set_uniform_weights(std::uint32_t lo, std::uint32_t hi,
                                 std::uint64_t seed) {
   graph::assign_uniform_weights(csr_, lo, hi, seed);
   ++version_;
-  stats_.reset();
-  symmetric_.reset();
-  weight_symmetric_.reset();
-  symmetrized_.reset();
-  csc_.reset();
-  for (auto& r : relabelled_) r.reset();
-  for (auto& b : binned_) b.reset();
+  drop_derived();
 }
 
 void Graph::apply_delta(const graph::EdgeDelta& delta) {
   csr_ = graph::apply_delta(csr_, delta);
   ++version_;
-  stats_.reset();
-  symmetric_.reset();
-  weight_symmetric_.reset();
-  symmetrized_.reset();
-  csc_.reset();
-  for (auto& r : relabelled_) r.reset();
-  for (auto& b : binned_) b.reset();
+  drop_derived();
 }
 
 void Graph::save_binary(const std::string& path) const {

@@ -12,6 +12,8 @@
 #include <array>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 
@@ -84,8 +86,8 @@ class Graph {
 
   Graph(const Graph& other);
   Graph& operator=(const Graph& other);
-  Graph(Graph&&) = default;
-  Graph& operator=(Graph&&) = default;
+  Graph(Graph&& other) noexcept;
+  Graph& operator=(Graph&& other) noexcept;
   ~Graph() = default;
 
   // ---- mutation ----
@@ -103,19 +105,31 @@ class Graph {
   void save_binary(const std::string& path) const;
 
  private:
+  // The lazily derived structures: stats, symmetry flags, closure, CSC and
+  // layout views. Each is built once, under the lock, because recordings on
+  // worker threads and the serving thread may ask for one at the same time
+  // (DESIGN.md "Query-parallel drains"); every mutation drops them all.
+  struct Derived {
+    Derived() = default;
+    Derived(const Derived& other);
+    std::recursive_mutex mu;
+    std::optional<graph::GraphStats> stats;
+    std::optional<bool> symmetric;
+    std::optional<bool> weight_symmetric;
+    std::optional<graph::Csr> symmetrized;  // empty when symmetric
+    std::optional<graph::Csr> csc;          // empty when symmetric
+    // Alternate representations of csr() ([0]) and symmetrized() ([1]).
+    std::array<std::optional<graph::RelabeledGraph>, 2> relabelled;
+    std::array<std::optional<graph::RelabeledGraph>, 2> binned;
+  };
+
   explicit Graph(graph::Csr csr);
   static std::uint64_t next_uid();
+  void drop_derived() { derived_ = std::make_unique<Derived>(); }
   graph::Csr csr_;
   std::uint64_t version_ = 0;
   std::uint64_t uid_ = next_uid();
-  mutable std::optional<graph::GraphStats> stats_;
-  mutable std::optional<bool> symmetric_;
-  mutable std::optional<bool> weight_symmetric_;
-  mutable std::optional<graph::Csr> symmetrized_;  // empty when symmetric
-  mutable std::optional<graph::Csr> csc_;          // empty when symmetric
-  // Alternate representations of csr() ([0]) and symmetrized() ([1]).
-  mutable std::array<std::optional<graph::RelabeledGraph>, 2> relabelled_;
-  mutable std::array<std::optional<graph::RelabeledGraph>, 2> binned_;
+  std::unique_ptr<Derived> derived_ = std::make_unique<Derived>();
 };
 
 }  // namespace adaptive
