@@ -97,6 +97,7 @@ void WarpTrace::begin_warp() {
   }
   ntouched_ = 0;
   lane_ = 0;
+  spill_end_ = 0;
 }
 
 void WarpTrace::fold_lane(SiteState& s) {
@@ -156,11 +157,12 @@ WarpCost WarpTrace::finish_warp(AtomicTally& tally) {
       case Kind::shared:
         for (std::uint32_t k = 0; k < s.nsteps; ++k) {
           const Step& step = s.steps[k];
+          const std::uint64_t* words = segs_of(step);
           // Replays: max accesses that map to one bank; conflict-free = 1.
           std::array<std::uint8_t, 32> bank{};
           std::uint32_t replays = 1;
           for (std::uint32_t j = 0; j < step.nsegs; ++j) {
-            const auto b = static_cast<std::uint32_t>(step.segs[j] % 32);
+            const auto b = static_cast<std::uint32_t>(words[j] % 32);
             replays = std::max<std::uint32_t>(replays, ++bank[b]);
           }
           cost.issue_cycles += 1.0 + tm.shared_replay_cycles * (replays - 1);

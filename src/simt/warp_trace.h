@@ -30,6 +30,7 @@
 // model would, so every WarpCost field is bit-identical to it.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -130,13 +131,21 @@ class WarpTrace {
   WarpCost finish_warp(AtomicTally& tally);
 
  private:
+  // Segments (or shared words) a step keeps in its record. A step that
+  // collects more — a scattered lockstep instruction — moves them all to a
+  // 32-slot overflow block of the current warp, so the deep steps of one
+  // long lane (a hub's adjacency scan) cost a small record each.
+  static constexpr std::uint32_t kInlineSegs = 4;
+
   // One dynamic instruction of a global or shared site. Records are reused
   // across warps and reset lazily, when a warp first writes to them.
   struct Step {
     std::uint64_t seen = 0;  // global: one filter bit per stored segment
     std::uint32_t nsegs = 0;
+    std::uint32_t spill = 0;  // 1 + offset of its overflow block; 0 = none
     // global: distinct segment ids; shared: raw word indices, one per lane.
-    std::array<std::uint64_t, kWarpSize> segs;
+    // Here while they fit, all in the overflow block after that.
+    std::array<std::uint64_t, kInlineSegs> segs;
   };
 
   enum class Kind : std::uint8_t { unused, global, compute, atomic, shared };
@@ -170,7 +179,11 @@ class WarpTrace {
   void enter_lane(SiteState& s, std::uint8_t id, Kind kind);
   static void fold_lane(SiteState& s);
   static Step& step_at(SiteState& s, std::uint32_t k);
-  static void insert_segment(SiteState& s, std::uint32_t k, std::uint64_t seg);
+  void insert_segment(SiteState& s, std::uint32_t k, std::uint64_t seg);
+  const std::uint64_t* segs_of(const Step& step) const {
+    return step.spill != 0 ? &spill_[step.spill - 1] : step.segs.data();
+  }
+  void push_seg(Step& step, std::uint64_t seg);
 
   std::uint64_t segment_of(std::uint64_t addr) const {
     return seg_shift_ >= 0 ? addr >> seg_shift_ : addr / seg_div_;
@@ -181,6 +194,8 @@ class WarpTrace {
   std::uint64_t seg_div_ = 1;
   std::uint32_t refetch_period_ = 1;
   std::array<SiteState, kMaxSites> sites_;
+  std::vector<std::uint64_t> spill_;  // overflow blocks of the current warp
+  std::uint32_t spill_end_ = 0;       // slots of spill_ in use
   std::array<std::uint8_t, kMaxSites> touched_{};
   int ntouched_ = 0;
   int lane_ = 0;
@@ -225,7 +240,7 @@ inline void WarpTrace::on_shared(Site site, std::uint32_t word_index) {
   // derived in finish_warp.
   Step& step = step_at(s, s.lane_steps++);
   AGG_DCHECK(step.nsegs < static_cast<std::uint32_t>(kWarpSize));
-  step.segs[step.nsegs++] = word_index;
+  push_seg(step, word_index);
 }
 
 inline WarpTrace::Step& WarpTrace::step_at(SiteState& s, std::uint32_t k) {
@@ -236,8 +251,26 @@ inline WarpTrace::Step& WarpTrace::step_at(SiteState& s, std::uint32_t k) {
     Step& fresh = s.steps[s.nsteps++];
     fresh.seen = 0;
     fresh.nsegs = 0;
+    fresh.spill = 0;
   }
   return s.steps[k];
+}
+
+inline void WarpTrace::push_seg(Step& step, std::uint64_t seg) {
+  if (step.spill != 0) {
+    spill_[step.spill - 1 + step.nsegs++] = seg;
+    return;
+  }
+  if (step.nsegs < kInlineSegs) {
+    step.segs[step.nsegs++] = seg;
+    return;
+  }
+  step.spill = spill_end_ + 1;
+  spill_end_ += kWarpSize;
+  if (spill_.size() < spill_end_) spill_.resize(spill_end_);
+  std::uint64_t* block = &spill_[step.spill - 1];
+  std::copy(step.segs.begin(), step.segs.end(), block);
+  block[step.nsegs++] = seg;
 }
 
 inline void WarpTrace::insert_segment(SiteState& s, std::uint32_t k,
@@ -248,14 +281,15 @@ inline void WarpTrace::insert_segment(SiteState& s, std::uint32_t k,
   const std::uint64_t bit = std::uint64_t{1}
                             << ((seg * 0x9e3779b97f4a7c15ull) >> 58);
   if (step.seen & bit) {
+    const std::uint64_t* segs = segs_of(step);
     for (std::uint32_t i = 0; i < step.nsegs; ++i) {
-      if (step.segs[i] == seg) return;
+      if (segs[i] == seg) return;
     }
   }
   // Each lane adds at most one segment per step, so 32 slots always suffice.
   AGG_DCHECK(step.nsegs < static_cast<std::uint32_t>(kWarpSize));
   step.seen |= bit;
-  step.segs[step.nsegs++] = seg;
+  push_seg(step, seg);
 }
 
 }  // namespace simt
