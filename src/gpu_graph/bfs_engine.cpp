@@ -191,14 +191,14 @@ GpuBfsResult run_bfs(simt::Device& dev, const graph::Csr& g, graph::NodeId sourc
   // one-shot upload (and its PCIe cost) belongs to this query, so it is
   // folded into the reported totals on top of the resident-form metrics.
   simt::StreamGuard sguard(dev, opts.stream);
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
+  const simt::StatsMark t_begin = dev.stats_mark();
   DeviceGraph dg = DeviceGraph::upload(dev, g, /*with_weights=*/false);
   GpuBfsResult result = run_bfs(dev, dg, g, source, selector, opts, persistent);
   dg.release(dev);
-  result.metrics.total_us = dev.now_us() - t_begin;
+  const simt::StatsMark t_end = dev.stats_mark();
+  result.metrics.total_us = t_end.clock.us - t_begin.clock.us;
   result.metrics.transfer_us =
-      dev.stats().transfer_time_us - stats_before.transfer_time_us;
+      t_end.stats.transfer_time_us - t_begin.stats.transfer_time_us;
   return result;
 }
 
@@ -208,8 +208,7 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
                      const PersistentBound& persistent) {
   AGG_CHECK(source < g.num_nodes);
   simt::StreamGuard sguard(dev, opts.stream);
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
+  const simt::StatsMark t_begin = dev.stats_mark();
 
   GpuBfsResult result;
 
@@ -315,7 +314,7 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
   while (!frontier.empty()) {
     ++iteration;
     AGG_CHECK_MSG(iteration <= max_iters, "BFS failed to converge");
-    double t_iter = dev.now_us();
+    IterationClock t_iter{dev.mark()};
     runs.enter(variant, on_cpu, frontier.size(), iteration, result.metrics);
 
     st.ordered = variant.ordering == Ordering::ordered;
@@ -477,9 +476,8 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
     }
 
     runs.record(result.metrics,
-                {iteration, frontier.size(), variant, dev.now_us() - t_iter,
-                 on_cpu},
-                dev.now_us());
+                {iteration, frontier.size(), variant, 0, on_cpu},
+                t_iter, dev.mark());
     frontier.swap(updated);
     updated.clear();
     variant = next;
@@ -515,8 +513,7 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
   ws.release(dev);
   dev.free(level);
 
-  fill_from_device_delta(result.metrics, stats_before, dev.stats(), t_begin,
-                         dev.now_us());
+  end_traversal(result.metrics, dev, t_begin);
   return result;
 }
 

@@ -153,14 +153,14 @@ GpuBfsMultiResult run_bfs_multi(simt::Device& dev, const graph::Csr& g,
                                 const VariantSelector& selector,
                                 const EngineOptions& opts) {
   simt::StreamGuard sguard(dev, opts.stream);
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
+  const simt::StatsMark t_begin = dev.stats_mark();
   DeviceGraph dg = DeviceGraph::upload(dev, g, /*with_weights=*/false);
   GpuBfsMultiResult result = run_bfs_multi(dev, dg, g, sources, selector, opts);
   dg.release(dev);
-  result.metrics.total_us = dev.now_us() - t_begin;
+  const simt::StatsMark t_end = dev.stats_mark();
+  result.metrics.total_us = t_end.clock.us - t_begin.clock.us;
   result.metrics.transfer_us =
-      dev.stats().transfer_time_us - stats_before.transfer_time_us;
+      t_end.stats.transfer_time_us - t_begin.stats.transfer_time_us;
   return result;
 }
 
@@ -173,8 +173,7 @@ GpuBfsMultiResult run_bfs_multi(simt::Device& dev, DeviceGraph& dg,
                 "batch of 1..32 sources required");
   for (const graph::NodeId s : sources) AGG_CHECK(s < g.num_nodes);
   simt::StreamGuard sguard(dev, opts.stream);
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
+  const simt::StatsMark t_begin = dev.stats_mark();
 
   GpuBfsMultiResult result;
   const auto k = static_cast<std::uint32_t>(sources.size());
@@ -236,7 +235,7 @@ GpuBfsMultiResult run_bfs_multi(simt::Device& dev, DeviceGraph& dg,
   while (!frontier.empty()) {
     ++iteration;
     AGG_CHECK_MSG(iteration <= max_iters, "multi-source BFS failed to converge");
-    const double t_iter = dev.now_us();
+    IterationClock t_iter{dev.mark()};
     st.depth = iteration;
 
     std::uint64_t frontier_edges = 0;
@@ -277,9 +276,8 @@ GpuBfsMultiResult run_bfs_multi(simt::Device& dev, DeviceGraph& dg,
     }
 
     record_iteration(result.metrics, "msbfs",
-                     {iteration, frontier.size(), variant,
-                      dev.now_us() - t_iter},
-                     dev.now_us());
+                     {iteration, frontier.size(), variant},
+                     t_iter, dev.mark());
     frontier.swap(updated);
     updated.clear();
     variant = next;
@@ -295,8 +293,7 @@ GpuBfsMultiResult run_bfs_multi(simt::Device& dev, DeviceGraph& dg,
   dev.free(next_mask);
   dev.free(levels);
 
-  fill_from_device_delta(result.metrics, stats_before, dev.stats(), t_begin,
-                         dev.now_us());
+  end_traversal(result.metrics, dev, t_begin);
   return result;
 }
 

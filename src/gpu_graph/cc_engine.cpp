@@ -162,22 +162,21 @@ void launch_cc_pull(simt::Device& dev, CcState& st, std::uint32_t thread_tpb) {
 GpuCcResult run_cc(simt::Device& dev, const graph::Csr& g,
                    const VariantSelector& selector, const EngineOptions& opts) {
   simt::StreamGuard sguard(dev, opts.stream);
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
+  const simt::StatsMark t_begin = dev.stats_mark();
   DeviceGraph dg = DeviceGraph::upload(dev, g, /*with_weights=*/false);
   GpuCcResult result = run_cc(dev, dg, g, selector, opts);
   dg.release(dev);
-  result.metrics.total_us = dev.now_us() - t_begin;
+  const simt::StatsMark t_end = dev.stats_mark();
+  result.metrics.total_us = t_end.clock.us - t_begin.clock.us;
   result.metrics.transfer_us =
-      dev.stats().transfer_time_us - stats_before.transfer_time_us;
+      t_end.stats.transfer_time_us - t_begin.stats.transfer_time_us;
   return result;
 }
 
 GpuCcResult run_cc(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
                    const VariantSelector& selector, const EngineOptions& opts) {
   simt::StreamGuard sguard(dev, opts.stream);
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
+  const simt::StatsMark t_begin = dev.stats_mark();
 
   GpuCcResult result;
   const std::uint32_t block_tpb =
@@ -231,7 +230,7 @@ GpuCcResult run_cc(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
   while (!frontier.empty()) {
     ++iteration;
     AGG_CHECK_MSG(iteration <= max_iters, "CC failed to converge");
-    const double t_iter = dev.now_us();
+    IterationClock t_iter{dev.mark()};
 
     if (variant.direction == Direction::pull) {
       launch_cc_pull(dev, st, opts.thread_tpb);
@@ -281,9 +280,8 @@ GpuCcResult run_cc(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
     }
 
     record_iteration(result.metrics, "cc",
-                     {iteration, frontier.size(), variant,
-                      dev.now_us() - t_iter},
-                     dev.now_us());
+                     {iteration, frontier.size(), variant},
+                     t_iter, dev.mark());
     frontier.swap(updated);
     updated.clear();
     variant = next;
@@ -297,8 +295,7 @@ GpuCcResult run_cc(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
 
   ws.release(dev);
   dev.free(label);
-  fill_from_device_delta(result.metrics, stats_before, dev.stats(), t_begin,
-                         dev.now_us());
+  end_traversal(result.metrics, dev, t_begin);
   return result;
 }
 

@@ -160,7 +160,9 @@ DeviceGraph& DeviceGraph::ensure_rep_resident(simt::Device& dev,
                                               const graph::RelabeledGraph& view,
                                               bool with_weights) {
   RepResident& r = rep_slot(kind);
-  if (r.dg && with_weights && !r.dg->weights.valid()) {
+  const bool widen = r.dg && with_weights && !r.dg->weights.valid();
+  if (widen || !r.dg) dev.check_pin("nested layout");
+  if (widen) {
     // Weight mode widened since the layout was pinned: rebuild.
     free_rep(dev, r);
   }
@@ -195,6 +197,29 @@ void DeviceGraph::upload_csc(simt::Device& dev, const graph::Csr& csc,
   }
 }
 
+DeviceGraph DeviceGraph::alias() const {
+  DeviceGraph a;
+  a.num_nodes = num_nodes;
+  a.num_edges = num_edges;
+  a.avg_outdegree = avg_outdegree;
+  a.outdeg_stddev = outdeg_stddev;
+  a.row_offsets = row_offsets.alias();
+  a.col_indices = col_indices.alias();
+  a.weights = weights.alias();
+  a.in_row_offsets = in_row_offsets.alias();
+  a.in_col_indices = in_col_indices.alias();
+  a.in_weights = in_weights.alias();
+  for (Representation kind :
+       {Representation::relabelled, Representation::binned}) {
+    const RepResident& from = kind == Representation::relabelled ? rel : bin;
+    RepResident& to = a.rep_slot(kind);
+    if (from.dg) to.dg = std::make_unique<DeviceGraph>(from.dg->alias());
+    to.new_id = from.new_id.alias();
+    to.old_id = from.old_id.alias();
+  }
+  return a;
+}
+
 void DeviceGraph::release(simt::Device& dev) {
   dev.free(row_offsets);
   dev.free(col_indices);
@@ -211,6 +236,7 @@ void ensure_csc_resident(simt::Device& dev, DeviceGraph& dg,
                          bool with_weights,
                          std::optional<graph::Csr>& scratch) {
   if (dg.csc_resident(with_weights)) return;
+  dev.check_pin("csc");
   if (host_csc == nullptr) {
     if (!scratch) scratch = graph::build_csc(g);
     host_csc = &*scratch;

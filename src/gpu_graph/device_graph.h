@@ -78,6 +78,11 @@ struct DeviceGraph {
                                    bool with_weights);
 
   void release(simt::Device& dev);
+
+  // A copy of every handle, nested layouts included, sharing the owner's
+  // allocations (simt::DeviceBuffer::alias): what a recording reads, so the
+  // owner may pin, replace or release meanwhile. Never release() an alias.
+  DeviceGraph alias() const;
 };
 
 // Makes the CSC view resident ahead of a pull iteration. `host_csc` is the

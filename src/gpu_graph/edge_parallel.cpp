@@ -27,8 +27,7 @@ GpuEdgeParallelResult run_sssp_edge_parallel(simt::Device& dev,
                                              graph::NodeId source) {
   AGG_CHECK(source < g.num_nodes);
   AGG_CHECK_MSG(g.has_weights(), "SSSP requires edge weights");
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
+  const simt::StatsMark t_begin = dev.stats_mark();
 
   GpuEdgeParallelResult result;
   const graph::Coo coo = graph::Coo::from_csr(g);
@@ -55,7 +54,7 @@ GpuEdgeParallelResult run_sssp_edge_parallel(simt::Device& dev,
   while (!changed.empty()) {
     ++round;
     AGG_CHECK_MSG(round <= g.num_nodes + 2, "edge-parallel SSSP diverged");
-    const double t_iter = dev.now_us();
+    IterationClock t_iter{dev.mark()};
 
     // Charge the full m-thread kernel + changed-flag readback.
     dev.account_kernel(simt::estimate_uniform_kernel(
@@ -84,9 +83,8 @@ GpuEdgeParallelResult run_sssp_edge_parallel(simt::Device& dev,
     }
     changed.swap(next);
     record_iteration(result.metrics, "sssp_edge",
-                     {round, coo.num_edges(), gg::Variant{},
-                      dev.now_us() - t_iter},
-                     dev.now_us());
+                     {round, coo.num_edges(), gg::Variant{}},
+                     t_iter, dev.mark());
   }
 
   result.dist.resize(g.num_nodes);
@@ -96,8 +94,7 @@ GpuEdgeParallelResult run_sssp_edge_parallel(simt::Device& dev,
   dev.free(dst);
   dev.free(wts);
   dev.free(dist);
-  fill_from_device_delta(result.metrics, stats_before, dev.stats(), t_begin,
-                         dev.now_us());
+  end_traversal(result.metrics, dev, t_begin);
   return result;
 }
 

@@ -72,8 +72,7 @@ GenericResult run_frontier(simt::Device& dev, const graph::Csr& g,
                            const VariantSelector& selector,
                            const EngineOptions& opts = {}) {
   namespace gd = generic_detail;
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
+  const simt::StatsMark t_begin = dev.stats_mark();
 
   GenericResult result;
   const std::uint32_t block_tpb =
@@ -190,7 +189,7 @@ GenericResult run_frontier(simt::Device& dev, const graph::Csr& g,
   while (!frontier.empty()) {
     ++iteration;
     AGG_CHECK_MSG(iteration <= max_iters, "operator failed to converge");
-    const double t_iter = dev.now_us();
+    IterationClock t_iter{dev.mark()};
 
     launch_op(variant);
     for (const std::uint32_t v : frontier) {
@@ -223,17 +222,15 @@ GenericResult run_frontier(simt::Device& dev, const graph::Csr& g,
                                       : Workset::GenMethod::atomic);
     }
     record_iteration(result.metrics, "generic",
-                     {iteration, frontier.size(), variant,
-                      dev.now_us() - t_iter},
-                     dev.now_us());
+                     {iteration, frontier.size(), variant},
+                     t_iter, dev.mark());
     frontier.swap(updated);
     updated.clear();
     variant = next;
   }
 
   ws.release(dev);
-  fill_from_device_delta(result.metrics, stats_before, dev.stats(), t_begin,
-                         dev.now_us());
+  end_traversal(result.metrics, dev, t_begin);
   return result;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/check.h"
 #include "common/table.h"
 #include "trace/counters.h"
 #include "trace/json_writer.h"
@@ -65,16 +66,56 @@ void publish_iteration(const char* algo, const IterationRecord& rec,
   tracer.iteration(ev);
 }
 
+double iteration_time_us(const IterationClock& c,
+                         const simt::MarkValues* placed) {
+  const auto at = [placed](const simt::ClockMark& k) {
+    return placed != nullptr ? placed->at(k) : k.us;
+  };
+  double begin = at(c.begin);
+  if (c.begin_shift) begin += at(*c.begin_shift);
+  double t = at(c.end) - begin;
+  if (c.time_shift) t += at(*c.time_shift);
+  return t;
+}
+
 void record_iteration(TraversalMetrics& m, const char* algo,
-                      const IterationRecord& rec, double end_us, bool held) {
+                      IterationRecord rec, IterationClock clock,
+                      simt::ClockMark end, bool held) {
+  clock.end = end;
+  rec.time_us = iteration_time_us(clock, nullptr);
   m.iterations.push_back(rec);
+  m.clock.iterations.push_back(clock);
   if (!trace::active()) return;
-  if (!held) publish_iteration(algo, rec, end_us);
+  if (!held) publish_iteration(algo, rec, end.us);
   auto& reg = trace::CounterRegistry::instance();
   if (reg.enabled()) {
     reg.counter("engine.iterations").add();
     reg.gauge("engine.max_ws_size").set_max(static_cast<double>(rec.ws_size));
   }
+}
+
+void end_traversal(TraversalMetrics& m, simt::Device& dev,
+                   const simt::StatsMark& begin) {
+  m.clock.begin = begin;
+  m.clock.end = dev.stats_mark();
+  if (!dev.recording()) resolve_clock(m, nullptr);
+}
+
+void resolve_clock(TraversalMetrics& m, const simt::MarkValues* placed) {
+  TraversalClock& c = m.clock;
+  AGG_CHECK(c.iterations.size() == m.iterations.size());
+  for (std::size_t i = 0; i < m.iterations.size(); ++i) {
+    m.iterations[i].time_us = iteration_time_us(c.iterations[i], placed);
+  }
+  if (placed != nullptr) {
+    fill_from_device_delta(m, placed->stats[c.begin.clock.index],
+                           placed->stats[c.end.clock.index],
+                           placed->at(c.begin.clock), placed->at(c.end.clock));
+  } else {
+    fill_from_device_delta(m, c.begin.stats, c.end.stats, c.begin.clock.us,
+                           c.end.clock.us);
+  }
+  m.clock = TraversalClock{};
 }
 
 void fill_from_device_delta(TraversalMetrics& m, const simt::DeviceStats& before,

@@ -222,8 +222,7 @@ GpuMstResult run_mst(simt::Device& dev, const graph::Csr& g,
   // MST contracts the graph as it runs, so there is no resident-graph form;
   // the stream context still applies (the whole run issues on opts.stream).
   simt::StreamGuard sguard(dev, opts.stream);
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
+  const simt::StatsMark t_begin = dev.stats_mark();
 
   GpuMstResult result;
   DeviceGraph dg = DeviceGraph::upload(dev, g, /*with_weights=*/true);
@@ -268,7 +267,7 @@ GpuMstResult run_mst(simt::Device& dev, const graph::Csr& g,
   while (!frontier.empty()) {
     ++iteration;
     AGG_CHECK_MSG(iteration <= 64 + g.num_nodes, "Boruvka diverged");
-    const double t_iter = dev.now_us();
+    IterationClock t_iter{dev.mark()};
 
     // (1) Reset best slots of the components still in play.
     live_roots.clear();
@@ -377,9 +376,8 @@ GpuMstResult run_mst(simt::Device& dev, const graph::Csr& g,
       // them and stop.
       for (const std::uint32_t v : updated) ws.update().host_view()[v] = 0;
       record_iteration(result.metrics, "mst",
-                       {iteration, frontier.size(), variant,
-                        dev.now_us() - t_iter},
-                       dev.now_us());
+                       {iteration, frontier.size(), variant},
+                       t_iter, dev.mark());
       break;
     }
 
@@ -387,9 +385,8 @@ GpuMstResult run_mst(simt::Device& dev, const graph::Csr& g,
       ws.generate(dev, next.repr, updated);
     }
     record_iteration(result.metrics, "mst",
-                     {iteration, frontier.size(), variant,
-                      dev.now_us() - t_iter},
-                     dev.now_us());
+                     {iteration, frontier.size(), variant},
+                     t_iter, dev.mark());
     frontier.swap(updated);
     updated.clear();
     variant = next;
@@ -406,8 +403,7 @@ GpuMstResult run_mst(simt::Device& dev, const graph::Csr& g,
   dev.free(best);
   dev.free(canon);
   dg.release(dev);
-  fill_from_device_delta(result.metrics, stats_before, dev.stats(), t_begin,
-                         dev.now_us());
+  end_traversal(result.metrics, dev, t_begin);
   return result;
 }
 

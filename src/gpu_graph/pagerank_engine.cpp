@@ -156,14 +156,14 @@ GpuPageRankResult run_pagerank(simt::Device& dev, const graph::Csr& g,
                                const VariantSelector& selector,
                                const PageRankOptions& opts) {
   simt::StreamGuard sguard(dev, opts.engine.stream);
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
+  const simt::StatsMark t_begin = dev.stats_mark();
   DeviceGraph dg = DeviceGraph::upload(dev, g, /*with_weights=*/false);
   GpuPageRankResult result = run_pagerank(dev, dg, g, selector, opts);
   dg.release(dev);
-  result.metrics.total_us = dev.now_us() - t_begin;
+  const simt::StatsMark t_end = dev.stats_mark();
+  result.metrics.total_us = t_end.clock.us - t_begin.clock.us;
   result.metrics.transfer_us =
-      dev.stats().transfer_time_us - stats_before.transfer_time_us;
+      t_end.stats.transfer_time_us - t_begin.stats.transfer_time_us;
   return result;
 }
 
@@ -174,8 +174,7 @@ GpuPageRankResult run_pagerank(simt::Device& dev, DeviceGraph& dg,
   AGG_CHECK(g.num_nodes > 0);
   AGG_CHECK(opts.damping > 0.0 && opts.damping < 1.0);
   simt::StreamGuard sguard(dev, opts.engine.stream);
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
+  const simt::StatsMark t_begin = dev.stats_mark();
 
   GpuPageRankResult result;
   const std::uint32_t block_tpb = opts.engine.block_tpb
@@ -226,7 +225,7 @@ GpuPageRankResult run_pagerank(simt::Device& dev, DeviceGraph& dg,
   while (!frontier.empty()) {
     ++iteration;
     AGG_CHECK_MSG(iteration <= max_iters, "PageRank failed to converge");
-    const double t_iter = dev.now_us();
+    IterationClock t_iter{dev.mark()};
 
     for (const std::uint32_t v : frontier) {
       snapshot[v] = residual.host_view()[v];
@@ -263,9 +262,8 @@ GpuPageRankResult run_pagerank(simt::Device& dev, DeviceGraph& dg,
     }
 
     record_iteration(result.metrics, "pagerank",
-                     {iteration, frontier.size(), variant,
-                      dev.now_us() - t_iter},
-                     dev.now_us());
+                     {iteration, frontier.size(), variant},
+                     t_iter, dev.mark());
     frontier.swap(updated);
     updated.clear();
     variant = next;
@@ -281,8 +279,7 @@ GpuPageRankResult run_pagerank(simt::Device& dev, DeviceGraph& dg,
   ws.release(dev);
   dev.free(rank);
   dev.free(residual);
-  fill_from_device_delta(result.metrics, stats_before, dev.stats(), t_begin,
-                         dev.now_us());
+  end_traversal(result.metrics, dev, t_begin);
   return result;
 }
 

@@ -18,16 +18,20 @@ void PersistentRuns::enter(const Variant& v, bool on_cpu, std::uint64_t ws_size,
 }
 
 void PersistentRuns::test(std::uint64_t next_ws, std::uint32_t iteration,
-                          TraversalMetrics& m, double& t_iter) {
+                          TraversalMetrics& m, IterationClock& t_iter) {
   if (!open() || (next_ws > 0 && next_ws < bound_.ws_below)) return;
-  const double shift = scope_->end();
+  const simt::ClockMark shift = scope_->end();
   scope_.reset();
-  if (iteration != entry_iteration_) t_iter += shift;
+  if (iteration != entry_iteration_) t_iter.begin_shift = shift;
   for (std::size_t k = 0; k < held_end_us_.size(); ++k) {
     IterationRecord& rec = m.iterations[first_held_ + k];
     // The entry iteration began before the run and so spans its placement.
-    if (k == 0) rec.time_us += shift;
-    publish_iteration(algo_, rec, held_end_us_[k] + shift);
+    if (k == 0) {
+      IterationClock& entry = m.clock.iterations[first_held_];
+      entry.time_shift = shift;
+      rec.time_us = iteration_time_us(entry, nullptr);
+    }
+    publish_iteration(algo_, rec, held_end_us_[k] + shift.us);
   }
   held_end_us_.clear();
   emit("exit", iteration, next_ws, iteration - entry_iteration_ + 1);

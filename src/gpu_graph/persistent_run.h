@@ -39,12 +39,13 @@ class PersistentRuns {
              std::uint32_t iteration, const TraversalMetrics& m);
 
   // After the compute phase: the device's |WS| test. An open run ends here
-  // unless 0 < next_ws < F, and is accounted as one kernel. The iterations
-  // it held are published at their placed times, and `t_iter`, the start of
-  // the current iteration, moves with the placement when the run had
+  // unless 0 < next_ws < F, and is accounted as one kernel. The entry
+  // iteration's time takes the run's placement shift and the iterations it
+  // held are published at their placed times; `t_iter`, the clock of the
+  // current iteration, has its start moved by the shift when the run had
   // already begun before it.
   void test(std::uint64_t next_ws, std::uint32_t iteration,
-            TraversalMetrics& m, double& t_iter);
+            TraversalMetrics& m, IterationClock& t_iter);
 
   // Inside an open run the selector must keep the running variant; the
   // derivation of F guarantees it, and this release check enforces it.
@@ -56,9 +57,10 @@ class PersistentRuns {
 
   // record_iteration(), holding the trace event of an iteration inside an
   // open run until the run is placed.
-  void record(TraversalMetrics& m, const IterationRecord& rec, double end_us) {
-    record_iteration(m, algo_, rec, end_us, /*held=*/open());
-    if (open()) held_end_us_.push_back(end_us);
+  void record(TraversalMetrics& m, const IterationRecord& rec,
+              const IterationClock& t_iter, simt::ClockMark end) {
+    record_iteration(m, algo_, rec, t_iter, end, /*held=*/open());
+    if (open()) held_end_us_.push_back(end.us);
   }
 
  private:

@@ -180,8 +180,7 @@ GpuSsspResult run_unordered(simt::Device& dev, DeviceGraph& dg,
                             Variant variant, const VariantSelector& selector,
                             const EngineOptions& opts,
                             const PersistentBound& persistent) {
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
+  const simt::StatsMark t_begin = dev.stats_mark();
   variant = normalize_direction(variant);
 
   GpuSsspResult result;
@@ -227,7 +226,7 @@ GpuSsspResult run_unordered(simt::Device& dev, DeviceGraph& dg,
   while (!frontier.empty()) {
     ++iteration;
     AGG_CHECK_MSG(iteration <= max_iters, "SSSP failed to converge");
-    double t_iter = dev.now_us();
+    IterationClock t_iter{dev.mark()};
     runs.enter(variant, on_cpu, frontier.size(), iteration, result.metrics);
 
     std::uint64_t frontier_edges = 0;
@@ -319,9 +318,8 @@ GpuSsspResult run_unordered(simt::Device& dev, DeviceGraph& dg,
     }
 
     runs.record(result.metrics,
-                {iteration, frontier.size(), variant, dev.now_us() - t_iter,
-                 on_cpu},
-                dev.now_us());
+                {iteration, frontier.size(), variant, 0, on_cpu},
+                t_iter, dev.mark());
     frontier.swap(updated);
     updated.clear();
     variant = next;
@@ -340,8 +338,7 @@ GpuSsspResult run_unordered(simt::Device& dev, DeviceGraph& dg,
 
   ws.release(dev);
   dev.free(dist);
-  fill_from_device_delta(result.metrics, stats_before, dev.stats(), t_begin,
-                         dev.now_us());
+  end_traversal(result.metrics, dev, t_begin);
   return result;
 }
 
@@ -400,8 +397,7 @@ void settle_element(simt::ThreadCtx& ctx, OrderedState& st, std::uint32_t id,
 GpuSsspResult run_ordered(simt::Device& dev, DeviceGraph& dg,
                           const graph::Csr& g, graph::NodeId source,
                           Variant variant, const EngineOptions& opts) {
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
+  const simt::StatsMark t_begin = dev.stats_mark();
 
   GpuSsspResult result;
   const std::uint32_t block_tpb =
@@ -439,7 +435,7 @@ GpuSsspResult run_ordered(simt::Device& dev, DeviceGraph& dg,
   while (cand_count > 0) {
     ++iteration;
     AGG_CHECK_MSG(iteration <= 64ull * g.num_nodes + 64, "ordered SSSP diverged");
-    const double t_iter = dev.now_us();
+    IterationClock t_iter{dev.mark()};
 
     // (1) findmin by parallel reduction (Sec. V.B): over the dense tentative
     // array (bitmap) or the compacted candidate queue (queue).
@@ -519,9 +515,8 @@ GpuSsspResult run_ordered(simt::Device& dev, DeviceGraph& dg,
     cand_count -= frontier.size();
 
     record_iteration(result.metrics, "sssp_delta",
-                     {iteration, frontier.size(), variant,
-                      dev.now_us() - t_iter},
-                     dev.now_us());
+                     {iteration, frontier.size(), variant},
+                     t_iter, dev.mark());
   }
 
   result.dist.resize(g.num_nodes);
@@ -532,8 +527,7 @@ GpuSsspResult run_ordered(simt::Device& dev, DeviceGraph& dg,
   dev.free(cand);
   dev.free(cand_tail);
   dev.free(fqueue);
-  fill_from_device_delta(result.metrics, stats_before, dev.stats(), t_begin,
-                         dev.now_us());
+  end_traversal(result.metrics, dev, t_begin);
   return result;
 }
 
@@ -544,15 +538,15 @@ GpuSsspResult run_sssp(simt::Device& dev, const graph::Csr& g, graph::NodeId sou
                        const PersistentBound& persistent) {
   AGG_CHECK_MSG(g.has_weights(), "SSSP requires edge weights");
   simt::StreamGuard sguard(dev, opts.stream);
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
+  const simt::StatsMark t_begin = dev.stats_mark();
   DeviceGraph dg = DeviceGraph::upload(dev, g, /*with_weights=*/true);
   GpuSsspResult result =
       run_sssp(dev, dg, g, source, selector, opts, persistent);
   dg.release(dev);
-  result.metrics.total_us = dev.now_us() - t_begin;
+  const simt::StatsMark t_end = dev.stats_mark();
+  result.metrics.total_us = t_end.clock.us - t_begin.clock.us;
   result.metrics.transfer_us =
-      dev.stats().transfer_time_us - stats_before.transfer_time_us;
+      t_end.stats.transfer_time_us - t_begin.stats.transfer_time_us;
   return result;
 }
 

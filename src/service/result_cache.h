@@ -151,6 +151,12 @@ class ResultCache {
     while (bytes_ > capacity_) evict_one();
   }
 
+  // Whether `key` has an entry; unlike lookup(), touches neither the LRU
+  // order nor the stats.
+  bool contains(const CacheKey& key) const {
+    return enabled() && index_.count(key) != 0;
+  }
+
   // Returns the entry (and marks it most-recently-used) or nullptr. The
   // pointer is valid until the next mutating call.
   const Entry* lookup(const CacheKey& key) {

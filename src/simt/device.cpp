@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "trace/counters.h"
 
@@ -46,6 +47,7 @@ void Device::begin_persistent(const char* name, std::uint32_t tpb) {
   r.stats.total_threads = blocks * tpb;
   r.open = true;
   run_ = r;
+  if (recording_) log_op({OpLog::Kind::run_begin, 0, 0, 0, 0});
 }
 
 void Device::add_phase(const KernelStats& ks) {
@@ -70,7 +72,7 @@ void Device::add_phase(const KernelStats& ks) {
   if (trace::active()) trace::Tracer::instance().set_time_us(now_us());
 }
 
-double Device::end_persistent() {
+ClockMark Device::end_persistent_mark() {
   AGG_CHECK_MSG(run_.open, "no persistent run is open");
   AGG_CHECK_MSG(current_ == run_.stream,
                 "a persistent run ends on the stream it began on");
@@ -78,7 +80,79 @@ double Device::end_persistent() {
   ks.time_us = run_.elapsed_us;
   const double provisional_start = run_.start_us;
   run_ = PersistentRun{};
-  return commit_kernel(ks) - provisional_start;
+  if (recording_) {
+    log_kernel(OpLog::Kind::run_end, ks);
+    const std::uint32_t m = log_.marks++;
+    log_.ops.back().mark = m;
+    return {std::numeric_limits<double>::quiet_NaN(), m};
+  }
+  return {commit_kernel(ks) - provisional_start};
+}
+
+Device Device::recorder(const Device& real) {
+  Device rec(real.props_, real.tm_);
+  rec.set_identity(real.ordinal_, real.label_);
+  rec.space_ = AddressSpace(real.space_.capacity(), real.mem_frontier());
+  rec.recording_ = true;
+  return rec;
+}
+
+bool Device::fits(const OpLog& log) const {
+  AddressSpace space = space_;
+  for (const OpLog::Op& op : log.ops) {
+    if (op.kind == OpLog::Kind::alloc) {
+      if (!space.can_allocate(op.bytes)) return false;
+      space.allocate(op.bytes);
+    } else if (op.kind == OpLog::Kind::free) {
+      space.release(op.bytes);
+    }
+  }
+  return true;
+}
+
+MarkValues Device::replay(const OpLog& log) {
+  AGG_CHECK_MSG(!recording_ && !run_.open, "replay onto an accounting device");
+  MarkValues v;
+  v.clock.resize(log.marks);
+  v.stats.resize(log.marks);
+  // The provisional start of the open run: now_us() at begin_persistent.
+  double run_start = 0;
+  for (const OpLog::Op& op : log.ops) {
+    switch (op.kind) {
+      case OpLog::Kind::alloc:
+        if (fault_armed_) check_fault(FaultKind::alloc, "replay");
+        space_.allocate(op.bytes);
+        break;
+      case OpLog::Kind::free:
+        space_.release(op.bytes);
+        break;
+      case OpLog::Kind::kernel:
+        commit_kernel(log.kernels[op.index]);
+        break;
+      case OpLog::Kind::run_begin:
+        run_start = now_us();
+        break;
+      case OpLog::Kind::run_end:
+        v.clock[op.mark] = commit_kernel(log.kernels[op.index]) - run_start;
+        break;
+      case OpLog::Kind::h2d:
+      case OpLog::Kind::d2h:
+        if (fault_armed_) check_fault(FaultKind::transfer, "replay");
+        account_transfer(op.bytes, op.kind == OpLog::Kind::h2d);
+        break;
+      case OpLog::Kind::host:
+        account_host_compute(op.us);
+        break;
+      case OpLog::Kind::mark:
+        v.clock[op.mark] = now_us();
+        v.stats[op.mark] = stats_;
+        break;
+      case OpLog::Kind::run_mark:
+        v.clock[op.mark] = run_start + op.us;
+        break;
+    }
+  }
+  return v;
 }
 
 double Device::makespan_us() const {

@@ -6,8 +6,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "simt/device_props.h"
@@ -40,6 +44,72 @@ struct DeviceStats {
   double simd_efficiency() const {
     return lockstep_work > 0 ? lane_work / lockstep_work : 1.0;
   }
+};
+
+// A point on the issuing stream's clock, taken where an engine needs the
+// modeled time (Device::mark). On an accounting device `us` is the clock
+// itself. On a recording device the clock is only known once the recording
+// is committed: `us` is NaN and `index` names the mark in the op log, whose
+// replay measures it (DESIGN.md "Query-parallel drains").
+struct ClockMark {
+  static constexpr std::uint32_t kInline = ~std::uint32_t{0};
+  double us = 0;
+  std::uint32_t index = kInline;
+};
+
+// A clock mark with the device's cumulative stats, where a traversal begins
+// and ends. `stats` is the snapshot on an accounting device.
+struct StatsMark {
+  ClockMark clock;
+  DeviceStats stats;
+};
+
+// What committing a recording measured at its marks, by ClockMark::index:
+// the clock at every mark and the stats at every stats mark.
+struct MarkValues {
+  std::vector<double> clock;
+  std::vector<DeviceStats> stats;
+
+  double at(const ClockMark& m) const {
+    return m.index == ClockMark::kInline ? m.us : clock[m.index];
+  }
+};
+
+// The accounting a recording device deferred, in issue order: allocation
+// and free sizes, kernels exactly as account_kernel received them (a
+// persistent run as the one kernel end_persistent commits), transfers, host
+// phases and clock marks. Device::replay commits it.
+struct OpLog {
+  enum class Kind : std::uint8_t {
+    alloc,       // bytes
+    free,        // bytes
+    kernel,      // kernels[index]
+    run_begin,   // a persistent run opens
+    run_end,     // kernels[index] ends it; its shift is mark `mark`
+    h2d,         // bytes
+    d2h,         // bytes
+    host,        // us
+    mark,        // clock (and stats) at mark `mark`
+    run_mark,    // run start + us (the run's elapsed time) at mark `mark`
+  };
+  struct Op {
+    Kind kind;
+    std::uint32_t index = 0;
+    std::uint32_t mark = 0;
+    std::uint64_t bytes = 0;
+    double us = 0;
+  };
+  std::vector<Op> ops;
+  std::vector<KernelStats> kernels;
+  std::uint32_t marks = 0;
+};
+
+// Thrown by a recording device where the unit would pin a structure into a
+// shared resident copy (a CSC, a nested layout, a closure, an upload): a
+// recording never mutates one, so the unit runs inline instead.
+class PinRefused : public std::runtime_error {
+ public:
+  explicit PinRefused(const char* what) : std::runtime_error(what) {}
 };
 
 class Device {
@@ -75,6 +145,7 @@ class Device {
     fault_armed_ = injector_.armed();
   }
   const FaultPlan& fault_plan() const { return injector_.plan(); }
+  bool fault_armed() const { return fault_armed_; }
   // False once a plan's dead.after threshold has been crossed: the device is
   // permanently lost and every further op fails.
   bool healthy() const { return !injector_.device_dead(); }
@@ -97,12 +168,16 @@ class Device {
     if (fault_armed_) check_fault(FaultKind::alloc, name.c_str());
     if (!space_.can_allocate(n * sizeof(T))) throw_oom(name.c_str());
     const std::uint64_t base = space_.allocate(n * sizeof(T));
+    if (recording_) log_op({OpLog::Kind::alloc, 0, 0, n * sizeof(T), 0});
     return DeviceBufferFactory<T>::make(base, n, std::move(name));
   }
 
   template <typename T>
   void free(DeviceBuffer<T>& buf) {
-    if (buf.valid()) space_.release(buf.size_bytes());
+    if (buf.valid()) {
+      space_.release(buf.size_bytes());
+      if (recording_) log_op({OpLog::Kind::free, 0, 0, buf.size_bytes(), 0});
+    }
     buf = DeviceBuffer<T>();
   }
 
@@ -214,7 +289,10 @@ class Device {
   // start it was placed (0 on the default stream, where nothing else can
   // have claimed the compute engine). The device is outside the run before
   // the kernel fault check, so a DeviceFault thrown here leaves no run open.
-  double end_persistent();
+  double end_persistent() { return end_persistent_mark().us; }
+  // end_persistent with the shift as a clock mark, which a recording device
+  // only learns when the recording is committed.
+  ClockMark end_persistent_mark();
   // Drops an open run without accounting it (exception unwinding).
   void abandon_persistent() { run_ = PersistentRun{}; }
   bool in_persistent() const { return run_.open; }
@@ -225,6 +303,21 @@ class Device {
   double now_us() const {
     if (run_.open) return run_.start_us + run_.elapsed_us;
     return current_ == 0 ? clock_us_ : streams_[current_ - 1].ready_us;
+  }
+  // now_us() where an engine reads the clock; see ClockMark.
+  ClockMark mark() {
+    if (!recording_) return {now_us()};
+    return {std::numeric_limits<double>::quiet_NaN(),
+            log_mark(run_.open ? OpLog::Kind::run_mark : OpLog::Kind::mark,
+                     run_.elapsed_us)};
+  }
+  // mark() with stats(); never inside a persistent run.
+  StatsMark stats_mark() {
+    AGG_CHECK_MSG(!run_.open, "stats mark inside a persistent run");
+    StatsMark m;
+    m.clock = mark();
+    if (!recording_) m.stats = stats_;
+    return m;
   }
   void reset_clock() {
     clock_us_ = 0;
@@ -245,6 +338,8 @@ class Device {
   void account_kernel(const KernelStats& ks) {
     if (run_.open) {
       add_phase(ks);
+    } else if (recording_) {
+      log_kernel(OpLog::Kind::kernel, ks);
     } else {
       commit_kernel(ks);
     }
@@ -254,6 +349,10 @@ class Device {
   // Occupies neither device engine: it only extends the issuing stream.
   void account_host_compute(double us) {
     AGG_CHECK_MSG(!run_.open, "host phase inside a persistent run");
+    if (recording_) {
+      log_op({OpLog::Kind::host, 0, 0, 0, us});
+      return;
+    }
     double start_us;
     if (current_ == 0) {
       start_us = clock_us_;
@@ -269,6 +368,10 @@ class Device {
 
   void account_transfer(std::uint64_t bytes, bool to_device) {
     AGG_CHECK_MSG(!run_.open, "transfer inside a persistent run");
+    if (recording_) {
+      log_op({to_device ? OpLog::Kind::h2d : OpLog::Kind::d2h, 0, 0, bytes, 0});
+      return;
+    }
     const double t =
         tm_.transfer_latency_us + static_cast<double>(bytes) / (props_.pcie_gbps * 1e3);
     const double start_us = begin_op(copy_engine_, t);
@@ -277,6 +380,35 @@ class Device {
     (to_device ? stats_.bytes_h2d : stats_.bytes_d2h) += bytes;
     if (trace::active()) trace_transfer(bytes, to_device, t, start_us);
   }
+
+  // ---- recording (DESIGN.md "Query-parallel drains") ----
+  // A recording device simulates a unit of `real`'s work on any host
+  // thread: same props, timing and identity, scratch addresses above every
+  // buffer `real` holds, no fault plan and no observer. It accounts
+  // nothing: every allocation, free, kernel, persistent run, transfer, host
+  // phase and clock mark goes into its op log instead.
+  static Device recorder(const Device& real);
+  // Whether a recording reproduces this device's costs: every allocation
+  // base must start a segment, so segment_bytes must divide the 256 B
+  // alignment (DESIGN.md "Query-parallel drains").
+  bool recordable() const {
+    return AddressSpace::kAlignment %
+               static_cast<std::uint64_t>(tm_.segment_bytes) == 0;
+  }
+  bool recording() const { return recording_; }
+  OpLog take_log() { return std::exchange(log_, OpLog{}); }
+  // Throws PinRefused on a recording device, before `what` is pinned.
+  void check_pin(const char* what) const {
+    if (recording_) throw PinRefused(what);
+  }
+  // Whether the allocations of `log` fit in order into what is free now.
+  bool fits(const OpLog& log) const;
+  // Commits a recording on the current stream, through the paths an inline
+  // run takes: allocations and frees into the address space, kernels
+  // through commit_kernel, transfers and host phases through their
+  // accounting. Returns the clock (and stats) at each of its marks. Check
+  // fits() first.
+  MarkValues replay(const OpLog& log);
 
  private:
   struct StreamState {
@@ -316,6 +448,17 @@ class Device {
   }
   // Folds one kernel into the open run as a phase (device.cpp).
   void add_phase(const KernelStats& ks);
+
+  void log_op(const OpLog::Op& op) { log_.ops.push_back(op); }
+  void log_kernel(OpLog::Kind kind, const KernelStats& ks) {
+    log_op({kind, static_cast<std::uint32_t>(log_.kernels.size()), 0, 0, 0});
+    log_.kernels.push_back(ks);
+  }
+  std::uint32_t log_mark(OpLog::Kind kind, double us) {
+    const std::uint32_t m = log_.marks++;
+    log_op({kind, 0, m, 0, us});
+    return m;
+  }
 
   // Places an op of duration `dur_us` on `engine` honoring the current
   // stream's ordering; returns the modeled start time. Default stream: the
@@ -368,6 +511,8 @@ class Device {
   FaultInjector injector_;
   bool fault_armed_ = false;
   PersistentRun run_;
+  bool recording_ = false;
+  OpLog log_;
 };
 
 // Scoped stream selection: ops accounted while the guard lives go to `s`.
@@ -399,10 +544,10 @@ class PersistentScope {
   PersistentScope(const PersistentScope&) = delete;
   PersistentScope& operator=(const PersistentScope&) = delete;
 
-  // Device::end_persistent.
-  double end() {
+  // Device::end_persistent_mark.
+  ClockMark end() {
     open_ = false;
-    return dev_.end_persistent();
+    return dev_.end_persistent_mark();
   }
 
  private:

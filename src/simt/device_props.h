@@ -41,6 +41,8 @@ struct DeviceProps {
   // so that scheduling corner cases (waves, partial warps) are easy to reason
   // about by hand.
   static const DeviceProps& test_tiny();
+
+  bool operator==(const DeviceProps&) const = default;
 };
 
 // Cost constants of the timing model. All values are in SM cycles unless
@@ -80,6 +82,8 @@ struct TimingModel {
     tm.atomic_latency_cycles = 320.0;
     return tm;
   }
+
+  bool operator==(const TimingModel&) const = default;
 };
 
 }  // namespace simt

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -20,6 +21,13 @@ class AddressSpace {
  public:
   explicit AddressSpace(std::uint64_t capacity_bytes)
       : capacity_(capacity_bytes) {}
+  // A space whose first allocation lands at `first_address` (a multiple of
+  // the alignment): a recording device's scratch, placed above every buffer
+  // its real device holds (Device::recorder).
+  AddressSpace(std::uint64_t capacity_bytes, std::uint64_t first_address)
+      : capacity_(capacity_bytes), next_(first_address) {
+    AGG_CHECK(first_address >= kAlignment && first_address % kAlignment == 0);
+  }
 
   std::uint64_t allocate(std::uint64_t bytes);
   void release(std::uint64_t bytes);  // accounting only; addresses not reused
@@ -45,8 +53,9 @@ class AddressSpace {
   // The base address the next allocation receives. Addresses only grow.
   std::uint64_t next_address() const { return next_; }
 
- private:
   static constexpr std::uint64_t kAlignment = 256;
+
+ private:
   std::uint64_t capacity_;
   std::uint64_t next_ = kAlignment;  // 0 stays an invalid address
   std::uint64_t in_use_ = 0;
@@ -60,30 +69,62 @@ template <typename T>
 class DeviceBuffer {
  public:
   DeviceBuffer() = default;
-  DeviceBuffer(DeviceBuffer&&) noexcept = default;
-  DeviceBuffer& operator=(DeviceBuffer&&) noexcept = default;
+  DeviceBuffer(DeviceBuffer&& o) noexcept
+      : store_(std::move(o.store_)),
+        data_(std::exchange(o.data_, nullptr)),
+        size_(std::exchange(o.size_, 0)),
+        base_(o.base_),
+        name_(std::move(o.name_)) {}
+  DeviceBuffer& operator=(DeviceBuffer&& o) noexcept {
+    store_ = std::move(o.store_);
+    data_ = std::exchange(o.data_, nullptr);
+    size_ = std::exchange(o.size_, 0);
+    base_ = o.base_;
+    name_ = std::move(o.name_);
+    return *this;
+  }
   DeviceBuffer(const DeviceBuffer&) = delete;
   DeviceBuffer& operator=(const DeviceBuffer&) = delete;
 
+  // A second handle on the same allocation and backing store, which stays
+  // alive while any handle does. A recording reads a resident structure
+  // through aliases, so the owner may drop or replace its handles meanwhile
+  // (DESIGN.md "Query-parallel drains"). Never free() an alias.
+  DeviceBuffer alias() const {
+    DeviceBuffer b;
+    b.store_ = store_;
+    b.data_ = data_;
+    b.size_ = size_;
+    b.base_ = base_;
+    b.name_ = name_;
+    return b;
+  }
+
   bool valid() const { return base_ != 0; }
-  std::size_t size() const { return data_.size(); }
-  std::uint64_t size_bytes() const { return data_.size() * sizeof(T); }
+  std::size_t size() const { return size_; }
+  std::uint64_t size_bytes() const { return size_ * sizeof(T); }
   std::uint64_t base_addr() const { return base_; }
   std::uint64_t addr_of(std::size_t i) const { return base_ + i * sizeof(T); }
   const std::string& name() const { return name_; }
 
   // Functional backing store. Kernels must not use these directly.
-  std::span<T> host_view() { return {data_.data(), data_.size()}; }
-  std::span<const T> host_view() const { return {data_.data(), data_.size()}; }
+  std::span<T> host_view() { return {data_, size_}; }
+  std::span<const T> host_view() const { return {data_, size_}; }
 
  private:
   template <typename U>
   friend class DeviceBufferFactory;
 
   DeviceBuffer(std::uint64_t base, std::size_t n, std::string name)
-      : data_(n), base_(base), name_(std::move(name)) {}
+      : store_(std::make_shared<T[]>(n)),
+        data_(store_.get()),
+        size_(n),
+        base_(base),
+        name_(std::move(name)) {}
 
-  std::vector<T> data_;
+  std::shared_ptr<T[]> store_;
+  T* data_ = nullptr;
+  std::size_t size_ = 0;
   std::uint64_t base_ = 0;
   std::string name_;
 };
