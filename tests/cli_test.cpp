@@ -7,9 +7,11 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "trace/json_writer.h"
 
@@ -294,11 +296,16 @@ std::string checksum_of(const std::string& out) {
   return out.substr(at + key.size(), out.find('\n', at) - at - key.size());
 }
 
-// The counters of a --metrics-out document (0 for a missing counter).
-std::map<std::string, double> counters_of(const std::string& path) {
+// The document in `path`; nullopt when it is missing or not valid JSON.
+std::optional<trace::JsonValue> parse_file(const std::string& path) {
   std::stringstream ss;
   ss << std::ifstream(path).rdbuf();
-  const auto doc = trace::json_parse(ss.str());
+  return trace::json_parse(ss.str());
+}
+
+// The counters of a --metrics-out document (0 for a missing counter).
+std::map<std::string, double> counters_of(const std::string& path) {
+  const auto doc = parse_file(path);
   std::map<std::string, double> c;
   if (!doc) return c;
   if (const trace::JsonValue* all = doc->find("counters")) {
@@ -441,6 +448,198 @@ TEST_F(CliTest, ServeFleetFailsOverAndShardsWithIdenticalAnswers) {
   ASSERT_EQ(rc1, 0) << one;
   ASSERT_EQ(rc4, 0) << four;
   EXPECT_EQ(one, four) << "the serve differs at 1 and 4 simulator threads";
+}
+
+// ---- tracing, direction and layout end to end (20,000-node graphs) ----------
+
+// The first line of `out` that starts with `prefix`; "" when none does.
+std::string line_of(const std::string& out, const std::string& prefix) {
+  std::istringstream in(out);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(prefix, 0) == 0) return line;
+  }
+  return "";
+}
+
+// A string member of `v`; "" when it is missing or not a string.
+std::string str(const trace::JsonValue& v, std::string_view key) {
+  const trace::JsonValue* m = v.find(key);
+  return m != nullptr ? std::string(m->str_or("")) : "";
+}
+
+// The decision records of a JSONL trace, each line checked to parse.
+std::vector<trace::JsonValue> decisions_of(const std::string& path) {
+  std::vector<trace::JsonValue> dec;
+  std::ifstream lines(path);
+  for (std::string line; std::getline(lines, line);) {
+    auto ev = trace::json_parse(line);
+    EXPECT_TRUE(ev.has_value()) << line;
+    if (ev && str(*ev, "kind") == "decision") dec.push_back(std::move(*ev));
+  }
+  return dec;
+}
+
+// Every exporter on an RMAT graph: the Chrome trace and the metrics parse,
+// the decision log holds decisions, each with its T1 and variant, and the
+// persistent runs' enter/exit lines, and a traced serve draws each stream on
+// its own named lane and counts every query.
+TEST_F(CliTest, TraceExportersWriteValidDocuments) {
+  const auto g = path("rmat.agg");
+  ASSERT_EQ(run("generate rmat --nodes=20000 --out=" + g).first, 0);
+  const auto trace_file = path("trace.json");
+  const auto metrics_file = path("metrics.json");
+  auto [rc, out] = run("bfs " + g + " --policy=adaptive --trace-out=" + trace_file +
+                       " --trace-format=chrome --metrics-out=" + metrics_file +
+                       " --profile");
+  ASSERT_EQ(rc, 0) << out;
+  EXPECT_TRUE(parse_file(trace_file).has_value());
+  EXPECT_TRUE(parse_file(metrics_file).has_value());
+
+  const auto decisions_file = path("decisions.jsonl");
+  std::tie(rc, out) = run("bfs " + g + " --policy=adaptive --trace-out=" +
+                          decisions_file + " --trace-format=jsonl");
+  ASSERT_EQ(rc, 0) << out;
+  std::size_t decisions = 0;
+  std::ifstream in(decisions_file);
+  for (std::string line; std::getline(in, line);) {
+    const auto ev = trace::json_parse(line);
+    ASSERT_TRUE(ev.has_value()) << line;
+    if (str(*ev, "kind") == "persistent") continue;
+    EXPECT_EQ(str(*ev, "kind"), "decision") << line;
+    EXPECT_NE(ev->find("t1"), nullptr) << line;
+    EXPECT_NE(ev->find("variant"), nullptr) << line;
+    ++decisions;
+  }
+  EXPECT_GT(decisions, 0u) << "empty decision trace";
+
+  const auto serve_trace = path("serve-trace.json");
+  const auto serve_metrics = path("serve-metrics.json");
+  std::tie(rc, out) = run("serve " + g + " --queries=24 --concurrency=3 --mix=mixed"
+                          " --trace-out=" + serve_trace +
+                          " --metrics-out=" + serve_metrics);
+  ASSERT_EQ(rc, 0) << out;
+  const auto doc = parse_file(serve_trace);
+  ASSERT_TRUE(doc.has_value());
+  const trace::JsonValue* events = doc->find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::set<double> streams;
+  std::set<std::string> lanes;
+  for (const trace::JsonValue& e : events->items) {
+    const trace::JsonValue* args = e.find("args");
+    if (args == nullptr) continue;
+    if (const trace::JsonValue* s = args->find("stream"); s && s->num_or(0) != 0) {
+      streams.insert(s->number);
+    }
+    if (str(e, "ph") == "M" && str(e, "name") == "thread_name" &&
+        str(*args, "name").rfind("stream ", 0) == 0) {
+      lanes.insert(str(*args, "name"));
+    }
+  }
+  EXPECT_GE(streams.size(), 2u) << "expected a multi-stream trace";
+  EXPECT_EQ(lanes.size(), streams.size());
+  auto m = counters_of(serve_metrics);
+  EXPECT_EQ(m["svc.queued"], 24);
+  EXPECT_EQ(m["svc.completed"], 24);
+  EXPECT_GE(m["svc.batches"], 1);
+}
+
+// Push, pull and the direction controller answer identically on a
+// frontier-heavy (RMAT) and a high-diameter (road) graph; every decision
+// records the direction inputs, and the controller reaches a pull iteration
+// on RMAT.
+TEST_F(CliTest, DirectionsAgreeAndDecisionsRecordTheirInputs) {
+  for (const std::string kind : {"rmat", "road"}) {
+    SCOPED_TRACE(kind);
+    const auto g = path((kind + ".agg").c_str());
+    ASSERT_EQ(run("generate " + kind + " --nodes=20000 --out=" + g).first, 0);
+    const auto answer = [&](const std::string& args, const std::string& prefix) {
+      const auto [rc, out] = run(args);
+      EXPECT_EQ(rc, 0) << out;
+      return line_of(out, prefix);
+    };
+    const std::string bfs = "bfs " + g;
+    const std::string push = answer(bfs + " --direction=push", "BFS from");
+    EXPECT_FALSE(push.empty());
+    EXPECT_EQ(push, answer(bfs + " --direction=pull", "BFS from"));
+    EXPECT_EQ(push, answer(bfs + " --policy=adaptive --direction=adaptive", "BFS from"));
+    const std::string sssp = "sssp " + g + " --weights=1,31";
+    const std::string sssp_push = answer(sssp + " --direction=push", "SSSP from");
+    EXPECT_FALSE(sssp_push.empty());
+    EXPECT_EQ(sssp_push, answer(sssp + " --direction=pull", "SSSP from"));
+  }
+
+  const auto g = path("rmat.agg");
+  EXPECT_EQ(run("bfs " + g + " --direction=sideways").first, 2);
+  const auto trace_file = path("direction.jsonl");
+  const auto [rc, out] = run("bfs " + g + " --policy=adaptive --direction=adaptive"
+                             " --trace-out=" + trace_file + " --trace-format=jsonl");
+  ASSERT_EQ(rc, 0) << out;
+  const auto dec = decisions_of(trace_file);
+  EXPECT_FALSE(dec.empty()) << "empty decision trace";
+  std::size_t pulls = 0;
+  for (const trace::JsonValue& d : dec) {
+    const std::string dir = str(d, "direction");
+    EXPECT_TRUE(dir == "push" || dir == "pull") << dir;
+    for (const char* k : {"frontier_edges", "unexplored_edges", "do_alpha", "do_beta"}) {
+      EXPECT_NE(d.find(k), nullptr) << k;
+    }
+    if (dir == "pull") {
+      ++pulls;
+      EXPECT_TRUE(str(d, "variant").ends_with("_PULL")) << str(d, "variant");
+    }
+  }
+  EXPECT_GT(pulls, 0u) << "controller never flipped to pull on rmat";
+}
+
+// Plain, degree-relabelled, binned and adaptive layouts serve and answer
+// identically on a hub-heavy (RMAT) and a regular (road) graph; malformed
+// spellings are usage errors, and on RMAT the layout controller leaves plain
+// and names the layout in the variant. Smaller graphs never leave plain.
+TEST_F(CliTest, LayoutsAgreeAndTheControllerLeavesPlain) {
+  for (const std::string kind : {"rmat", "road"}) {
+    SCOPED_TRACE(kind);
+    const auto g = path((kind + ".agg").c_str());
+    ASSERT_EQ(run("generate " + kind + " --nodes=20000 --out=" + g).first, 0);
+    std::vector<std::string> sums;
+    for (const char* rep : {"plain", "relabelled", "adaptive"}) {
+      const auto [rc, out] = run("serve " + g + " --queries=16 --concurrency=2"
+                                 " --seed=7 --representation=" + rep);
+      EXPECT_EQ(rc, 0) << out;
+      sums.push_back(checksum_of(out));
+    }
+    EXPECT_FALSE(sums[0].empty());
+    EXPECT_EQ(sums[0], sums[1]);
+    EXPECT_EQ(sums[0], sums[2]);
+
+    const auto plain = run("bfs " + g);
+    ASSERT_EQ(plain.first, 0) << plain.second;
+    EXPECT_FALSE(line_of(plain.second, "BFS from").empty());
+    for (const char* rep : {"relabelled", "binned", "adaptive"}) {
+      const auto [rc, out] = run("bfs " + g + " --representation=" + rep);
+      EXPECT_EQ(rc, 0) << out;
+      EXPECT_EQ(line_of(out, "BFS from"), line_of(plain.second, "BFS from")) << rep;
+    }
+  }
+
+  const auto g = path("rmat.agg");
+  EXPECT_EQ(run("bfs " + g + " --representation=sideways").first, 2);
+  EXPECT_EQ(run("bfs " + g + " --policy=U_T_BM_AREP").first, 2);
+  const auto trace_file = path("representation.jsonl");
+  const auto [rc, out] = run("bfs " + g + " --policy=adaptive --representation=adaptive"
+                             " --trace-out=" + trace_file + " --trace-format=jsonl");
+  ASSERT_EQ(rc, 0) << out;
+  const auto dec = decisions_of(trace_file);
+  EXPECT_FALSE(dec.empty()) << "empty decision trace";
+  std::size_t alternate = 0;
+  for (const trace::JsonValue& d : dec) {
+    const std::string rep = str(d, "representation");
+    EXPECT_TRUE(rep == "plain" || rep == "relabelled" || rep == "binned") << rep;
+    if (rep == "plain") continue;
+    ++alternate;
+    const std::string variant = str(d, "variant");
+    EXPECT_TRUE(variant.ends_with(rep == "relabelled" ? "_REL" : "_BIN")) << variant;
+  }
+  EXPECT_GT(alternate, 0u) << "controller never left plain on rmat";
 }
 
 }  // namespace
