@@ -7,8 +7,9 @@
 //   --quick           shorthand for --scale=0.2
 //   --datasets=a,b    comma-separated subset (CO-road,CiteSeer,p2p,Amazon,Google,SNS)
 //   --cache=<dir>     dataset cache directory (default .dataset-cache)
-//   --sim-threads=<n> host worker threads for the simulator's parallel launch
-//                     path (overrides SIMT_THREADS; default hardware concurrency)
+//   --sim-threads=<n> host threads for the simulator: service drains record
+//                     queries ahead on them (overrides SIMT_THREADS; default
+//                     hardware concurrency)
 //   --trace-out=<f>   write a trace of the bench's runs (flushed at exit)
 //   --trace-format=<f> chrome (timeline, default) | jsonl (decision log)
 //   --metrics-out=<f> write the metrics-counter registry as JSON at exit

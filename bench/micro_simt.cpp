@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/prng.h"
-#include "simt/exec_pool.h"
 #include "simt/launch.h"
 #include "simt/primitives.h"
 #include "trace/chrome_trace.h"
@@ -176,111 +175,6 @@ void BM_ReduceMinAnalytic(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ReduceMinAnalytic)->Arg(1 << 22);
-
-// ---- serial vs pooled launch path ----
-//
-// Each Pooled* benchmark runs the identical kernel under
-// LaunchPolicy::parallel at a configured worker count (second argument;
-// 1 = the exact serial path). The host wall-clock speedup of the N-thread
-// row over the 1-thread row is the figure of merit; the simulated
-// KernelStats are bit-identical across rows by construction.
-
-// Restores the configured thread count on scope exit so the pooled rows
-// don't leak their setting into later benchmarks.
-struct SimThreadsScope {
-  explicit SimThreadsScope(int n) { simt::ExecPool::set_threads(n); }
-  ~SimThreadsScope() { simt::ExecPool::set_threads(1); }
-};
-
-void BM_PooledDenseCompute(benchmark::State& state) {
-  SimThreadsScope scope(static_cast<int>(state.range(1)));
-  simt::Device dev;
-  const auto threads = static_cast<std::uint64_t>(state.range(0));
-  auto in = dev.alloc<std::uint32_t>(threads, "in");
-  auto out = dev.alloc<std::uint32_t>(threads, "out");
-  const auto grid =
-      simt::GridSpec::dense(threads, 256).with(simt::LaunchPolicy::parallel);
-  for (auto _ : state) {
-    simt::launch(dev, "pooled.compute", grid, [&](simt::ThreadCtx& ctx) {
-      const std::uint64_t gid = ctx.global_id();
-      const std::uint32_t v = ctx.load(in, gid, kLoad);
-      ctx.compute(4 + v % 5, kOps);
-      ctx.store(out, gid, v + 1, kLoad);
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * threads);
-}
-BENCHMARK(BM_PooledDenseCompute)
-    ->Args({1 << 17, 1})
-    ->Args({1 << 17, 2})
-    ->Args({1 << 17, 4})
-    ->Args({1 << 17, 8})
-    ->Args({1 << 20, 1})
-    ->Args({1 << 20, 8});
-
-void BM_PooledSparseThreads(benchmark::State& state) {
-  SimThreadsScope scope(static_cast<int>(state.range(1)));
-  simt::Device dev;
-  const auto total = static_cast<std::uint64_t>(state.range(0));
-  auto flags = dev.alloc<std::uint8_t>(total, "flags");
-  auto out = dev.alloc<std::uint32_t>(total, "out");
-  std::vector<std::uint32_t> active;
-  for (std::uint64_t id = 0; id < total; id += 2) {
-    active.push_back(static_cast<std::uint32_t>(id));
-  }
-  simt::Predicate pred;
-  pred.base_addr = flags.base_addr();
-  pred.stride = 1;
-  const auto grid = simt::GridSpec::over_threads(total, 256, active, pred)
-                        .with(simt::LaunchPolicy::parallel);
-  for (auto _ : state) {
-    simt::launch(dev, "pooled.sparse_threads", grid, [&](simt::ThreadCtx& ctx) {
-      ctx.compute(4, kOps);
-      ctx.store(out, ctx.global_id(), 1u, kLoad);
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * active.size());
-}
-BENCHMARK(BM_PooledSparseThreads)->Args({1 << 17, 1})->Args({1 << 17, 8});
-
-void BM_PooledSparseBlocks(benchmark::State& state) {
-  SimThreadsScope scope(static_cast<int>(state.range(1)));
-  simt::Device dev;
-  const auto total_blocks = static_cast<std::uint64_t>(state.range(0)) / 256;
-  auto flags = dev.alloc<std::uint8_t>(total_blocks, "flags");
-  auto out = dev.alloc<std::uint32_t>(total_blocks * 256, "out");
-  std::vector<std::uint32_t> active;
-  for (std::uint64_t b = 0; b < total_blocks; b += 2) {
-    active.push_back(static_cast<std::uint32_t>(b));
-  }
-  simt::Predicate pred;
-  pred.base_addr = flags.base_addr();
-  pred.stride = 1;
-  const auto grid = simt::GridSpec::over_blocks(total_blocks, 256, active, pred)
-                        .with(simt::LaunchPolicy::parallel);
-  for (auto _ : state) {
-    simt::launch(dev, "pooled.sparse_blocks", grid, [&](simt::ThreadCtx& ctx) {
-      ctx.compute(4, kOps);
-      ctx.store(out, ctx.global_id(), 1u, kLoad);
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * active.size() * 256);
-}
-BENCHMARK(BM_PooledSparseBlocks)->Args({1 << 17, 1})->Args({1 << 17, 8});
-
-void BM_PooledPhasedScan(benchmark::State& state) {
-  SimThreadsScope scope(static_cast<int>(state.range(1)));
-  simt::Device dev;
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto values = dev.alloc<std::uint32_t>(n, "vals");
-  auto out = dev.alloc<std::uint32_t>(n, "scan");
-  dev.fill(values, 3u);
-  for (auto _ : state) {
-    simt::prim::exclusive_scan(dev, values, out, n);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_PooledPhasedScan)->Args({1 << 17, 1})->Args({1 << 17, 8});
 
 // ---- tracing overhead ----
 //

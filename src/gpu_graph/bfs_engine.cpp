@@ -67,9 +67,6 @@ void visit_element(simt::ThreadCtx& ctx, BfsKernelState& st, std::uint32_t id,
   }
 }
 
-// All compute variants keep the default LaunchPolicy::serial: visit_element
-// branches on the update-flag claim and push_backs into the host-side updated
-// list, so the functional result depends on the order blocks run.
 void launch_computation(simt::Device& dev, BfsKernelState& st, Variant v,
                         std::span<const std::uint32_t> frontier,
                         std::uint32_t thread_tpb, std::uint32_t block_tpb) {
@@ -442,9 +439,7 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
       const std::uint32_t n_new = ndg.num_nodes;
       auto nlevel = dev.alloc<std::uint32_t>(n_new, "bfs.level");
       const auto grid = simt::GridSpec::dense(n_new, opts.thread_tpb);
-      simt::launch(dev, "bfs.rep.migrate",
-                   grid.with(simt::LaunchPolicy::parallel),
-                   [&](simt::ThreadCtx& ctx) {
+      simt::launch(dev, "bfs.rep.migrate", grid, [&](simt::ThreadCtx& ctx) {
         const auto id = static_cast<std::uint32_t>(ctx.global_id());
         const std::uint32_t old = ctx.load(maps.old_id, id, kRepOldId);
         const std::uint32_t lvl =

@@ -49,8 +49,6 @@ void propagate_element(simt::ThreadCtx& ctx, CcState& st, std::uint32_t id,
   }
 }
 
-// Keeps the default LaunchPolicy::serial: label propagation branches on the
-// atomic_min return value and push_backs into the host-side updated list.
 void launch_cc(simt::Device& dev, CcState& st, Variant v,
                std::span<const std::uint32_t> frontier, std::uint32_t thread_tpb,
                std::uint32_t block_tpb) {

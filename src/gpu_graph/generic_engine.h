@@ -98,9 +98,7 @@ GenericResult run_frontier(simt::Device& dev, const graph::Csr& g,
   const std::uint64_t max_iters =
       opts.max_iterations ? opts.max_iterations : 64ull * g.num_nodes + 4096;
 
-  // One launch of the computation kernel under the current variant. Always
-  // LaunchPolicy::serial: the user-supplied operator may branch on atomic
-  // returns, and Push records updates into a host-side vector.
+  // One launch of the computation kernel under the current variant.
   auto launch_op = [&](Variant v) {
     simt::Predicate pred;
     pred.base_addr = ws.bitmap().base_addr();

@@ -118,8 +118,6 @@ void find_min_element(simt::ThreadCtx& ctx, MstState& st, std::uint32_t id,
   }
 }
 
-// Keeps the default LaunchPolicy::serial: the update-flag claim and host-side
-// updated push_back make the result depend on the order blocks run.
 void launch_find_min(simt::Device& dev, MstState& st, Variant v,
                      std::span<const std::uint32_t> frontier,
                      std::uint32_t thread_tpb, std::uint32_t block_tpb) {

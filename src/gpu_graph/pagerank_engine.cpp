@@ -72,9 +72,6 @@ void push_element(simt::ThreadCtx& ctx, PrState& st, std::uint32_t id,
   }
 }
 
-// Keeps the default LaunchPolicy::serial: the push branches on the float
-// atomic_add return (residual crossing the tolerance) and push_backs into the
-// host-side updated list, both order-dependent across blocks.
 void launch_pr(simt::Device& dev, PrState& st, Variant v,
                std::span<const std::uint32_t> frontier, std::uint32_t thread_tpb,
                std::uint32_t block_tpb) {

@@ -66,9 +66,6 @@ void relax_element(simt::ThreadCtx& ctx, UnorderedState& st, std::uint32_t id,
   }
 }
 
-// All compute variants keep the default LaunchPolicy::serial: relax_element
-// branches on the atomic_min return value and push_backs into the host-side
-// updated list, so the functional result depends on the order blocks run.
 void launch_unordered(simt::Device& dev, UnorderedState& st, Variant v,
                       std::span<const std::uint32_t> frontier,
                       std::uint32_t thread_tpb, std::uint32_t block_tpb) {

@@ -67,19 +67,15 @@ std::uint64_t Workset::generate(simt::Device& dev, WorksetRepr repr,
   const simt::GridSpec grid = simt::GridSpec::over_threads(n_, kGenTpb, updated, pred);
 
   if (repr == WorksetRepr::bitmap) {
-    // Parallel policy: each thread flips only its own bitmap_/update_ flag,
-    // and every writer stores the same value into changed_[0].
-    simt::launch(dev, "workset_gen.bitmap",
-                 grid.with(simt::LaunchPolicy::parallel),
-                 [&](simt::ThreadCtx& ctx) {
+    simt::launch(dev, "workset_gen.bitmap", grid, [&](simt::ThreadCtx& ctx) {
       const auto id = static_cast<std::uint32_t>(ctx.global_id());
       ctx.store(bitmap_, id, std::uint8_t{1}, kBitmapStore);
       ctx.store(update_, id, std::uint8_t{0}, kUpdateClear);
       ctx.store(changed_, 0, 1u, kChangedStore);
     });
   } else if (method == GenMethod::atomic) {
-    // Serial policy: queue slot assignment is the atomic_add return value, so
-    // the queue contents depend on the order atomics land.
+    // Queue slot assignment is the atomic_add return value, so the queue
+    // lists ids in the order their atomics land.
     simt::launch(dev, "workset_gen.queue", grid, [&](simt::ThreadCtx& ctx) {
       const auto id = static_cast<std::uint32_t>(ctx.global_id());
       const std::uint32_t pos = ctx.atomic_add(queue_len_, 0, 1u, kQueueTail);
@@ -92,8 +88,8 @@ std::uint64_t Workset::generate(simt::Device& dev, WorksetRepr repr,
     // the ids. No tail-counter atomics — the cost is the scan's extra
     // passes over all n flags regardless of |WS|.
     simt::prim::charge_scan(dev, n_);
-    // Serial policy: the scatter models its scan offsets with a host-side
-    // counter incremented in thread order.
+    // The scatter models its scan offsets with a host-side counter
+    // incremented in thread order.
     simt::launch(dev, "workset_gen.queue_scan", grid, [&](simt::ThreadCtx& ctx) {
       const auto id = static_cast<std::uint32_t>(ctx.global_id());
       const std::uint32_t pos = queue_len_.host_view()[0]++;  // offset from scan
@@ -113,10 +109,7 @@ void Workset::clear_frontier_bitmap(simt::Device& dev,
   pred.ops = 2;
   const simt::GridSpec grid =
       simt::GridSpec::over_threads(n_, kGenTpb, frontier, pred);
-  // Parallel policy: each thread clears only its own bit.
-  simt::launch(dev, "workset_gen.frontier_clear",
-               grid.with(simt::LaunchPolicy::parallel),
-               [&](simt::ThreadCtx& ctx) {
+  simt::launch(dev, "workset_gen.frontier_clear", grid, [&](simt::ThreadCtx& ctx) {
     const auto id = static_cast<std::uint32_t>(ctx.global_id());
     ctx.store(bitmap_, id, std::uint8_t{0}, kFrontierClear);
   });

@@ -1,7 +1,8 @@
 // Device facade: allocation, host<->device transfers, device-side fills, the
 // simulated clock, and cumulative accounting. Tracing scratch for kernel
-// launches lives in the per-worker slots of ExecPool (see exec_pool.h), not
-// on the Device, so blocks of a parallel launch never share mutable state.
+// launches belongs to the launching host thread (launch.h), not to the
+// Device, so threads that each drive their own Device share no mutable
+// state.
 #pragma once
 
 #include <cstdint>
@@ -492,7 +493,7 @@ class Device {
   // Fault cold paths (device.cpp). check_fault consults the injector and, on
   // a scheduled failure, publishes a FaultEvent and throws DeviceFault.
   // Decisions depend only on (plan seed, kind, per-kind op index), so replay
-  // is bit-identical regardless of ExecPool worker count.
+  // is bit-identical regardless of the simulator thread count.
   void check_fault(FaultKind kind, const char* op);
   [[noreturn]] void throw_oom(const char* name);
 

@@ -12,8 +12,8 @@
 // Determinism contract: every fault decision is a pure function of
 // (plan.seed, kind, per-kind op index). All decision sites run on the host
 // API thread (the same contract as Device accounting), so op indices — and
-// therefore the whole failure schedule — are independent of the worker count
-// of the parallel launch path.
+// therefore the whole failure schedule — are independent of the simulator
+// thread count.
 #pragma once
 
 #include <array>

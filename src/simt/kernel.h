@@ -5,21 +5,14 @@
 //
 // Execution semantics (documented contract):
 //  * lanes of a warp run one after another in lane order, warps in warp
-//    order; blocks run in block order on one host thread unless the launch
-//    declares LaunchPolicy::parallel (launch.h), in which case blocks of the
-//    same kernel may execute concurrently on the host worker pool;
+//    order; blocks run in block order on one host thread;
 //  * there is no intra-kernel barrier; kernels that need block-wide
 //    synchronization are written as *phased* kernels (launch_phased), where
 //    each phase boundary is a __syncthreads() equivalent;
-//  * atomics are sequentially consistent under the serial order above; under
-//    a parallel launch they are real std::atomic_ref operations, so a kernel
-//    may only opt in when its functional result does not depend on the
-//    inter-block order in which atomics land (see LaunchPolicy).
+//  * atomics are sequentially consistent under the serial order above.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -71,17 +64,13 @@ struct SharedArray {
 
 class ThreadCtx {
  public:
-  // `concurrent` marks a block running on the parallel launch path: other
-  // blocks of the same kernel may touch the same device buffers from other
-  // host threads, so every global access goes through std::atomic_ref.
   ThreadCtx(WarpTrace& trace, BlockSharedState* shared, std::uint64_t block_idx,
-            std::uint32_t tpb, std::uint64_t grid_blocks, bool concurrent = false)
+            std::uint32_t tpb, std::uint64_t grid_blocks)
       : trace_(&trace),
         shared_(shared),
         block_idx_(block_idx),
         tpb_(tpb),
-        grid_blocks_(grid_blocks),
-        concurrent_(concurrent) {}
+        grid_blocks_(grid_blocks) {}
 
   void bind_lane(std::uint32_t thread_in_block) {
     thread_in_block_ = thread_in_block;
@@ -103,14 +92,6 @@ class ThreadCtx {
   T load(const DeviceBuffer<T>& b, std::size_t i, Site site) {
     AGG_DCHECK(i < b.size());
     trace_->on_global(site, b.addr_of(i));
-    if constexpr (std::is_arithmetic_v<T>) {
-      if (concurrent_) {
-        // std::atomic_ref<const T> is ill-formed in C++20; the cell itself is
-        // mutable backing storage, only the buffer handle is const here.
-        return std::atomic_ref<T>(const_cast<T&>(b.host_view()[i]))
-            .load(std::memory_order_relaxed);
-      }
-    }
     return b.host_view()[i];
   }
 
@@ -118,12 +99,6 @@ class ThreadCtx {
   void store(DeviceBuffer<T>& b, std::size_t i, T v, Site site) {
     AGG_DCHECK(i < b.size());
     trace_->on_global(site, b.addr_of(i));
-    if constexpr (std::is_arithmetic_v<T>) {
-      if (concurrent_) {
-        std::atomic_ref<T>(b.host_view()[i]).store(v, std::memory_order_relaxed);
-        return;
-      }
-    }
     b.host_view()[i] = v;
   }
 
@@ -132,16 +107,6 @@ class ThreadCtx {
   T atomic_min(DeviceBuffer<T>& b, std::size_t i, T v, Site site) {
     AGG_DCHECK(i < b.size());
     trace_->on_atomic(site, b.addr_of(i));
-    if constexpr (std::is_arithmetic_v<T>) {
-      if (concurrent_) {
-        std::atomic_ref<T> cell(b.host_view()[i]);
-        T old = cell.load(std::memory_order_relaxed);
-        while (v < old &&
-               !cell.compare_exchange_weak(old, v, std::memory_order_relaxed)) {
-        }
-        return old;
-      }
-    }
     T& cell = b.host_view()[i];
     const T old = cell;
     if (v < cell) cell = v;
@@ -152,21 +117,6 @@ class ThreadCtx {
   T atomic_add(DeviceBuffer<T>& b, std::size_t i, T v, Site site) {
     AGG_DCHECK(i < b.size());
     trace_->on_atomic(site, b.addr_of(i));
-    if constexpr (std::is_integral_v<T>) {
-      if (concurrent_) {
-        return std::atomic_ref<T>(b.host_view()[i])
-            .fetch_add(v, std::memory_order_relaxed);
-      }
-    } else if constexpr (std::is_floating_point_v<T>) {
-      if (concurrent_) {
-        std::atomic_ref<T> cell(b.host_view()[i]);
-        T old = cell.load(std::memory_order_relaxed);
-        while (!cell.compare_exchange_weak(old, static_cast<T>(old + v),
-                                           std::memory_order_relaxed)) {
-        }
-        return old;
-      }
-    }
     T& cell = b.host_view()[i];
     const T old = cell;
     cell = static_cast<T>(cell + v);
@@ -177,14 +127,6 @@ class ThreadCtx {
   T atomic_cas(DeviceBuffer<T>& b, std::size_t i, T expected, T desired, Site site) {
     AGG_DCHECK(i < b.size());
     trace_->on_atomic(site, b.addr_of(i));
-    if constexpr (std::is_arithmetic_v<T>) {
-      if (concurrent_) {
-        T old = expected;
-        std::atomic_ref<T>(b.host_view()[i])
-            .compare_exchange_strong(old, desired, std::memory_order_relaxed);
-        return old;
-      }
-    }
     T& cell = b.host_view()[i];
     const T old = cell;
     if (cell == expected) cell = desired;
@@ -223,7 +165,6 @@ class ThreadCtx {
   std::uint64_t block_idx_;
   std::uint32_t tpb_;
   std::uint64_t grid_blocks_;
-  bool concurrent_;
   std::uint32_t thread_in_block_ = 0;
 };
 

@@ -4,6 +4,15 @@
 
 namespace simt::detail {
 
+LaunchScratch& launch_scratch(const TimingModel& tm) {
+  // One per host thread: the serving thread, each pool worker and any user
+  // thread launch on their own, and a thread runs one launch at a time.
+  thread_local LaunchScratch scratch;
+  scratch.trace.rebind(tm);
+  scratch.tally.reset();
+  return scratch;
+}
+
 WarpCost predicate_warp_cost(const TimingModel& tm, const Predicate& pred,
                              bool broadcast) {
   WarpCost wc;

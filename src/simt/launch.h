@@ -16,43 +16,24 @@
 // per-block shared memory, used by the reduction/scan primitives and the
 // working-set population counter.
 //
-// Parallel execution: every launch produces a self-contained BlockPartial per
-// executed block (warp-cost subtotals, the block's (issue, crit) pair, the
-// worker-private atomic tally), then reduces the partials in canonical block
-// order. Serial and pooled launches share that reduction code path, so a
-// kernel that declares LaunchPolicy::parallel gets bit-identical KernelStats
-// for any SIMT_THREADS value — which worker executed a block never enters a
-// number. Kernels whose *functional* result depends on the serialized order
-// of atomics across blocks must stay LaunchPolicy::serial (the default).
+// Blocks run in block order on the calling host thread: the engine kernels'
+// traced control flow depends on what earlier blocks wrote (DESIGN.md
+// "Blocks run in block order"). Each executed block's costs are summed into
+// a BlockPartial, which is folded into the launch totals as soon as the block
+// ends, so floating-point association is fixed by the block structure alone.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <vector>
 
 #include "common/check.h"
 #include "simt/device.h"
-#include "simt/exec_pool.h"
 #include "simt/kernel.h"
 #include "simt/timing_model.h"
 
 namespace simt {
-
-// Whether the blocks of a launch may execute concurrently on the host pool.
-//
-//  * serial   — blocks run in block order on one host thread; atomics are
-//               serialized in that deterministic order. Required whenever the
-//               kernel's functional output depends on atomic return values or
-//               on host-side per-launch state (queue insertion positions,
-//               CAS-based ownership claims, host push_back of updates).
-//  * parallel — blocks are functionally independent: each output cell is
-//               written by at most one block (or all writers store the same
-//               value), and atomic results are order-insensitive (same-value
-//               counters with discarded returns, idempotent min folds whose
-//               returns are unused). Such launches shard across ExecPool.
-enum class LaunchPolicy { serial, parallel };
 
 struct GridSpec {
   std::uint64_t total_threads = 0;
@@ -62,14 +43,6 @@ struct GridSpec {
   bool sparse_threads = false;
   bool sparse_blocks = false;
   Predicate pred{};
-  LaunchPolicy policy = LaunchPolicy::serial;
-
-  // `GridSpec::dense(n, tpb).with(LaunchPolicy::parallel)`.
-  GridSpec with(LaunchPolicy p) const {
-    GridSpec g = *this;
-    g.policy = p;
-    return g;
-  }
 
   static GridSpec dense(std::uint64_t total, std::uint32_t tpb) {
     GridSpec g;
@@ -138,14 +111,30 @@ struct LaunchTotals {
   }
 };
 
-// Self-contained result of one executed block. A worker writes only its
-// block's slot; the launcher folds the slots in block order afterwards, so
-// floating-point association is fixed by the block structure alone.
+// The summed costs of one executed block, folded into the launch totals in
+// block order.
 struct BlockPartial {
   LaunchTotals totals;
   double issue = 0;
   double crit = 0;
+
+  void add_warp(const WarpCost& wc, const TimingModel& tm, bool executed = true) {
+    issue += wc.issue_cycles;
+    crit = std::max(crit, wc.critical_cycles(tm));
+    totals.add_warp(wc, 1, executed);
+  }
 };
+
+// Tracing scratch for the launches of one host thread (launch.cpp holds one
+// per thread), reused across launches to avoid allocation churn.
+struct LaunchScratch {
+  WarpTrace trace;
+  AtomicTally tally;
+  BlockSharedState shared;
+};
+
+// The calling thread's scratch, rebound to `tm`, with its tally reset.
+LaunchScratch& launch_scratch(const TimingModel& tm);
 
 }  // namespace detail
 
@@ -168,13 +157,14 @@ KernelStats launch(Device& dev, const char* name, const GridSpec& grid, Body&& b
       detail::predicate_warp_cost(tm, grid.pred, /*broadcast=*/grid.sparse_blocks);
   const double pred_block_issue = pred_wc.issue_cycles * warps_per_block;
   const double pred_block_crit = pred_wc.critical_cycles(tm);
+  detail::LaunchScratch& ws = detail::launch_scratch(tm);
 
-  // Runs the 32 lanes [warp_begin, warp_begin+32) of block b on `ws`;
-  // `is_active` decides per-lane whether the body runs. Returns the warp cost.
-  auto run_warp = [&](WorkerScratch& ws, bool concurrent, std::uint64_t b,
+  // Runs the 32 lanes [warp_begin, warp_begin+32) of block b into `part`;
+  // `is_active` decides per-lane whether the body runs.
+  auto run_warp = [&](detail::BlockPartial& part, std::uint64_t b,
                       std::uint64_t warp_begin, auto&& is_active, auto&& lane_addr) {
     ws.trace.begin_warp();
-    ThreadCtx ctx(ws.trace, nullptr, b, grid.tpb, grid_blocks, concurrent);
+    ThreadCtx ctx(ws.trace, nullptr, b, grid.tpb, grid_blocks);
     const std::uint64_t warp_end =
         std::min<std::uint64_t>(warp_begin + kWarpSize, grid.total_threads);
     const std::uint64_t block_base = b * grid.tpb;
@@ -187,167 +177,93 @@ KernelStats launch(Device& dev, const char* name, const GridSpec& grid, Body&& b
       }
       if (is_active(gid)) body(ctx);
     }
-    return ws.trace.finish_warp(ws.tally);
+    part.add_warp(ws.trace.finish_warp(ws.tally), tm);
+  };
+  auto warps_in = [&](std::uint64_t b) {
+    const std::uint64_t block_threads =
+        std::min<std::uint64_t>(grid.tpb, grid.total_threads - b * grid.tpb);
+    return static_cast<std::uint32_t>((block_threads + kWarpSize - 1) / kWarpSize);
+  };
+  // Blocks are folded in block order: the predicate-only blocks
+  // [next_block, b), then block b.
+  std::uint64_t next_block = 0;
+  auto fold_uniform = [&](std::uint64_t b) {
+    if (b <= next_block) return;
+    waves.add_uniform_blocks(b - next_block, pred_block_issue, pred_block_crit);
+    totals.add_warp(pred_wc, (b - next_block) * warps_per_block, /*executed=*/false);
+  };
+  auto fold_block = [&](std::uint64_t b, const detail::BlockPartial& part) {
+    fold_uniform(b);
+    totals.merge(part.totals);
+    waves.add_block(b, part.issue, part.crit);
+    next_block = b + 1;
+  };
+  // Runs every lane of block b.
+  auto run_block = [&](std::uint64_t b, auto&& lane_addr) {
+    detail::BlockPartial part;
+    for (std::uint32_t w = 0, nw = warps_in(b); w < nw; ++w) {
+      run_warp(part, b, b * grid.tpb + static_cast<std::uint64_t>(w) * kWarpSize,
+               [](std::uint64_t) { return true; }, lane_addr);
+    }
+    fold_block(b, part);
   };
 
-  ExecPool& pool = ExecPool::instance();
-  const bool want_parallel = grid.policy == LaunchPolicy::parallel;
-
   if (grid.sparse_threads) {
-    // Executed blocks: (block id, slice of the sorted active-thread list).
-    struct ExecBlock {
-      std::uint64_t b;
-      std::size_t begin;
-      std::size_t end;
-    };
     const auto& active = grid.active_threads;
-    std::vector<ExecBlock> exec;
-    {
-      std::size_t i = 0;
-      while (i < active.size()) {
-        const std::uint64_t b = active[i] / grid.tpb;
-        std::size_t j = i;
-        while (j < active.size() && active[j] / grid.tpb == b) {
-          AGG_DCHECK(j == i || active[j] > active[j - 1]);
-          ++j;
+    std::size_t i = 0;
+    while (i < active.size()) {
+      // The slice [i, end) of the sorted active-thread list falls in block b.
+      const std::uint64_t b = active[i] / grid.tpb;
+      AGG_DCHECK(b >= next_block);
+      std::size_t end = i;
+      while (end < active.size() && active[end] / grid.tpb == b) {
+        AGG_DCHECK(end == i || active[end] > active[end - 1]);
+        ++end;
+      }
+      detail::BlockPartial part;
+      std::size_t cursor = i;
+      for (std::uint32_t w = 0, nw = warps_in(b); w < nw; ++w) {
+        const std::uint64_t warp_begin =
+            b * grid.tpb + static_cast<std::uint64_t>(w) * kWarpSize;
+        const std::uint64_t warp_end =
+            std::min<std::uint64_t>(warp_begin + kWarpSize, grid.total_threads);
+        if (cursor == end || active[cursor] >= warp_end) {
+          part.add_warp(pred_wc, tm, /*executed=*/false);
+          continue;
         }
-        AGG_DCHECK(exec.empty() || b > exec.back().b);
-        exec.push_back({b, i, j});
-        i = j;
+        run_warp(
+            part, b, warp_begin,
+            [&](std::uint64_t gid) {
+              if (cursor < end && active[cursor] == gid) {
+                ++cursor;
+                return true;
+              }
+              return false;
+            },
+            [&](std::uint64_t gid) {
+              return grid.pred.base_addr +
+                     (gid >> grid.pred.id_shift) * grid.pred.stride;
+            });
       }
-    }
-    std::vector<detail::BlockPartial> parts(exec.size());
-    pool.run_blocks(
-        exec.size(), want_parallel, tm,
-        [&](WorkerScratch& ws, bool concurrent, std::uint64_t k) {
-          const ExecBlock& eb = exec[k];
-          detail::BlockPartial& part = parts[k];
-          const std::uint64_t b = eb.b;
-          const std::uint64_t block_base = b * grid.tpb;
-          const std::uint64_t block_threads =
-              std::min<std::uint64_t>(grid.tpb, grid.total_threads - block_base);
-          const auto warps_here =
-              static_cast<std::uint32_t>((block_threads + kWarpSize - 1) / kWarpSize);
-          std::size_t cursor = eb.begin;
-          for (std::uint32_t w = 0; w < warps_here; ++w) {
-            const std::uint64_t warp_begin =
-                block_base + static_cast<std::uint64_t>(w) * kWarpSize;
-            const std::uint64_t warp_end =
-                std::min<std::uint64_t>(warp_begin + kWarpSize, grid.total_threads);
-            const bool has_active = cursor < eb.end && active[cursor] < warp_end;
-            if (!has_active) {
-              part.issue += pred_wc.issue_cycles;
-              part.crit = std::max(part.crit, pred_block_crit);
-              part.totals.add_warp(pred_wc, 1, /*executed=*/false);
-              continue;
-            }
-            const WarpCost wc = run_warp(
-                ws, concurrent, b, warp_begin,
-                [&](std::uint64_t gid) {
-                  if (cursor < eb.end && active[cursor] == gid) {
-                    ++cursor;
-                    return true;
-                  }
-                  return false;
-                },
-                [&](std::uint64_t gid) {
-                  return grid.pred.base_addr +
-                         (gid >> grid.pred.id_shift) * grid.pred.stride;
-                });
-            part.issue += wc.issue_cycles;
-            part.crit = std::max(part.crit, wc.critical_cycles(tm));
-            part.totals.add_warp(wc);
-          }
-        });
-    std::uint64_t next_block = 0;
-    for (std::size_t k = 0; k < exec.size(); ++k) {
-      const std::uint64_t b = exec[k].b;
-      if (b > next_block) {
-        waves.add_uniform_blocks(b - next_block, pred_block_issue, pred_block_crit);
-        totals.add_warp(pred_wc, (b - next_block) * warps_per_block, /*executed=*/false);
-      }
-      totals.merge(parts[k].totals);
-      waves.add_block(b, parts[k].issue, parts[k].crit);
-      next_block = b + 1;
-    }
-    if (next_block < grid_blocks) {
-      const std::uint64_t rest = grid_blocks - next_block;
-      waves.add_uniform_blocks(rest, pred_block_issue, pred_block_crit);
-      totals.add_warp(pred_wc, rest * warps_per_block, /*executed=*/false);
+      fold_block(b, part);
+      i = end;
     }
   } else if (grid.sparse_blocks) {
     const auto& active = grid.active_blocks;
-    std::vector<detail::BlockPartial> parts(active.size());
-    pool.run_blocks(
-        active.size(), want_parallel, tm,
-        [&](WorkerScratch& ws, bool concurrent, std::uint64_t k) {
-          const std::uint64_t b = active[k];
-          AGG_DCHECK(k == 0 || b > active[k - 1]);
-          AGG_DCHECK(b < grid_blocks);
-          detail::BlockPartial& part = parts[k];
-          const std::uint64_t block_base = b * grid.tpb;
-          const std::uint64_t block_threads =
-              std::min<std::uint64_t>(grid.tpb, grid.total_threads - block_base);
-          const auto warps_here =
-              static_cast<std::uint32_t>((block_threads + kWarpSize - 1) / kWarpSize);
-          for (std::uint32_t w = 0; w < warps_here; ++w) {
-            const WarpCost wc = run_warp(
-                ws, concurrent, b,
-                block_base + static_cast<std::uint64_t>(w) * kWarpSize,
-                [](std::uint64_t) { return true; },
-                [&](std::uint64_t) {
-                  return grid.pred.base_addr + b * grid.pred.stride;
-                });
-            part.issue += wc.issue_cycles;
-            part.crit = std::max(part.crit, wc.critical_cycles(tm));
-            part.totals.add_warp(wc);
-          }
-        });
-    std::uint64_t next_block = 0;
     for (std::size_t k = 0; k < active.size(); ++k) {
       const std::uint64_t b = active[k];
-      if (b > next_block) {
-        waves.add_uniform_blocks(b - next_block, pred_block_issue, pred_block_crit);
-        totals.add_warp(pred_wc, (b - next_block) * warps_per_block, /*executed=*/false);
-      }
-      totals.merge(parts[k].totals);
-      waves.add_block(b, parts[k].issue, parts[k].crit);
-      next_block = b + 1;
-    }
-    if (next_block < grid_blocks) {
-      const std::uint64_t rest = grid_blocks - next_block;
-      waves.add_uniform_blocks(rest, pred_block_issue, pred_block_crit);
-      totals.add_warp(pred_wc, rest * warps_per_block, /*executed=*/false);
+      AGG_DCHECK(k == 0 || b > active[k - 1]);
+      AGG_DCHECK(b < grid_blocks);
+      run_block(b, [&](std::uint64_t) { return grid.pred.base_addr + b * grid.pred.stride; });
     }
   } else {
-    // Dense.
-    std::vector<detail::BlockPartial> parts(grid_blocks);
-    pool.run_blocks(
-        grid_blocks, want_parallel, tm,
-        [&](WorkerScratch& ws, bool concurrent, std::uint64_t b) {
-          detail::BlockPartial& part = parts[b];
-          const std::uint64_t block_base = b * grid.tpb;
-          const std::uint64_t block_threads =
-              std::min<std::uint64_t>(grid.tpb, grid.total_threads - block_base);
-          const auto warps_here =
-              static_cast<std::uint32_t>((block_threads + kWarpSize - 1) / kWarpSize);
-          for (std::uint32_t w = 0; w < warps_here; ++w) {
-            const WarpCost wc = run_warp(
-                ws, concurrent, b,
-                block_base + static_cast<std::uint64_t>(w) * kWarpSize,
-                [](std::uint64_t) { return true; }, [](std::uint64_t) { return 0ull; });
-            part.issue += wc.issue_cycles;
-            part.crit = std::max(part.crit, wc.critical_cycles(tm));
-            part.totals.add_warp(wc);
-          }
-        });
     for (std::uint64_t b = 0; b < grid_blocks; ++b) {
-      totals.merge(parts[b].totals);
-      waves.add_block(b, parts[b].issue, parts[b].crit);
+      run_block(b, [](std::uint64_t) { return 0ull; });
     }
   }
+  fold_uniform(grid_blocks);
 
-  totals.stats.max_atomic_same_addr = pool.merged_tally().max_count();
+  totals.stats.max_atomic_same_addr = ws.tally.max_count();
   assemble_kernel_time(props, tm, waves.finish_cycles(), totals.stats);
   dev.account_kernel(totals.stats);
   return totals.stats;
@@ -358,8 +274,7 @@ KernelStats launch(Device& dev, const char* name, const GridSpec& grid, Body&& b
 // across phases within a block.
 template <typename Body>
 KernelStats launch_phased(Device& dev, const char* name, std::uint64_t total_threads,
-                          std::uint32_t tpb, int phases, Body&& body,
-                          LaunchPolicy policy = LaunchPolicy::serial) {
+                          std::uint32_t tpb, int phases, Body&& body) {
   const DeviceProps& props = dev.props();
   const TimingModel& tm = dev.timing();
   AGG_CHECK(tpb >= 1 && tpb <= static_cast<std::uint32_t>(props.max_threads_per_block));
@@ -371,42 +286,37 @@ KernelStats launch_phased(Device& dev, const char* name, std::uint64_t total_thr
   const std::uint64_t grid_blocks = totals.stats.blocks;
 
   WaveAccumulator waves(props, tm, tpb);
-  ExecPool& pool = ExecPool::instance();
-  std::vector<detail::BlockPartial> parts(grid_blocks);
-  pool.run_blocks(
-      grid_blocks, policy == LaunchPolicy::parallel, tm,
-      [&](WorkerScratch& ws, bool concurrent, std::uint64_t b) {
-        detail::BlockPartial& part = parts[b];
-        ws.shared.reset(props.shared_mem_per_block);
-        ThreadCtx ctx(ws.trace, &ws.shared, b, tpb, grid_blocks, concurrent);
-        const std::uint64_t block_base = b * tpb;
-        const std::uint64_t block_threads =
-            std::min<std::uint64_t>(tpb, total_threads - block_base);
-        for (int p = 0; p < phases; ++p) {
-          double phase_crit = 0;
-          for (std::uint64_t warp_begin = 0; warp_begin < block_threads;
-               warp_begin += kWarpSize) {
-            ws.trace.begin_warp();
-            const std::uint64_t warp_end =
-                std::min<std::uint64_t>(warp_begin + kWarpSize, block_threads);
-            for (std::uint64_t t = warp_begin; t < warp_end; ++t) {
-              ctx.bind_lane(static_cast<std::uint32_t>(t));
-              body(p, ctx);
-            }
-            const WarpCost wc = ws.trace.finish_warp(ws.tally);
-            part.issue += wc.issue_cycles;
-            phase_crit = std::max(phase_crit, wc.critical_cycles(tm));
-            part.totals.add_warp(wc);
-          }
-          part.crit += phase_crit;  // barrier: phases serialize on the slowest warp
-        }
-      });
+  detail::LaunchScratch& ws = detail::launch_scratch(tm);
   for (std::uint64_t b = 0; b < grid_blocks; ++b) {
-    totals.merge(parts[b].totals);
-    waves.add_block(b, parts[b].issue, parts[b].crit);
+    detail::BlockPartial part;
+    ws.shared.reset(props.shared_mem_per_block);
+    ThreadCtx ctx(ws.trace, &ws.shared, b, tpb, grid_blocks);
+    const std::uint64_t block_base = b * tpb;
+    const std::uint64_t block_threads =
+        std::min<std::uint64_t>(tpb, total_threads - block_base);
+    for (int p = 0; p < phases; ++p) {
+      double phase_crit = 0;
+      for (std::uint64_t warp_begin = 0; warp_begin < block_threads;
+           warp_begin += kWarpSize) {
+        ws.trace.begin_warp();
+        const std::uint64_t warp_end =
+            std::min<std::uint64_t>(warp_begin + kWarpSize, block_threads);
+        for (std::uint64_t t = warp_begin; t < warp_end; ++t) {
+          ctx.bind_lane(static_cast<std::uint32_t>(t));
+          body(p, ctx);
+        }
+        const WarpCost wc = ws.trace.finish_warp(ws.tally);
+        part.issue += wc.issue_cycles;
+        phase_crit = std::max(phase_crit, wc.critical_cycles(tm));
+        part.totals.add_warp(wc);
+      }
+      part.crit += phase_crit;  // barrier: phases serialize on the slowest warp
+    }
+    totals.merge(part.totals);
+    waves.add_block(b, part.issue, part.crit);
   }
 
-  totals.stats.max_atomic_same_addr = pool.merged_tally().max_count();
+  totals.stats.max_atomic_same_addr = ws.tally.max_count();
   assemble_kernel_time(props, tm, waves.finish_cycles(), totals.stats);
   dev.account_kernel(totals.stats);
   return totals.stats;

@@ -21,8 +21,6 @@ void reduce_level(Device& dev, const DeviceBuffer<std::uint32_t>& in, std::size_
                   DeviceBuffer<std::uint32_t>& out) {
   // Launch whole blocks: threads past n still run and pad the shared tree
   // with the identity (max), as the real kernel would.
-  // Parallel policy: each block reads its own input tile and writes only
-  // out[block_idx] — no cross-block communication.
   const std::size_t blocks = (n + kReduceTpb - 1) / kReduceTpb;
   launch_phased(
       dev, "reduce_min.level", blocks * kReduceTpb, kReduceTpb,
@@ -53,8 +51,7 @@ void reduce_level(Device& dev, const DeviceBuffer<std::uint32_t>& in, std::size_
           const std::uint32_t v = ctx.shared_load(sh, 0, kSharedSite);
           ctx.store(out, ctx.block_idx(), v, kPartialSite);
         }
-      },
-      LaunchPolicy::parallel);
+      });
 }
 
 // Per-level uniform cost used by the analytic twin. Derived from the kernel
@@ -124,8 +121,6 @@ constexpr Site kScanOps{8, "scan-ops"};
 void scan_tiles(Device& dev, const DeviceBuffer<std::uint32_t>& in,
                 DeviceBuffer<std::uint32_t>& out, std::size_t n,
                 DeviceBuffer<std::uint32_t>& sums) {
-  // Parallel policy: a block scans its own tile in shared memory and writes
-  // only out[tile] and sums[block_idx].
   const std::size_t blocks = (n + kReduceTpb - 1) / kReduceTpb;
   launch_phased(
       dev, "scan.tiles", blocks * kReduceTpb, kReduceTpb,
@@ -177,23 +172,18 @@ void scan_tiles(Device& dev, const DeviceBuffer<std::uint32_t>& in,
         if (gid < n) {
           ctx.store(out, gid, ctx.shared_load(sh, tid, kScanShared), kScanStore);
         }
-      },
-      LaunchPolicy::parallel);
+      });
 }
 
 // Adds scanned block sums back onto every tile after the first.
 void add_block_offsets(Device& dev, DeviceBuffer<std::uint32_t>& data, std::size_t n,
                        const DeviceBuffer<std::uint32_t>& offsets) {
-  // Parallel policy: every thread rewrites only its own data[gid].
-  launch(dev, "scan.add_offsets",
-         GridSpec::dense(n, kReduceTpb).with(LaunchPolicy::parallel),
-         [&](ThreadCtx& ctx) {
-           const std::uint64_t gid = ctx.global_id();
-           const std::uint32_t off =
-               ctx.load(offsets, ctx.block_idx(), kScanSums);
-           ctx.compute(1, kScanOps);
-           ctx.store(data, gid, ctx.load(data, gid, kScanLoad) + off, kScanStore);
-         });
+  launch(dev, "scan.add_offsets", GridSpec::dense(n, kReduceTpb), [&](ThreadCtx& ctx) {
+    const std::uint64_t gid = ctx.global_id();
+    const std::uint32_t off = ctx.load(offsets, ctx.block_idx(), kScanSums);
+    ctx.compute(1, kScanOps);
+    ctx.store(data, gid, ctx.load(data, gid, kScanLoad) + off, kScanStore);
+  });
 }
 
 }  // namespace

@@ -6,10 +6,8 @@
 //   ... run algorithms ...
 //   std::puts(prof.report().c_str());
 //
-// Pooled-launch safety: the observer fires on the thread that called
-// launch()/launch_phased(), after the pool's per-block results have been
-// reduced — never on an ExecPool worker — so the aggregation maps are
-// identical for any SIMT_THREADS value. A mutex still guards the entries so
+// The observer fires on the thread that called launch()/launch_phased(),
+// after the launch's blocks have run. A mutex guards the entries so
 // report()/entries() may be read while another host thread drives the device.
 #pragma once
 

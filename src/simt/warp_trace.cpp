@@ -56,10 +56,6 @@ void AtomicTally::add(std::uint64_t addr, std::uint64_t count) {
   total_ += count;
 }
 
-void AtomicTally::merge_into(AtomicTally& dst) const {
-  for (const std::size_t i : used_) dst.add(slots_[i].key, slots_[i].count);
-}
-
 void AtomicTally::grow() {
   const std::vector<Slot> old = std::move(slots_);
   const std::vector<std::size_t> old_used = std::move(used_);

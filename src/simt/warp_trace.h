@@ -77,17 +77,12 @@ struct WarpCost {
 
 // Open-addressing counter map used to find the hottest atomic address of a
 // kernel launch. Reused across launches to avoid allocation churn; it
-// remembers which slots a launch filled, so reset() and merge_into() cost
-// the addresses that launch touched, not the table a larger launch grew.
+// remembers which slots a launch filled, so reset() costs the addresses that
+// launch touched, not the table a larger launch grew.
 class AtomicTally {
  public:
   void reset();
   void add(std::uint64_t addr, std::uint64_t count = 1);
-  // Adds every (addr, count) pair of this tally into `dst`. Counts are
-  // integers, so merging per-worker tallies in any order yields the same
-  // per-address totals (and hence the same max_count) as a serial tally —
-  // the property the deterministic parallel launch path relies on.
-  void merge_into(AtomicTally& dst) const;
   std::uint64_t max_count() const { return max_count_; }
   std::uint64_t total() const { return total_; }
 
@@ -106,7 +101,7 @@ class AtomicTally {
 class WarpTrace {
  public:
   // A default-constructed trace must be rebind()-ed to a timing model before
-  // recording; the worker-pool scratch slots outlive any single Device.
+  // recording; a thread's launch scratch outlives any single Device.
   WarpTrace() = default;
   explicit WarpTrace(const TimingModel& tm) { rebind(tm); }
 

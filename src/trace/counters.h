@@ -10,7 +10,8 @@
 // the single `trace::active()` branch (trace_sink.h), so the compiled-in cost
 // of the off path is one predictable-false branch per event. Updates must
 // come from the host API thread (the same contract as Device itself);
-// ExecPool workers never touch the registry.
+// ExecPool workers record only while tracing is off, so they never touch
+// the registry.
 #pragma once
 
 #include <cstdint>

@@ -12,8 +12,8 @@
 //    determinism contract extends to trace artifacts).
 //  * Single-threaded emission. The host API is single-threaded per Device
 //    and all accounting (hence all event emission) happens on the calling
-//    host thread after a launch's pooled blocks have been reduced; ExecPool
-//    workers never emit. The Tracer therefore needs no locking.
+//    host thread. Drains record on ExecPool workers only while tracing is
+//    off, so workers never emit. The Tracer therefore needs no locking.
 //
 // Event vocabulary: kernel launches, H<->D transfers, host compute phases,
 // engine iterations, adaptive-runtime decisions and persistent runs. Sinks pick what they

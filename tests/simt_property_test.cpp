@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/prng.h"
@@ -344,6 +345,46 @@ TEST(Profiler, ClassifiesBottlenecks) {
                [](ThreadCtx& ctx) { ctx.compute(200, kOps); });
   EXPECT_STREQ(prof.entries().at("hot-atomic").bottleneck(), "atomics");
   EXPECT_STREQ(prof.entries().at("hot-compute").bottleneck(), "compute");
+}
+
+TEST(Profiler, ObserversChainAndRestore) {
+  Device dev;
+  std::vector<std::string> outer_seen;
+  dev.set_kernel_observer([&](const simt::KernelStats& ks) {
+    outer_seen.emplace_back(ks.name);
+  });
+
+  auto buf = dev.alloc<std::uint32_t>(512, "buf");
+  {
+    simt::Profiler prof(dev);
+    dev.fill(buf, 1u);
+    // Both the profiler and the pre-existing observer saw the launch.
+    EXPECT_EQ(prof.entries().count("fill"), 1u);
+    ASSERT_EQ(outer_seen.size(), 1u);
+    EXPECT_EQ(outer_seen[0], "fill");
+  }
+  // Profiler destroyed: the original observer is restored, not dropped.
+  dev.fill(buf, 2u);
+  ASSERT_EQ(outer_seen.size(), 2u);
+
+  dev.set_kernel_observer({});
+  dev.fill(buf, 3u);
+  EXPECT_EQ(outer_seen.size(), 2u);
+}
+
+TEST(Profiler, StackedProfilersBothObserve) {
+  Device dev;
+  auto buf = dev.alloc<std::uint32_t>(256, "buf");
+  simt::Profiler outer(dev);
+  dev.fill(buf, 1u);
+  {
+    simt::Profiler inner(dev);
+    dev.fill(buf, 2u);
+    EXPECT_EQ(inner.entries().at("fill").launches, 1u);
+    EXPECT_EQ(outer.entries().at("fill").launches, 2u);
+  }
+  dev.fill(buf, 3u);
+  EXPECT_EQ(outer.entries().at("fill").launches, 3u);
 }
 
 TEST(DeviceClock, NeverDecreases) {

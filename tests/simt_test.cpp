@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -450,6 +452,39 @@ TEST(ParseThreads, RejectsEverythingElse) {
                           "99999999999999999999999"}) {
     EXPECT_EQ(simt::parse_threads(bad), std::nullopt) << '"' << bad << '"';
   }
+}
+
+TEST(SimThreadsConfig, EnvVariableIsHonored) {
+  simt::ExecPool::set_threads(0);  // fall back to env resolution
+  ASSERT_EQ(setenv("SIMT_THREADS", "3", /*overwrite=*/1), 0);
+  EXPECT_EQ(simt::ExecPool::threads(), 3);
+  ASSERT_EQ(setenv("SIMT_THREADS", "garbage", 1), 0);
+  EXPECT_GE(simt::ExecPool::threads(), 1);  // invalid values fall back
+  ASSERT_EQ(unsetenv("SIMT_THREADS"), 0);
+  simt::ExecPool::set_threads(5);  // explicit override wins over env
+  ASSERT_EQ(setenv("SIMT_THREADS", "2", 1), 0);
+  EXPECT_EQ(simt::ExecPool::threads(), 5);
+  ASSERT_EQ(unsetenv("SIMT_THREADS"), 0);
+  simt::ExecPool::set_threads(1);
+}
+
+TEST(LaunchGuards, PhasedValidatesTpb) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Device dev;
+  EXPECT_DEATH(simt::launch_phased(dev, "bad.tpb0", 256, 0, 1,
+                                   [](int, ThreadCtx&) {}),
+               "tpb >= 1");
+  EXPECT_DEATH(simt::launch_phased(dev, "bad.tpb_huge", 256, 4096, 1,
+                                   [](int, ThreadCtx&) {}),
+               "tpb >= 1");
+}
+
+TEST(LaunchGuards, OverBlocksRejectsOverflow) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<std::uint32_t> active;
+  EXPECT_DEATH(GridSpec::over_blocks(std::numeric_limits<std::uint64_t>::max() / 2,
+                                     256, active, simt::Predicate{}),
+               "total_blocks");
 }
 
 }  // namespace

@@ -772,9 +772,9 @@ int main(int argc, char** argv) {
         "  agg tune     <graph> [--algo=bfs|sssp]\n\n"
         "global flags:\n"
         "  --sim-threads=N       host threads for the simulator, 1 to 512:\n"
-        "                        pooled launches, and serve's queries\n"
-        "                        simulated ahead (overrides SIMT_THREADS;\n"
-        "                        default: hardware concurrency; 1 = serial)\n"
+        "                        serve's queries simulated ahead (overrides\n"
+        "                        SIMT_THREADS; default: hardware\n"
+        "                        concurrency; 1 = no lookahead)\n"
         "  --profile             per-kernel profile table after bfs/sssp/cc/\n"
         "                        pagerank/mst\n"
         "  --trace-out=FILE      write a trace of the run; with chrome format\n"
