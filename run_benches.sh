@@ -1,9 +1,10 @@
 #!/bin/bash
 # Regenerates bench_output.txt: every experiment binary at full dataset scale.
 #
-# SIMT_THREADS controls the worker count of the simulator's pooled launch
-# path (see src/simt/exec_pool.h); defaults to the host core count. The
-# simulated metrics are thread-count invariant, only host wall clock changes.
+# SIMT_THREADS sets the simulator's host threads, on which service drains
+# record queries ahead (see src/simt/exec_pool.h); defaults to the host core
+# count. The simulated metrics are thread-count invariant, only host wall
+# clock changes.
 cd "$(dirname "$0")"
 export SIMT_THREADS="${SIMT_THREADS:-$(nproc)}"
 mkdir -p results
@@ -12,7 +13,8 @@ mkdir -p results
 #   binary|extra arguments|file the output is tee'd to (empty: none)
 # Every other binary in build/bench runs without arguments.
 ARCHIVED=(
-  # Serial-vs-pooled launch speedup (name / real_time / items_per_second).
+  # Simulator cost per launch and per traced event (name / real_time /
+  # items_per_second).
   "micro_simt|--benchmark_out=results/BENCH_simt.json --benchmark_out_format=json|"
   # The adaptive runtime's decision trace and counter registry.
   "table4_adaptive|--trace-out=results/TRACE_table4_adaptive.jsonl --trace-format=jsonl --metrics-out=results/METRICS_table4_adaptive.json|"
