@@ -7,6 +7,9 @@
 //    4,096-node RMAT and a 4,096-node road graph), through adaptive::;
 //  * the paper path: rt::adaptive_{bfs,sssp,cc} with default options and
 //    gg::run_{bfs,sssp} with U_T_BM and U_B_QU, on both graphs;
+//  * the push shapes: gg::run_{bfs,sssp,cc,pagerank,mst,bfs_multi} and
+//    gg::run_frontier under each of U_{T,B,W}_{BM,QU} on the RMAT graph,
+//    each line also carrying a digest of the launched kernels' names;
 //  * 16 mixed BFS/SSSP queries through a registered Session, and the same
 //    queries through a one-device GraphService at concurrency 4;
 //  * a fleet serve: a Zipf-skewed BFS/SSSP/CC/PageRank stream on a
@@ -34,6 +37,9 @@
 #include "api/algorithms.h"
 #include "api/session.h"
 #include "common/prng.h"
+#include "gpu_graph/bfs_multi_engine.h"
+#include "gpu_graph/generic_engine.h"
+#include "gpu_graph/mst_engine.h"
 #include "graph/gen/generators.h"
 #include "runtime/adaptive_engine.h"
 #include "service/graph_service.h"
@@ -53,12 +59,16 @@ struct Digest {
       h *= 1099511628211ull;
     }
   }
+  void add_str(const char* s) {
+    for (; *s != '\0'; ++s) add(static_cast<unsigned char>(*s));
+    add(0);
+  }
   template <typename T>
   void add_all(const std::vector<T>& xs) {
     add(xs.size());
     for (const T x : xs) {
       if constexpr (std::is_floating_point_v<T>) {
-        add(std::bit_cast<std::uint64_t>(x));
+        add(std::bit_cast<std::uint64_t>(static_cast<double>(x)));
       } else {
         add(static_cast<std::uint64_t>(x));
       }
@@ -101,14 +111,17 @@ std::string digest_of(const adaptive::MstPayload& p) {
 }
 
 // One JSON line: the case name, the answer's digest, the traversal metrics
-// and the device counters the case moved.
+// and the device counters the case moved; `kernel_names`, when given, is a
+// digest of the launched kernels' names in launch order.
 std::string line(const std::string& name, const std::string& digest,
                  const gg::TraversalMetrics& m, const simt::DeviceStats& before,
-                 const simt::DeviceStats& after) {
+                 const simt::DeviceStats& after,
+                 const std::string& kernel_names = {}) {
   trace::JsonWriter w;
   w.begin_object();
   w.field("case", name);
   w.field("digest", digest);
+  if (!kernel_names.empty()) w.field("kernel_names", kernel_names);
   w.field("total_us", m.total_us);
   w.field("kernel_us", m.kernel_us);
   w.field("transfer_us", m.transfer_us);
@@ -226,6 +239,105 @@ void paper_path(const std::string& gname, const Graphs& gs,
       return gg::run_sssp(dev, gw, src, var);
     });
   }
+}
+
+// The engines' push kernels under every fixed launch shape: thread, block
+// and warp mapping over a bitmap and a queue working set. The adaptive
+// selector never picks warp mapping, so only these cases pin the W_ shapes.
+void shapes(const Graphs& gs, std::vector<std::string>& out) {
+  const graph::Csr& g = gs.plain.csr();
+  const graph::Csr& gw = gs.weighted.csr();
+  const graph::NodeId src = gs.plain.default_source();
+  // The degree rule derives 32 threads per block on this graph, the warp
+  // shapes' width; 64 keeps the block and warp grids apart.
+  gg::EngineOptions opts;
+  opts.block_tpb = 64;
+  gg::PageRankOptions pr_opts;
+  pr_opts.engine = opts;
+  std::vector<graph::NodeId> sources;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    sources.push_back((src + i * 509u) % g.num_nodes);
+  }
+  // BFS as a user operator, as tests/generic_engine_test.cpp writes it.
+  struct OperatorBfs {
+    std::vector<std::uint32_t> level;
+    gg::TraversalMetrics metrics;
+  };
+  const auto operator_bfs = [&](simt::Device& dev, gg::Variant v) {
+    static constexpr simt::Site kLevel{0, "op.level"};
+    static constexpr simt::Site kRows{1, "op.rows"};
+    static constexpr simt::Site kEdges{2, "op.edges"};
+    static constexpr simt::Site kNbr{3, "op.nbr"};
+    static constexpr simt::Site kOps{4, "op.ops"};
+    gg::DeviceGraph dg = gg::DeviceGraph::upload(dev, g, false);
+    auto level = dev.alloc<std::uint32_t>(g.num_nodes, "op.level");
+    dev.fill(level, graph::kInfinity);
+    dev.write_scalar(level, src, 0u);
+    const auto op = [&](simt::ThreadCtx& ctx, std::uint32_t id,
+                        std::uint32_t offset, std::uint32_t step,
+                        gg::Push& push) {
+      const std::uint32_t lvl = ctx.load(level, id, kLevel);
+      const std::uint32_t begin = ctx.load(dg.row_offsets, id, kRows);
+      const std::uint32_t end = ctx.load(dg.row_offsets, id + 1, kRows);
+      ctx.compute(4, kOps);
+      for (std::uint32_t e = begin + offset; e < end; e += step) {
+        const std::uint32_t t = ctx.load(dg.col_indices, e, kEdges);
+        ctx.compute(3, kOps);
+        if (lvl + 1 < ctx.load(level, t, kNbr)) {
+          ctx.store(level, t, lvl + 1, kNbr);
+          push.mark(t);
+        }
+      }
+    };
+    OperatorBfs r;
+    r.metrics =
+        gg::run_frontier(dev, g, dg, {src}, op, gg::fixed_variant(v), opts)
+            .metrics;
+    r.level.assign(level.host_view().begin(), level.host_view().end());
+    dev.free(level);
+    dg.release(dev);
+    return r;
+  };
+  // Runs `call` under each shape on a fresh device.
+  const auto record = [&](const std::string& engine, auto&& call) {
+    for (const char* shape :
+         {"U_T_BM", "U_T_QU", "U_B_BM", "U_B_QU", "U_W_BM", "U_W_QU"}) {
+      simt::Device dev;
+      Digest names;
+      dev.set_kernel_observer(
+          [&](const simt::KernelStats& ks) { names.add_str(ks.name); });
+      const simt::DeviceStats before = dev.stats();
+      const auto r = call(dev, gg::parse_variant(shape));
+      Digest d;
+      if constexpr (requires { r.level; }) d.add_all(r.level);
+      if constexpr (requires { r.levels; }) d.add_all(r.levels);
+      if constexpr (requires { r.dist; }) d.add_all(r.dist);
+      if constexpr (requires { r.component; }) d.add_all(r.component);
+      if constexpr (requires { r.rank; }) d.add_all(r.rank);
+      if constexpr (requires { r.total_weight; }) d.add(r.total_weight);
+      out.push_back(line("shapes/rmat/" + engine + "/" + shape, d.hex(),
+                         r.metrics, before, dev.stats(), names.hex()));
+    }
+  };
+  record("bfs", [&](simt::Device& dev, gg::Variant v) {
+    return gg::run_bfs(dev, g, src, v, opts);
+  });
+  record("sssp", [&](simt::Device& dev, gg::Variant v) {
+    return gg::run_sssp(dev, gw, src, v, opts);
+  });
+  record("cc", [&](simt::Device& dev, gg::Variant v) {
+    return gg::run_cc(dev, gs.plain.symmetrized(), v, opts);
+  });
+  record("pagerank", [&](simt::Device& dev, gg::Variant v) {
+    return gg::run_pagerank(dev, g, v, pr_opts);
+  });
+  record("mst", [&](simt::Device& dev, gg::Variant v) {
+    return gg::run_mst(dev, gs.weighted.symmetrized(), v, opts);
+  });
+  record("bfs_multi", [&](simt::Device& dev, gg::Variant v) {
+    return gg::run_bfs_multi(dev, g, sources, gg::fixed_variant(v), opts);
+  });
+  record("generic", operator_bfs);
 }
 
 struct MixedQuery {
@@ -509,6 +621,7 @@ TEST(ModeledGolden, MatrixMatchesGoldenFile) {
   one_shot("road", road, lines);
   paper_path("rmat", rmat, lines);
   paper_path("road", road, lines);
+  shapes(rmat, lines);
   const std::vector<std::string> serial = serving_lines(road, rmat, 1);
   ASSERT_FALSE(HasFatalFailure());
   lines.insert(lines.end(), serial.begin(), serial.end());
