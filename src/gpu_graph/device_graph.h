@@ -94,4 +94,24 @@ void ensure_csc_resident(simt::Device& dev, DeviceGraph& dg,
                          bool with_weights,
                          std::optional<graph::Csr>& scratch);
 
+// The one-shot form of an engine whose resident-graph form is
+// `resident(dg)` (paper Fig. 8 lines 1-3: create, initialize, transfer).
+// On `stream` it uploads `g`, runs the resident form and releases the
+// upload. The upload's PCIe cost belongs to this query, so total_us and
+// transfer_us are measured around all three.
+template <typename Resident>
+auto run_one_shot(simt::Device& dev, const graph::Csr& g, bool with_weights,
+                  simt::StreamId stream, Resident&& resident) {
+  simt::StreamGuard sguard(dev, stream);
+  const simt::StatsMark t_begin = dev.stats_mark();
+  DeviceGraph dg = DeviceGraph::upload(dev, g, with_weights);
+  auto result = resident(dg);
+  dg.release(dev);
+  const simt::StatsMark t_end = dev.stats_mark();
+  result.metrics.total_us = t_end.clock.us - t_begin.clock.us;
+  result.metrics.transfer_us =
+      t_end.stats.transfer_time_us - t_begin.stats.transfer_time_us;
+  return result;
+}
+
 }  // namespace gg

@@ -17,7 +17,8 @@ constexpr std::uint32_t kGenTpb = 256;
 
 }  // namespace
 
-Workset::Workset(simt::Device& dev, std::uint32_t num_nodes) : n_(num_nodes) {
+Workset::Workset(simt::Device& dev, std::uint32_t num_nodes, bool scan_gen)
+    : n_(num_nodes), scan_gen_(scan_gen) {
   bitmap_ = dev.alloc<std::uint8_t>(num_nodes, "ws.bitmap");
   queue_ = dev.alloc<std::uint32_t>(num_nodes, "ws.queue");
   queue_len_ = dev.alloc<std::uint32_t>(1, "ws.queue_len");
@@ -47,8 +48,7 @@ void Workset::init_source(simt::Device& dev, std::uint32_t source, WorksetRepr r
 }
 
 std::uint64_t Workset::generate(simt::Device& dev, WorksetRepr repr,
-                                std::span<const std::uint32_t> updated,
-                                GenMethod method) {
+                                std::span<const std::uint32_t> updated) {
   // Counter resets ahead of the generation kernel. In the reference CUDA
   // implementation the previous computation kernel's epilogue clears these
   // scalars in place (the [33]-style queue keeps its tail counter resident),
@@ -73,7 +73,7 @@ std::uint64_t Workset::generate(simt::Device& dev, WorksetRepr repr,
       ctx.store(update_, id, std::uint8_t{0}, kUpdateClear);
       ctx.store(changed_, 0, 1u, kChangedStore);
     });
-  } else if (method == GenMethod::atomic) {
+  } else if (!scan_gen_) {
     // Queue slot assignment is the atomic_add return value, so the queue
     // lists ids in the order their atomics land.
     simt::launch(dev, "workset_gen.queue", grid, [&](simt::ThreadCtx& ctx) {
@@ -115,11 +115,7 @@ void Workset::clear_frontier_bitmap(simt::Device& dev,
   });
 }
 
-void Workset::charge_queue_len_readback(simt::Device& dev) const {
-  dev.account_transfer(sizeof(std::uint32_t), /*to_device=*/false);
-}
-
-void Workset::charge_changed_flag_readback(simt::Device& dev) const {
+void Workset::charge_termination_readback(simt::Device& dev) const {
   dev.account_transfer(sizeof(std::uint32_t), /*to_device=*/false);
 }
 

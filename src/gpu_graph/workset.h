@@ -25,7 +25,14 @@ namespace gg {
 
 class Workset {
  public:
-  Workset(simt::Device& dev, std::uint32_t num_nodes);
+  // `scan_gen` chooses how the queue form is generated (paper Sec. V.C):
+  // false is the basic implementation of [33] (one atomicAdd per inserted
+  // element, serialized on the tail counter); true is the Merrill et al.
+  // optimization the paper cites as orthogonal (an exclusive prefix scan
+  // over the update vector computes insertion offsets without atomics, at
+  // the cost of extra passes over all n flags). Engines pass
+  // EngineOptions::scan_queue_gen.
+  Workset(simt::Device& dev, std::uint32_t num_nodes, bool scan_gen = false);
   void release(simt::Device& dev);
 
   std::uint32_t num_nodes() const { return n_; }
@@ -33,20 +40,11 @@ class Workset {
   // Seeds the working set with the traversal source in `repr` form.
   void init_source(simt::Device& dev, std::uint32_t source, WorksetRepr repr);
 
-  // How the queue form is generated (paper Sec. V.C): `atomic` is the basic
-  // implementation of [33] (one atomicAdd per inserted element — serialized
-  // on the tail counter); `scan` is the Merrill et al. optimization the
-  // paper cites as orthogonal (an exclusive prefix scan over the update
-  // vector computes insertion offsets without atomics, at the cost of extra
-  // passes over all n flags).
-  enum class GenMethod { atomic, scan };
-
   // Runs CUDA_workset_gen: transforms the update vector into `repr`,
   // clearing the flags. `updated` is the sorted host shadow of the set
   // flags. Returns the working-set size (= updated.size()).
   std::uint64_t generate(simt::Device& dev, WorksetRepr repr,
-                         std::span<const std::uint32_t> updated,
-                         GenMethod method = GenMethod::atomic);
+                         std::span<const std::uint32_t> updated);
 
   // Clears the bitmap bits of `frontier` (the sorted current working set).
   // Pull (gather) iterations read the frontier bitmap concurrently from many
@@ -57,14 +55,12 @@ class Workset {
   void clear_frontier_bitmap(simt::Device& dev,
                              std::span<const std::uint32_t> frontier);
 
-  // Termination / monitoring readback costs (paper Sec. VI.E):
-  //  * queue mode: the queue length is read back anyway (the host needs the
-  //    next grid size) — charge_queue_len_readback();
-  //  * bitmap mode: termination uses a 4-byte changed-flag readback; the
-  //    exact working-set size requires the extra population-count kernel,
-  //    charged only on sampled iterations — charge_bitmap_count_kernel().
-  void charge_queue_len_readback(simt::Device& dev) const;
-  void charge_changed_flag_readback(simt::Device& dev) const;
+  // Termination / monitoring costs (paper Sec. VI.E). The per-iteration
+  // termination readback is one 4-byte scalar in either form: the queue
+  // length (which the host needs anyway for the next grid size) or the
+  // bitmap's changed flag. In bitmap form the exact working-set size needs
+  // the extra population-count kernel, charged only on sampled iterations.
+  void charge_termination_readback(simt::Device& dev) const;
   void charge_bitmap_count_kernel(simt::Device& dev) const;
 
   simt::DeviceBuffer<std::uint8_t>& bitmap() { return bitmap_; }
@@ -77,6 +73,7 @@ class Workset {
 
  private:
   std::uint32_t n_ = 0;
+  bool scan_gen_ = false;
   simt::DeviceBuffer<std::uint8_t> bitmap_;      // n bytes
   simt::DeviceBuffer<std::uint32_t> queue_;      // n ids
   simt::DeviceBuffer<std::uint32_t> queue_len_;  // scalar
