@@ -27,8 +27,9 @@
 // them with the exact CPU oracle (degraded outcome), never a wrong answer.
 //
 // Determinism: all device work is host-driven simt accounting, all merges
-// are plain host code over deterministic queue contents (serial launch
-// policy), so sharded outcomes are bit-identical at any --sim-threads.
+// are plain host code over deterministic queue contents (a kernel's blocks
+// run in block order on the calling thread), so sharded outcomes are
+// bit-identical at any --sim-threads.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,8 @@
-// Trace artifacts extend the parallel determinism contract (see
-// parallel_determinism_test.cpp): the Chrome trace document and the decision
-// JSONL produced by a run must be byte-identical for any SIMT thread count,
-// because every event carries modeled time and a launch-order sequence
-// number, never wall-clock or worker identity.
+// Trace artifacts extend the determinism contract (see DESIGN.md "Blocks
+// run in block order" and tests/parallel_drain_test.cpp): the Chrome trace
+// document and the decision JSONL produced by a run must be byte-identical
+// for any SIMT thread count, because every event carries modeled time and a
+// launch-order sequence number, never wall-clock or worker identity.
 #include <gtest/gtest.h>
 
 #include <memory>
