@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "cpu/bfs_serial.h"
 #include "graph/gen/generators.h"
@@ -26,8 +27,10 @@ TEST_P(RewireSweep, AdaptiveBfsCorrectAcrossDiameterRegimes) {
 INSTANTIATE_TEST_SUITE_P(Probabilities, RewireSweep,
                          ::testing::Values(0.0, 0.01, 0.05, 0.2, 0.8),
                          [](const auto& info) {
-                           return "p" + std::to_string(static_cast<int>(
-                                            info.param * 100));
+                           std::string name = "p";
+                           name += std::to_string(
+                               static_cast<int>(info.param * 100));
+                           return name;
                          });
 
 TEST(AdaptiveBehavior, IterationCountDropsWithRewiring) {

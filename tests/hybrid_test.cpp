@@ -2,6 +2,8 @@
 // across thresholds and the performance claim on high-diameter graphs.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cpu/bfs_serial.h"
 #include "cpu/sssp_serial.h"
 #include "gpu_graph/bfs_engine.h"
@@ -41,7 +43,9 @@ TEST_P(ThresholdSweep, SsspCorrectAtEveryThreshold) {
 INSTANTIATE_TEST_SUITE_P(Thresholds, ThresholdSweep,
                          ::testing::Values(1ull, 32ull, 500ull, 100000ull),
                          [](const auto& info) {
-                           return "t" + std::to_string(info.param);
+                           std::string name = "t";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(Hybrid, DisabledByDefault) {
