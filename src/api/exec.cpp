@@ -298,6 +298,9 @@ void record_unit(simt::Device& recorder, const Resident& res,
 
 bool prepare_recording(const Resident& res, const adaptive::Graph& g,
                        const Query& q) {
+  // Builds the host CSC as well when q's policy may pull. Whether the unit
+  // does pull, and so pins the device CSC, shows only as it runs: then
+  // check_pin refuses the recording.
   const GraphViews v = views_for(g, q);
   const bool weights = q.algo == svc::Algo::sssp;
   const gg::DeviceGraph* dg = &res.dg;
@@ -305,7 +308,6 @@ bool prepare_recording(const Resident& res, const adaptive::Graph& g,
     if (!res.sym) return false;
     dg = &*res.sym;
   }
-  if (v.csc != nullptr && !dg->csc_resident(weights)) return false;
   return v.layout == nullptr || dg->rep_resident(v.rep, weights);
 }
 

@@ -79,9 +79,10 @@ svc::Payload run(simt::Device& dev, Resident& res, const adaptive::Graph& g,
 // Readies q for recording against `res` on another thread. Builds here the
 // Graph structures exec::run(q) reads (the CSC, the closure, the layout
 // views), so the recording finds them built by the thread that owns the
-// graph. Returns false when q is bound or likely to pin a structure into
-// `res` — the closure cc runs on, the CSC a pulling policy reads, a fixed
-// _REL/_BIN layout — so recording it would only be refused.
+// graph. Returns false when q is bound to pin a structure into `res` — the
+// closure cc runs on, a fixed _REL/_BIN layout — so recording it would only
+// be refused. A policy that only may pull is recorded: if it pulls without
+// the CSC resident, the recording is refused at that pin.
 bool prepare_recording(const Resident& res, const adaptive::Graph& g,
                        const Query& q);
 

@@ -615,22 +615,28 @@ void GraphService::look_ahead() {
         }
       }
     }
-    if (!is_barred(q.req.graph)) record_ahead(q);
+    // A unit bound to pin is a barrier too: it changes the replica's
+    // residency, so every recording behind it would go stale.
+    if (!is_barred(q.req.graph) && record_ahead(q)) {
+      barred.push_back(q.req.graph);
+    }
     ++i;
   }
 }
 
-void GraphService::record_ahead(const PendingQuery& q) {
+bool GraphService::record_ahead(const PendingQuery& q) {
   const GraphEntry& entry = *graphs_[q.req.graph];
   const Replica* rep = record_replica(entry);
-  if (rep == nullptr || request_error(q.req, *entry.g) != nullptr) return;
-  if (cache_servable(q.req) && cache_.contains(key_for(q.req))) return;
+  if (rep == nullptr || request_error(q.req, *entry.g) != nullptr) {
+    return false;
+  }
+  if (cache_servable(q.req) && cache_.contains(key_for(q.req))) return false;
   for (const auto& u : recorded_) {
-    if (!u->batch && u->id == q.id) return;
+    if (!u->batch && u->id == q.id) return false;
   }
   const exec::Query query{q.req.algo, q.req.source, q.req.damping,
                           q.req.policy, 0};
-  if (!exec::prepare_recording(rep->res, *entry.g, query)) return;
+  if (!exec::prepare_recording(rep->res, *entry.g, query)) return true;
   auto u = std::make_unique<Recorded>();
   u->id = q.id;
   u->graph = q.req.graph;
@@ -643,6 +649,7 @@ void GraphService::record_ahead(const PendingQuery& q) {
   simt::ExecPool::instance().submit(*u);
   ++recording_stats_.recorded;
   recorded_.push_back(std::move(u));
+  return false;
 }
 
 void GraphService::record_batch_ahead(
@@ -714,14 +721,22 @@ exec::Recording* GraphService::take_recorded(
 
 void GraphService::settle(std::optional<GraphId> graph) {
   simt::ExecPool& pool = simt::ExecPool::instance();
+  const auto in_scope = [&](const Recorded& u) {
+    return !graph || u.graph == *graph;
+  };
+  // Take back every queued recording first: wait() runs queued tasks on
+  // this thread, and those would otherwise be recorded only to be dropped.
+  for (const auto& u : recorded_) {
+    if (in_scope(*u)) pool.claim(*u);
+  }
   for (auto it = recorded_.begin(); it != recorded_.end();) {
     Recorded& u = **it;
-    if (graph && u.graph != *graph) {
+    if (!in_scope(u)) {
       ++it;
       continue;
     }
     if (!u.consumed) ++recording_stats_.unused;
-    if (!pool.claim(u)) pool.wait(u);
+    pool.wait(u);
     it = recorded_.erase(it);
   }
 }

@@ -402,10 +402,13 @@ class GraphService {
   bool can_look_ahead() const;
   // Predicts the units the loop dispatches next, as drain() would group the
   // queue, and records those not yet recorded on the pool: at most
-  // 2 x threads in flight, none past a mutation of the same graph, none for
-  // a sharded graph, a stale borrowed graph or a predicted cache hit.
+  // 2 x threads in flight, none past a mutation of the same graph or a unit
+  // bound to pin into it, none for a sharded graph, a stale borrowed graph
+  // or a predicted cache hit.
   void look_ahead();
-  void record_ahead(const PendingQuery& q);
+  // Records q; true when q is bound to pin (exec::prepare_recording), so
+  // the units behind it must wait for the pin.
+  bool record_ahead(const PendingQuery& q);
   void record_batch_ahead(const std::vector<const PendingQuery*>& members);
   // The replica a unit of `entry` is recorded against: the first one on a
   // healthy, recordable device that holds the graph; null when none does or
@@ -420,8 +423,9 @@ class GraphService {
                                  const std::vector<graph::NodeId>& sources,
                                  const GraphEntry& entry, const Replica& rep,
                                  bool resident);
-  // Waits for (or takes back) the recordings reading `graph`, or all of
-  // them, and drops them: before a mutation and at the end of a drain.
+  // Takes back the queued recordings reading `graph`, or all of them, then
+  // waits for the running ones, and drops them: before a mutation and at
+  // the end of a drain.
   void settle(std::optional<GraphId> graph);
   // Runs a unit inline on `rep` and notes whether it pinned anything.
   template <typename Unit>

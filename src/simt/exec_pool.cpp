@@ -8,6 +8,10 @@
 #include <thread>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/check.h"
 
 namespace simt {
@@ -94,6 +98,14 @@ void ExecPool::ensure_workers(int workers) {
   State& st = *state_;
   std::lock_guard<std::mutex> lk(st.workers_m);
   if (static_cast<int>(st.workers.size()) == workers) return;
+#if defined(__GLIBC__)
+  // glibc raises its mmap threshold to the largest mmapped block freed so
+  // far, such as a warp tracer's scratch that outgrew its block. Past that,
+  // the recorders' 64-512 KiB blocks stay in per-thread arenas and add up
+  // in peak RSS. The setting is process-wide, so only a process that
+  // records fixes it.
+  mallopt(M_MMAP_THRESHOLD, 64 * 1024);
+#endif
   stop_workers();
   st.workers.reserve(static_cast<std::size_t>(workers));
   for (int w = 0; w < workers; ++w) {
@@ -116,10 +128,11 @@ void ExecPool::submit(Task& t) {
   AGG_CHECK_MSG(n >= 2, "tasks need a worker thread");
   State& st = *state_;
   AGG_CHECK(t.state_ == Task::State::idle);
-  // Every thread that runs tasks keeps its own launch scratch and malloc
-  // heap, so tasks get half the threads: the caller, which helps in wait(),
-  // and n / 2 - 1 workers (at least one).
-  ensure_workers(std::max(1, n / 2 - 1));
+  // Tasks run on n - 2 workers (at least one) and on the caller, which
+  // helps in wait(). Every thread that runs tasks keeps its own launch
+  // scratch and malloc heap, so n - 1 workers cost too much peak RSS
+  // (DESIGN.md "Threads and memory").
+  ensure_workers(std::max(1, n - 2));
   std::lock_guard<std::mutex> lk(st.m);
   t.state_ = Task::State::queued;
   st.tasks.push_back(&t);

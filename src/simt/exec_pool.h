@@ -49,10 +49,12 @@ class ExecPool {
     enum class State : std::uint8_t { idle, queued, running, done };
     State state_ = State::idle;
   };
-  // Queues t (needs threads() >= 2). Tasks run on threads() / 2 - 1
-  // workers (at least one) and on the thread that wait()s: half the
-  // threads, because each thread that runs tasks keeps its own launch
-  // scratch and malloc heap.
+  // Queues t (needs threads() >= 2). Tasks run on threads() - 2 workers
+  // (at least one) and on the thread that wait()s. Each thread that runs
+  // tasks keeps its own launch scratch and malloc heap; starting the
+  // workers also fixes glibc's mmap threshold at 64 KiB for the process,
+  // so freed recorder blocks go back to the system (DESIGN.md "Threads and
+  // memory").
   void submit(Task& t);
   // Takes back a task no thread has started: true when it was still queued
   // (it will never run). False once a thread has it.

@@ -5,10 +5,11 @@
 // everything the history produced with ==: every outcome's payload bytes,
 // placement and times, every TraversalMetrics field (each iteration's
 // time_us included), and every device's stats, makespan, memory in use and
-// address frontier. The targeted cases also check that the fallback they
-// provoke fired: a pin by an earlier unit, a cache hit, an evicted replica
-// and, at the exec layer, a mutation between record and commit. An armed
-// fault plan or an attached trace sink records nothing.
+// address frontier. The targeted cases also check that what they provoke
+// fired: a pin by an earlier unit, a recording refused at its pin, SSSP
+// committed without the CSC, no recording past a predicted pin, a cache
+// hit, an evicted replica and, at the exec layer, a mutation between record
+// and commit. An armed fault plan or an attached trace sink records nothing.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -279,9 +280,9 @@ svc::QueryRequest query(svc::GraphId id, Algo algo, graph::NodeId source,
 
 // A push-only query first leaves the replica steady, so the push-only
 // queries behind it are recorded against a copy without the CSC. A
-// direction-optimizing one among them is not recorded (it would pin the
-// CSC) and pins it inline; the recordings made before that pin are then
-// stale.
+// direction-optimizing one among them only may pull, so it is recorded as
+// well and bars nothing; it pulls, its recording is refused at the pin, and
+// it pins the CSC inline. The recordings behind it are then stale.
 TEST(ParallelDrainFallback, PinByAnEarlierUnit) {
   svc::ServiceOptions opts;
   opts.concurrency = 4;
@@ -305,6 +306,96 @@ TEST(ParallelDrainFallback, PinByAnEarlierUnit) {
                   [](const svc::GraphService::RecordingStats& st) {
                     return st.stale > 0;
                   });
+}
+
+// Direction-optimizing SSSP never pulls on this graph, so its units are
+// recorded against the replica without the CSC and committed, and the CSC
+// is never pinned: the device holds exactly the upload after the drain.
+TEST(ParallelDrainFallback, SsspRecordedWithoutTheCsc) {
+  svc::ServiceOptions opts;
+  opts.concurrency = 4;
+  opts.cache_bytes = 0;
+  opts.collapse = false;
+  const auto history = [](svc::GraphService& service,
+                          std::vector<std::string>& log) {
+    const svc::GraphId id = service.add_graph(rmat_graph(10));
+    const simt::Device& dev = service.fleet().device(0);
+    const std::uint64_t uploaded = dev.mem_in_use();
+    const adaptive::Policy p =
+        adaptive::Policy::adapt().with_direction(gg::Direction::adaptive);
+    for (graph::NodeId s = 1; s < 12; ++s) {
+      ASSERT_TRUE(service.submit(query(id, Algo::sssp, s, p)).has_value());
+    }
+    snapshot(service, service.drain(), log);
+    EXPECT_EQ(dev.mem_in_use(), uploaded) << "the drain pinned a CSC";
+  };
+  expect_fallback(opts, 1, history,
+                  [](const svc::GraphService::RecordingStats& st) {
+                    return st.committed > 0;
+                  });
+}
+
+// A direction-optimizing BFS behind push-only ones is recorded without the
+// CSC. It pulls, so its recording is refused at the pin, and the unit runs
+// inline with the same answer.
+TEST(ParallelDrainFallback, PullingRecordingIsRefused) {
+  svc::ServiceOptions opts;
+  opts.concurrency = 4;
+  opts.cache_bytes = 0;
+  opts.collapse = false;
+  opts.batch_bfs = false;
+  const auto history = [](svc::GraphService& service,
+                          std::vector<std::string>& log) {
+    const svc::GraphId id = service.add_graph(rmat_graph(10));
+    const adaptive::Policy push = adaptive::Policy::fixed("U_T_BM");
+    const adaptive::Policy pull =
+        adaptive::Policy::adapt().with_direction(gg::Direction::adaptive);
+    for (graph::NodeId s = 1; s < 7; ++s) {
+      ASSERT_TRUE(
+          service.submit(query(id, Algo::bfs, s, s == 6 ? pull : push))
+              .has_value());
+    }
+    snapshot(service, service.drain(), log);
+  };
+  expect_fallback(opts, 1, history,
+                  [](const svc::GraphService::RecordingStats& st) {
+                    return st.refused > 0;
+                  });
+}
+
+// A cc whose closure is not resident is bound to pin it, so look-ahead
+// records nothing behind it until the pin is done: no recording goes stale,
+// and the units behind it are recorded once the replica is steady again.
+TEST(ParallelDrainFallback, NoRecordingPastAPredictedPin) {
+  svc::ServiceOptions opts;
+  opts.concurrency = 4;
+  opts.cache_bytes = 0;
+  opts.collapse = false;
+  opts.batch_bfs = false;
+  const auto history = [](svc::GraphService& service,
+                          std::vector<std::string>& log) {
+    const svc::GraphId id = service.add_graph(rmat_graph(10));
+    const adaptive::Policy push = adaptive::Policy::fixed("U_T_BM");
+    for (graph::NodeId s = 1; s < 16; ++s) {
+      ASSERT_TRUE(service
+                      .submit(s == 6 ? query(id, Algo::cc, 0,
+                                             adaptive::Policy::adapt())
+                                     : query(id, Algo::bfs, s, push))
+                      .has_value());
+    }
+    snapshot(service, service.drain(), log);
+  };
+  const Result serial = at_threads(1, opts, 1, history);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  bool committed = false;
+  for (int attempt = 0; attempt < 4; ++attempt) {
+    const Result pooled = at_threads(4, opts, 1, history);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    expect_same(serial, pooled, 4);
+    EXPECT_EQ(pooled.stats.stale, 0u) << "attempt " << attempt;
+    committed = committed || pooled.stats.committed > 0;
+  }
+  EXPECT_TRUE(committed) << "nothing was committed";
 }
 
 // Two identical queries, collapsing off: both are recorded, and the first
