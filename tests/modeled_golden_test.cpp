@@ -10,6 +10,10 @@
 //  * the push shapes: gg::run_{bfs,sssp,cc,pagerank,mst,bfs_multi} and
 //    gg::run_frontier under each of U_{T,B,W}_{BM,QU} on the RMAT graph,
 //    each line also carrying a digest of the launched kernels' names;
+//  * hybrid CPU phases: gg::run_{bfs,sssp} under the adaptive selector with
+//    hybrid_cpu_threshold = 64, on both graphs;
+//  * sampled monitoring: all seven engines under the adaptive selector at
+//    monitor_interval = 4 on the RMAT graph;
 //  * 16 mixed BFS/SSSP queries through a registered Session, and the same
 //    queries through a one-device GraphService at concurrency 4;
 //  * a fleet serve: a Zipf-skewed BFS/SSSP/CC/PageRank stream on a
@@ -42,6 +46,7 @@
 #include "gpu_graph/mst_engine.h"
 #include "graph/gen/generators.h"
 #include "runtime/adaptive_engine.h"
+#include "runtime/decision.h"
 #include "service/graph_service.h"
 #include "simt/exec_pool.h"
 #include "trace/json_writer.h"
@@ -241,6 +246,79 @@ void paper_path(const std::string& gname, const Graphs& gs,
   }
 }
 
+// Runs `call` on a fresh device and appends its line, with a digest of the
+// launched kernels' names in launch order.
+template <typename Call>
+void record_named(const std::string& name, Call&& call,
+                  std::vector<std::string>& out) {
+  simt::Device dev;
+  Digest names;
+  dev.set_kernel_observer(
+      [&](const simt::KernelStats& ks) { names.add_str(ks.name); });
+  const simt::DeviceStats before = dev.stats();
+  const auto r = call(dev);
+  Digest d;
+  if constexpr (requires { r.level; }) d.add_all(r.level);
+  if constexpr (requires { r.levels; }) d.add_all(r.levels);
+  if constexpr (requires { r.dist; }) d.add_all(r.dist);
+  if constexpr (requires { r.component; }) d.add_all(r.component);
+  if constexpr (requires { r.rank; }) d.add_all(r.rank);
+  if constexpr (requires { r.total_weight; }) d.add(r.total_weight);
+  out.push_back(line(name, d.hex(), r.metrics, before, dev.stats(),
+                     names.hex()));
+}
+
+// BFS as a user operator, as tests/generic_engine_test.cpp writes it.
+struct OperatorBfs {
+  std::vector<std::uint32_t> level;
+  gg::TraversalMetrics metrics;
+};
+
+OperatorBfs operator_bfs(simt::Device& dev, const graph::Csr& g,
+                         graph::NodeId src, const gg::VariantSelector& selector,
+                         const gg::EngineOptions& opts) {
+  static constexpr simt::Site kLevel{0, "op.level"};
+  static constexpr simt::Site kRows{1, "op.rows"};
+  static constexpr simt::Site kEdges{2, "op.edges"};
+  static constexpr simt::Site kNbr{3, "op.nbr"};
+  static constexpr simt::Site kOps{4, "op.ops"};
+  gg::DeviceGraph dg = gg::DeviceGraph::upload(dev, g, false);
+  auto level = dev.alloc<std::uint32_t>(g.num_nodes, "op.level");
+  dev.fill(level, graph::kInfinity);
+  dev.write_scalar(level, src, 0u);
+  const auto op = [&](simt::ThreadCtx& ctx, std::uint32_t id,
+                      std::uint32_t offset, std::uint32_t step,
+                      gg::Push& push) {
+    const std::uint32_t lvl = ctx.load(level, id, kLevel);
+    const std::uint32_t begin = ctx.load(dg.row_offsets, id, kRows);
+    const std::uint32_t end = ctx.load(dg.row_offsets, id + 1, kRows);
+    ctx.compute(4, kOps);
+    for (std::uint32_t e = begin + offset; e < end; e += step) {
+      const std::uint32_t t = ctx.load(dg.col_indices, e, kEdges);
+      ctx.compute(3, kOps);
+      if (lvl + 1 < ctx.load(level, t, kNbr)) {
+        ctx.store(level, t, lvl + 1, kNbr);
+        push.mark(t);
+      }
+    }
+  };
+  OperatorBfs r;
+  r.metrics = gg::run_frontier(dev, g, dg, {src}, op, selector, opts).metrics;
+  r.level.assign(level.host_view().begin(), level.host_view().end());
+  dev.free(level);
+  dg.release(dev);
+  return r;
+}
+
+std::vector<graph::NodeId> batch_sources(const graph::Csr& g,
+                                         graph::NodeId src) {
+  std::vector<graph::NodeId> sources;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    sources.push_back((src + i * 509u) % g.num_nodes);
+  }
+  return sources;
+}
+
 // The engines' push kernels under every fixed launch shape: thread, block
 // and warp mapping over a bitmap and a queue working set. The adaptive
 // selector never picks warp mapping, so only these cases pin the W_ shapes.
@@ -254,69 +332,15 @@ void shapes(const Graphs& gs, std::vector<std::string>& out) {
   opts.block_tpb = 64;
   gg::PageRankOptions pr_opts;
   pr_opts.engine = opts;
-  std::vector<graph::NodeId> sources;
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    sources.push_back((src + i * 509u) % g.num_nodes);
-  }
-  // BFS as a user operator, as tests/generic_engine_test.cpp writes it.
-  struct OperatorBfs {
-    std::vector<std::uint32_t> level;
-    gg::TraversalMetrics metrics;
-  };
-  const auto operator_bfs = [&](simt::Device& dev, gg::Variant v) {
-    static constexpr simt::Site kLevel{0, "op.level"};
-    static constexpr simt::Site kRows{1, "op.rows"};
-    static constexpr simt::Site kEdges{2, "op.edges"};
-    static constexpr simt::Site kNbr{3, "op.nbr"};
-    static constexpr simt::Site kOps{4, "op.ops"};
-    gg::DeviceGraph dg = gg::DeviceGraph::upload(dev, g, false);
-    auto level = dev.alloc<std::uint32_t>(g.num_nodes, "op.level");
-    dev.fill(level, graph::kInfinity);
-    dev.write_scalar(level, src, 0u);
-    const auto op = [&](simt::ThreadCtx& ctx, std::uint32_t id,
-                        std::uint32_t offset, std::uint32_t step,
-                        gg::Push& push) {
-      const std::uint32_t lvl = ctx.load(level, id, kLevel);
-      const std::uint32_t begin = ctx.load(dg.row_offsets, id, kRows);
-      const std::uint32_t end = ctx.load(dg.row_offsets, id + 1, kRows);
-      ctx.compute(4, kOps);
-      for (std::uint32_t e = begin + offset; e < end; e += step) {
-        const std::uint32_t t = ctx.load(dg.col_indices, e, kEdges);
-        ctx.compute(3, kOps);
-        if (lvl + 1 < ctx.load(level, t, kNbr)) {
-          ctx.store(level, t, lvl + 1, kNbr);
-          push.mark(t);
-        }
-      }
-    };
-    OperatorBfs r;
-    r.metrics =
-        gg::run_frontier(dev, g, dg, {src}, op, gg::fixed_variant(v), opts)
-            .metrics;
-    r.level.assign(level.host_view().begin(), level.host_view().end());
-    dev.free(level);
-    dg.release(dev);
-    return r;
-  };
+  const std::vector<graph::NodeId> sources = batch_sources(g, src);
   // Runs `call` under each shape on a fresh device.
   const auto record = [&](const std::string& engine, auto&& call) {
     for (const char* shape :
          {"U_T_BM", "U_T_QU", "U_B_BM", "U_B_QU", "U_W_BM", "U_W_QU"}) {
-      simt::Device dev;
-      Digest names;
-      dev.set_kernel_observer(
-          [&](const simt::KernelStats& ks) { names.add_str(ks.name); });
-      const simt::DeviceStats before = dev.stats();
-      const auto r = call(dev, gg::parse_variant(shape));
-      Digest d;
-      if constexpr (requires { r.level; }) d.add_all(r.level);
-      if constexpr (requires { r.levels; }) d.add_all(r.levels);
-      if constexpr (requires { r.dist; }) d.add_all(r.dist);
-      if constexpr (requires { r.component; }) d.add_all(r.component);
-      if constexpr (requires { r.rank; }) d.add_all(r.rank);
-      if constexpr (requires { r.total_weight; }) d.add(r.total_weight);
-      out.push_back(line("shapes/rmat/" + engine + "/" + shape, d.hex(),
-                         r.metrics, before, dev.stats(), names.hex()));
+      record_named(
+          "shapes/rmat/" + engine + "/" + shape,
+          [&](simt::Device& dev) { return call(dev, gg::parse_variant(shape)); },
+          out);
     }
   };
   record("bfs", [&](simt::Device& dev, gg::Variant v) {
@@ -337,7 +361,82 @@ void shapes(const Graphs& gs, std::vector<std::string>& out) {
   record("bfs_multi", [&](simt::Device& dev, gg::Variant v) {
     return gg::run_bfs_multi(dev, g, sources, gg::fixed_variant(v), opts);
   });
-  record("generic", operator_bfs);
+  record("generic", [&](simt::Device& dev, gg::Variant v) {
+    return operator_bfs(dev, g, src, gg::fixed_variant(v), opts);
+  });
+}
+
+// The adaptive runtime's selector for `dev`, deciding every `interval`
+// iterations.
+gg::VariantSelector adaptive_selector(
+    const simt::Device& dev, std::uint32_t interval, const char* algo,
+    gg::Direction direction = gg::Direction::push) {
+  return rt::make_adaptive_selector(rt::Thresholds::for_device(dev.props()),
+                                    interval, algo, direction);
+}
+
+// Hybrid CPU phases: frontiers below 64 nodes run on the host, with the
+// state-array transfers at every switch, under the direction-optimizing
+// selector.
+void hybrid(const std::string& gname, const Graphs& gs,
+            std::vector<std::string>& out) {
+  const graph::Csr& g = gs.plain.csr();
+  const graph::Csr& gw = gs.weighted.csr();
+  const graph::NodeId src = gs.plain.default_source();
+  gg::EngineOptions opts;
+  opts.monitor_interval = 1;
+  opts.hybrid_cpu_threshold = 64;
+  record_named("hybrid/" + gname + "/bfs", [&](simt::Device& dev) {
+    return gg::run_bfs(dev, g, src,
+                       adaptive_selector(dev, 1, "bfs", gg::Direction::adaptive),
+                       opts);
+  }, out);
+  record_named("hybrid/" + gname + "/sssp", [&](simt::Device& dev) {
+    return gg::run_sssp(dev, gw, src,
+                        adaptive_selector(dev, 1, "sssp", gg::Direction::adaptive),
+                        opts);
+  }, out);
+}
+
+// Sampled monitoring (paper Sec. VI.E (ii)): every engine decides only at
+// every fourth iteration, with persistent runs on for BFS and SSSP.
+void sampled(const Graphs& gs, std::vector<std::string>& out) {
+  const graph::Csr& g = gs.plain.csr();
+  const graph::NodeId src = gs.plain.default_source();
+  rt::AdaptiveOptions ao;
+  ao.monitor_interval = 4;
+  ao.direction = gg::Direction::adaptive;
+  ao.persistent = true;
+  rt::AdaptiveOptions push_ao = ao;
+  push_ao.direction = gg::Direction::push;
+  record_named("sampled/rmat/bfs", [&](simt::Device& dev) {
+    return rt::adaptive_bfs(dev, g, src, ao);
+  }, out);
+  record_named("sampled/rmat/sssp", [&](simt::Device& dev) {
+    return rt::adaptive_sssp(dev, gs.weighted.csr(), src, ao);
+  }, out);
+  record_named("sampled/rmat/cc", [&](simt::Device& dev) {
+    return rt::adaptive_cc(dev, gs.plain.symmetrized(), ao);
+  }, out);
+  record_named("sampled/rmat/pagerank", [&](simt::Device& dev) {
+    return rt::adaptive_pagerank(dev, g, {}, push_ao);
+  }, out);
+  record_named("sampled/rmat/mst", [&](simt::Device& dev) {
+    return rt::adaptive_mst(dev, gs.weighted.symmetrized(), push_ao);
+  }, out);
+  const std::vector<graph::NodeId> sources = batch_sources(g, src);
+  record_named("sampled/rmat/bfs_multi", [&](simt::Device& dev) {
+    gg::DeviceGraph dg = gg::DeviceGraph::upload(dev, g, false);
+    auto r = rt::adaptive_bfs_multi(dev, dg, g, sources, push_ao);
+    dg.release(dev);
+    return r;
+  }, out);
+  record_named("sampled/rmat/generic", [&](simt::Device& dev) {
+    gg::EngineOptions opts;
+    opts.monitor_interval = 4;
+    return operator_bfs(dev, g, src, adaptive_selector(dev, 4, "generic"),
+                        opts);
+  }, out);
 }
 
 struct MixedQuery {
@@ -622,6 +721,9 @@ TEST(ModeledGolden, MatrixMatchesGoldenFile) {
   paper_path("rmat", rmat, lines);
   paper_path("road", road, lines);
   shapes(rmat, lines);
+  hybrid("rmat", rmat, lines);
+  hybrid("road", road, lines);
+  sampled(rmat, lines);
   const std::vector<std::string> serial = serving_lines(road, rmat, 1);
   ASSERT_FALSE(HasFatalFailure());
   lines.insert(lines.end(), serial.begin(), serial.end());
