@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "gpu_graph/frontier_launch.h"
-#include "gpu_graph/workset.h"
 
 namespace gg {
 namespace {
@@ -24,62 +23,65 @@ constexpr simt::Site kQueueLoad{10, "msbfs.queue-load"};
 constexpr simt::Site kBitmapClear{11, "msbfs.bitmap-clear"};
 constexpr simt::Site kBitOps{12, "msbfs.bit-ops"};
 
-struct MultiState {
-  simt::DeviceBuffer<std::uint32_t>* frontier_mask;
-  simt::DeviceBuffer<std::uint32_t>* visited;
-  simt::DeviceBuffer<std::uint32_t>* next_mask;
-  simt::DeviceBuffer<std::uint32_t>* levels;  // n * k
-  DeviceGraph* graph;
-  Workset* ws;
-  std::vector<std::uint32_t>* updated;  // host shadow of set update flags
-  std::uint32_t k = 0;                  // batch width
-  std::uint32_t depth = 0;              // current iteration = level being set
-};
-
-// Shared per-element body (cf. bfs_engine.cpp visit_element): the caller
-// chooses adjacency partitioning per mapping. Mask buffers are never
-// cleared: a stale bit is, by construction, one the node already expanded
-// the last time it sat in the working set, so every neighbor's visited word
-// already contains it and `fresh` masks it out. Frontier membership comes
-// from the workset, not from the mask words.
-void visit_element(simt::ThreadCtx& ctx, MultiState& st, std::uint32_t id,
-                   std::uint32_t offset, std::uint32_t step) {
-  const std::uint32_t fm = ctx.load(*st.frontier_mask, id, kFrontierMask);
-  const std::uint32_t begin = ctx.load(st.graph->row_offsets, id, kRowOffsets);
-  const std::uint32_t end = ctx.load(st.graph->row_offsets, id + 1, kRowOffsets);
-  ctx.compute(4, kNodeOps);
-
-  for (std::uint32_t e = begin + offset; e < end; e += step) {
-    const std::uint32_t t = ctx.load(st.graph->col_indices, e, kEdgeLoad);
-    ctx.compute(3, kEdgeOps);
-    const std::uint32_t vis = ctx.load(*st.visited, t, kVisited);
-    std::uint32_t fresh = fm & ~vis;
-    if (fresh == 0) continue;
-    // Blocks run in block order on one host thread, so the read-modify-write
-    // pair models atomicOr's cost without needing one.
-    ctx.store(*st.visited, t, vis | fresh, kVisited);
-    const std::uint32_t nm = ctx.load(*st.next_mask, t, kNextMask);
-    ctx.store(*st.next_mask, t, nm | fresh, kNextMask);
-    // One level store per search that just reached t; lockstep advance makes
-    // the level exactly the current depth for every fresh bit.
-    while (fresh != 0) {
-      const auto s = static_cast<std::uint32_t>(std::countr_zero(fresh));
-      ctx.compute(3, kBitOps);  // ctz + clear-lowest + index arithmetic
-      ctx.store(*st.levels, static_cast<std::size_t>(t) * st.k + s, st.depth,
-                kLevelStore);
-      fresh &= fresh - 1;
-    }
-    if (ctx.load(st.ws->update(), t, kUpdateLoad) == 0) {
-      ctx.store(st.ws->update(), t, std::uint8_t{1}, kUpdateStore);
-      st.updated->push_back(t);
-    }
-  }
-}
-
 constexpr FrontierKernels kCompute{
     "msbfs.compute.T_BM", "msbfs.compute.T_QU", "msbfs.compute.B_BM",
     "msbfs.compute.B_QU", "msbfs.compute.W_BM", "msbfs.compute.W_QU",
-    kQueueLoad, kBitmapClear};
+    kQueueLoad,           kBitmapClear,         kUpdateLoad,
+    kUpdateStore};
+using Loop = FrontierLoop<kCompute>;
+
+struct MultiEngine {
+  simt::DeviceBuffer<std::uint32_t>& frontier_mask;
+  simt::DeviceBuffer<std::uint32_t>& visited;
+  simt::DeviceBuffer<std::uint32_t>& next_mask;
+  simt::DeviceBuffer<std::uint32_t>& levels;  // n * k
+  const DeviceGraph& dg;
+  std::uint32_t k = 0;      // batch width
+  std::uint32_t depth = 0;  // current iteration = level being set
+
+  void before_compute(Loop& loop) { depth = loop.iteration; }
+
+  // Shared per-element body (cf. bfs_engine.cpp): the caller chooses
+  // adjacency partitioning per mapping. Mask buffers are never cleared: a
+  // stale bit is, by construction, one the node already expanded the last
+  // time it sat in the working set, so every neighbor's visited word
+  // already contains it and `fresh` masks it out. Frontier membership comes
+  // from the workset, not from the mask words.
+  void element(simt::ThreadCtx& ctx, std::uint32_t id, std::uint32_t offset,
+               std::uint32_t step, FrontierPush<kCompute>& push) {
+    const std::uint32_t fm = ctx.load(frontier_mask, id, kFrontierMask);
+    const std::uint32_t begin = ctx.load(dg.row_offsets, id, kRowOffsets);
+    const std::uint32_t end = ctx.load(dg.row_offsets, id + 1, kRowOffsets);
+    ctx.compute(4, kNodeOps);
+
+    for (std::uint32_t e = begin + offset; e < end; e += step) {
+      const std::uint32_t t = ctx.load(dg.col_indices, e, kEdgeLoad);
+      ctx.compute(3, kEdgeOps);
+      const std::uint32_t vis = ctx.load(visited, t, kVisited);
+      std::uint32_t fresh = fm & ~vis;
+      if (fresh == 0) continue;
+      // Blocks run in block order on one host thread, so the
+      // read-modify-write pair models atomicOr's cost without needing one.
+      ctx.store(visited, t, vis | fresh, kVisited);
+      const std::uint32_t nm = ctx.load(next_mask, t, kNextMask);
+      ctx.store(next_mask, t, nm | fresh, kNextMask);
+      // One level store per search that just reached t; lockstep advance
+      // makes the level exactly the current depth for every fresh bit.
+      while (fresh != 0) {
+        const auto s = static_cast<std::uint32_t>(std::countr_zero(fresh));
+        ctx.compute(3, kBitOps);  // ctz + clear-lowest + index arithmetic
+        ctx.store(levels, static_cast<std::size_t>(t) * k + s, depth,
+                  kLevelStore);
+        fresh &= fresh - 1;
+      }
+      push.mark(t);
+    }
+  }
+
+  // The old frontier buffer becomes next iteration's accumulation target;
+  // its stale bits are harmless (see element).
+  void after_compute(Loop&) { std::swap(frontier_mask, next_mask); }
+};
 
 }  // namespace
 
@@ -108,8 +110,6 @@ GpuBfsMultiResult run_bfs_multi(simt::Device& dev, DeviceGraph& dg,
   GpuBfsMultiResult result;
   const auto k = static_cast<std::uint32_t>(sources.size());
   result.num_sources = k;
-  const std::uint32_t block_tpb =
-      opts.block_tpb ? opts.block_tpb : derive_block_tpb(dg.avg_outdegree);
 
   auto frontier_mask = dev.alloc<std::uint32_t>(g.num_nodes, "msbfs.frontier_mask");
   auto visited = dev.alloc<std::uint32_t>(g.num_nodes, "msbfs.visited");
@@ -121,100 +121,38 @@ GpuBfsMultiResult run_bfs_multi(simt::Device& dev, DeviceGraph& dg,
   dev.fill(visited, 0u);
   dev.fill(next_mask, 0u);
   dev.fill(levels, graph::kInfinity);
-  Workset ws(dev, g.num_nodes, opts.scan_queue_gen);
+  Loop loop(dev, g, dg, opts, result.metrics);
 
   // Seed: distinct source nodes form the initial frontier; a node hosting
   // several batched sources simply starts with several bits.
-  std::vector<std::uint32_t> frontier;
+  std::vector<std::uint32_t> seeds;
   for (std::uint32_t s = 0; s < k; ++s) {
     const std::uint32_t v = sources[s];
     dev.write_scalar(frontier_mask, v,
                      frontier_mask.host_view()[v] | (1u << s));
     dev.write_scalar(visited, v, visited.host_view()[v] | (1u << s));
     dev.write_scalar(levels, static_cast<std::size_t>(v) * k + s, 0u);
-    if (std::find(frontier.begin(), frontier.end(), v) == frontier.end()) {
-      frontier.push_back(v);
+    if (std::find(seeds.begin(), seeds.end(), v) == seeds.end()) {
+      seeds.push_back(v);
     }
   }
-  std::sort(frontier.begin(), frontier.end());
 
-  SelectorInput sel;
-  sel.iteration = 0;
-  sel.ws_size = frontier.size();
-  sel.avg_outdegree = dg.avg_outdegree;
-  sel.outdeg_stddev = dg.outdeg_stddev;
-  sel.num_nodes = g.num_nodes;
-  Variant variant = selector(sel);
-  variant.ordering = Ordering::unordered;  // lockstep masks have no ordered form
-  for (const std::uint32_t v : frontier) {
-    // Materialize the initial working set in `variant.repr` form through the
-    // regular generation path (flags were just written host-side).
-    dev.write_scalar(ws.update(), v, std::uint8_t{1});
-  }
-  ws.generate(dev, variant.repr, frontier);
+  loop.sel.ws_size = seeds.size();
+  loop.variant = selector(loop.sel);
+  // Lockstep masks have no ordered form.
+  loop.variant.ordering = Ordering::unordered;
+  // Materialize the initial working set in `variant.repr` form through the
+  // regular generation path.
+  loop.seed(std::move(seeds), /*charged=*/true);
 
-  std::vector<std::uint32_t> updated;
-  MultiState st{&frontier_mask, &visited, &next_mask,
-                &levels,        &dg,      &ws,
-                &updated,       k,        0};
-
-  const std::uint64_t max_iters =
-      opts.max_iterations ? opts.max_iterations : 4ull * g.num_nodes + 64;
-
-  std::uint32_t iteration = 0;
-  while (!frontier.empty()) {
-    ++iteration;
-    AGG_CHECK_MSG(iteration <= max_iters, "multi-source BFS failed to converge");
-    IterationClock t_iter{dev.mark()};
-    st.depth = iteration;
-
-    std::uint64_t frontier_edges = 0;
-    for (const std::uint32_t v : frontier) frontier_edges += g.degree(v);
-    result.metrics.edges_processed += frontier_edges;
-
-    launch_frontier<kCompute>(
-        dev, variant, ws, frontier, opts.thread_tpb, block_tpb,
-        [&](simt::ThreadCtx& ctx, std::uint32_t id, std::uint32_t offset,
-            std::uint32_t step) { visit_element(ctx, st, id, offset, step); });
-    ws.charge_termination_readback(dev);
-    std::sort(updated.begin(), updated.end());
-
-    // The old frontier buffer becomes next iteration's accumulation target;
-    // its stale bits are harmless (see visit_element).
-    std::swap(frontier_mask, next_mask);
-    st.frontier_mask = &frontier_mask;
-    st.next_mask = &next_mask;
-
-    Variant next = variant;
-    if (opts.monitor_interval > 0 && iteration % opts.monitor_interval == 0) {
-      if (variant.repr == WorksetRepr::bitmap) {
-        ws.charge_bitmap_count_kernel(dev);
-      }
-      sel.iteration = iteration;
-      sel.ws_size = updated.size();
-      ++result.metrics.decisions;
-      next = selector(sel);
-      next.ordering = Ordering::unordered;
-      if (next != variant) ++result.metrics.switches;
-    }
-
-    if (!updated.empty()) {
-      ws.generate(dev, next.repr, updated);
-    }
-
-    record_iteration(result.metrics, "msbfs",
-                     {iteration, frontier.size(), variant},
-                     t_iter, dev.mark());
-    frontier.swap(updated);
-    updated.clear();
-    variant = next;
-  }
+  MultiEngine engine{frontier_mask, visited, next_mask, levels, dg, k};
+  loop.run(engine, "msbfs", selector, 4ull * g.num_nodes + 64);
 
   // Download the full levels matrix (n x k) — the batch's entire answer.
   result.levels.resize(static_cast<std::size_t>(g.num_nodes) * k);
   dev.memcpy_d2h(std::span<std::uint32_t>(result.levels), levels);
 
-  ws.release(dev);
+  loop.ws.release(dev);
   dev.free(frontier_mask);
   dev.free(visited);
   dev.free(next_mask);

@@ -7,7 +7,6 @@
 
 #include "gpu_graph/device_graph.h"
 #include "gpu_graph/frontier_launch.h"
-#include "gpu_graph/workset.h"
 
 namespace gg {
 namespace {
@@ -36,15 +35,6 @@ constexpr std::uint32_t unpack_arc(std::uint64_t packed) {
 constexpr std::uint32_t unpack_weight(std::uint64_t packed) {
   return static_cast<std::uint32_t>(packed >> 32);
 }
-
-struct MstState {
-  simt::DeviceBuffer<std::uint32_t>* comp;
-  simt::DeviceBuffer<std::uint64_t>* best;
-  simt::DeviceBuffer<std::uint32_t>* canon;  // canonical undirected-edge ids
-  DeviceGraph* graph;
-  Workset* ws;
-  std::vector<std::uint32_t>* updated;  // nodes still live next round
-};
 
 // Both arcs of an undirected edge must sort identically under the Boruvka
 // tie-break, or equal-weight ties could hook components into cycles longer
@@ -90,39 +80,6 @@ std::vector<std::uint32_t> canonical_edge_ids(const graph::Csr& g) {
   return canon;
 }
 
-// The traced working-set kernel: scan the node's adjacency for the minimum
-// cross-component arc and fold it into the component's best slot.
-void find_min_element(simt::ThreadCtx& ctx, MstState& st, std::uint32_t id,
-                      std::uint32_t offset, std::uint32_t step) {
-  const std::uint32_t rv = ctx.load(*st.comp, id, kCompLoad);
-  const std::uint32_t begin = ctx.load(st.graph->row_offsets, id, kRowOffsets);
-  const std::uint32_t end = ctx.load(st.graph->row_offsets, id + 1, kRowOffsets);
-  ctx.compute(4, kNodeOps);
-
-  bool saw_cross = false;
-  for (std::uint32_t e = begin + offset; e < end; e += step) {
-    const std::uint32_t t = ctx.load(st.graph->col_indices, e, kEdgeLoad);
-    const std::uint32_t w = ctx.load(st.graph->weights, e, kWeightLoad);
-    const std::uint32_t rt = ctx.load(*st.comp, t, kNbrComp);
-    ctx.compute(4, kEdgeOps);
-    if (rt == rv) continue;
-    saw_cross = true;
-    const std::uint32_t c = ctx.load(*st.canon, e, kEdgeLoad);
-    ctx.atomic_min(*st.best, rv, pack(w, c), kBestMin);
-  }
-  if (saw_cross) {
-    if (ctx.load(st.ws->update(), id, kUpdateLoad) == 0) {
-      ctx.store(st.ws->update(), id, std::uint8_t{1}, kUpdateStore);
-      st.updated->push_back(id);
-    }
-  }
-}
-
-constexpr FrontierKernels kFindMin{
-    "mst.findmin.T_BM", "mst.findmin.T_QU", "mst.findmin.B_BM",
-    "mst.findmin.B_QU", "mst.findmin.W_BM", "mst.findmin.W_QU",
-    kQueueLoad, kBitmapClear};
-
 // Source node of an arc (binary search over the row offsets; host side only,
 // used during hooking).
 std::uint32_t edge_source(const graph::Csr& g, std::uint32_t arc) {
@@ -142,6 +99,130 @@ void charge_aux_kernel(simt::Device& dev, const char* name, std::uint64_t thread
       simt::estimate_uniform_kernel(dev.props(), dev.timing(), name, threads, 256, c));
 }
 
+constexpr FrontierKernels kFindMin{
+    "mst.findmin.T_BM", "mst.findmin.T_QU", "mst.findmin.B_BM",
+    "mst.findmin.B_QU", "mst.findmin.W_BM", "mst.findmin.W_QU",
+    kQueueLoad,         kBitmapClear,       kUpdateLoad,
+    kUpdateStore};
+using Loop = FrontierLoop<kFindMin>;
+
+// Boruvka rounds: the traced find-min kernel over the components' working
+// set, then hooking, cycle breaking and pointer jumping on the host with
+// analytic charges.
+struct MstEngine {
+  const graph::Csr& g;
+  const DeviceGraph& dg;
+  simt::DeviceBuffer<std::uint32_t>& comp;
+  simt::DeviceBuffer<std::uint64_t>& best;
+  simt::DeviceBuffer<std::uint32_t>& canon;  // canonical undirected-edge ids
+  // arc_of[canonical id] = one arc carrying it (for weight/endpoint lookup).
+  std::vector<std::uint32_t> arc_of;
+  GpuMstResult& result;
+  std::vector<std::uint32_t> parent;
+  std::vector<std::uint8_t> selected;
+  std::vector<std::uint32_t> live_roots;
+
+  // (1) Reset best slots of the components still in play.
+  void before_compute(Loop& loop) {
+    live_roots.clear();
+    auto comp_view = comp.host_view();
+    auto best_view = best.host_view();
+    for (const std::uint32_t v : loop.frontier) {
+      const std::uint32_t r = comp_view[v];
+      live_roots.push_back(r);
+      best_view[r] = kNoEdge;
+    }
+    std::sort(live_roots.begin(), live_roots.end());
+    live_roots.erase(std::unique(live_roots.begin(), live_roots.end()),
+                     live_roots.end());
+    charge_aux_kernel(loop.dev, "mst.reset_best", live_roots.size(), 1);
+  }
+
+  // (2) The traced working-set kernel: scan the node's adjacency for the
+  // minimum cross-component arc and fold it into the component's best slot.
+  void element(simt::ThreadCtx& ctx, std::uint32_t id, std::uint32_t offset,
+               std::uint32_t step, FrontierPush<kFindMin>& push) {
+    const std::uint32_t rv = ctx.load(comp, id, kCompLoad);
+    const std::uint32_t begin = ctx.load(dg.row_offsets, id, kRowOffsets);
+    const std::uint32_t end = ctx.load(dg.row_offsets, id + 1, kRowOffsets);
+    ctx.compute(4, kNodeOps);
+
+    bool saw_cross = false;
+    for (std::uint32_t e = begin + offset; e < end; e += step) {
+      const std::uint32_t t = ctx.load(dg.col_indices, e, kEdgeLoad);
+      const std::uint32_t w = ctx.load(dg.weights, e, kWeightLoad);
+      const std::uint32_t rt = ctx.load(comp, t, kNbrComp);
+      ctx.compute(4, kEdgeOps);
+      if (rt == rv) continue;
+      saw_cross = true;
+      const std::uint32_t c = ctx.load(canon, e, kEdgeLoad);
+      ctx.atomic_min(best, rv, pack(w, c), kBestMin);
+    }
+    if (saw_cross) push.mark(id);  // still live next round
+  }
+
+  void after_compute(Loop& loop) {
+    // (3) Hook components along their best arcs (per-root kernel).
+    std::iota(parent.begin(), parent.end(), 0u);
+    std::uint32_t hooks = 0;
+    auto comp_view = comp.host_view();
+    auto best_view = best.host_view();
+    for (const std::uint32_t r : live_roots) {
+      if (best_view[r] == kNoEdge) continue;
+      const std::uint32_t arc = arc_of[unpack_arc(best_view[r])];
+      // Hook towards the side of the arc that is NOT r's component.
+      const std::uint32_t rt = comp_view[g.col_indices[arc]];
+      parent[r] = rt != r ? rt : comp_view[edge_source(g, arc)];
+      ++hooks;
+    }
+    charge_aux_kernel(loop.dev, "mst.hook", live_roots.size(), 3);
+
+    // (4) Break symmetric hooks: the smaller root stays a root; the
+    // surviving hook's arc joins the forest.
+    for (const std::uint32_t r : live_roots) {
+      if (parent[r] != r && parent[parent[r]] == r && r < parent[r]) {
+        parent[r] = r;
+        --hooks;
+      }
+    }
+    charge_aux_kernel(loop.dev, "mst.cycle_break", live_roots.size(), 2);
+    for (const std::uint32_t r : live_roots) {
+      if (parent[r] == r || best_view[r] == kNoEdge) continue;
+      const std::uint32_t c = unpack_arc(best_view[r]);  // canonical id
+      if (!selected[c]) {
+        selected[c] = 1;
+        result.total_weight += unpack_weight(best_view[r]);
+        ++result.edges_in_forest;
+      }
+    }
+
+    // (5) Pointer jumping: flatten every node's label to its new root.
+    std::uint32_t jump_passes = 0;
+    bool changed = true;
+    while (changed) {
+      changed = false;
+      ++jump_passes;
+      for (const std::uint32_t r : live_roots) {
+        if (parent[r] != parent[parent[r]]) {
+          parent[r] = parent[parent[r]];
+          changed = true;
+        }
+      }
+    }
+    for (std::uint32_t v = 0; v < g.num_nodes; ++v) {
+      comp_view[v] = parent[comp_view[v]];
+    }
+    // One per-node relabel pass plus jump_passes passes over the roots.
+    charge_aux_kernel(loop.dev, "mst.relabel", g.num_nodes, 2);
+    for (std::uint32_t p = 0; p < jump_passes; ++p) {
+      charge_aux_kernel(loop.dev, "mst.jump", live_roots.size(), 2);
+    }
+    // No component merged: the surviving update flags are stale; the loop
+    // clears them and stops.
+    loop.last = hooks == 0;
+  }
+};
+
 }  // namespace
 
 GpuMstResult run_mst(simt::Device& dev, const graph::Csr& g,
@@ -154,8 +235,6 @@ GpuMstResult run_mst(simt::Device& dev, const graph::Csr& g,
 
   GpuMstResult result;
   DeviceGraph dg = DeviceGraph::upload(dev, g, /*with_weights=*/true);
-  const std::uint32_t block_tpb =
-      opts.block_tpb ? opts.block_tpb : derive_block_tpb(dg.avg_outdegree);
 
   auto comp = dev.alloc<std::uint32_t>(g.num_nodes, "mst.comp");
   std::iota(comp.host_view().begin(), comp.host_view().end(), 0u);
@@ -166,160 +245,28 @@ GpuMstResult run_mst(simt::Device& dev, const graph::Csr& g,
   const auto canon_host = canonical_edge_ids(g);
   auto canon = dev.alloc<std::uint32_t>(g.num_edges(), "mst.canon");
   dev.memcpy_h2d(canon, std::span<const std::uint32_t>(canon_host));
-  // arc_of[canonical id] = one arc carrying it (for weight/endpoint lookup).
-  std::vector<std::uint32_t> arc_of(g.num_edges());
-  for (std::uint32_t e = 0; e < g.num_edges(); ++e) arc_of[canon_host[e]] = e;
-  Workset ws(dev, g.num_nodes, opts.scan_queue_gen);
-
-  SelectorInput sel;
-  sel.ws_size = g.num_nodes;
-  sel.avg_outdegree = dg.avg_outdegree;
-  sel.outdeg_stddev = dg.outdeg_stddev;
-  sel.num_nodes = g.num_nodes;
-  Variant variant = selector(sel);
-  variant.ordering = Ordering::unordered;
-
-  std::vector<std::uint32_t> frontier(g.num_nodes);
-  std::iota(frontier.begin(), frontier.end(), 0u);
-  std::fill(ws.update().host_view().begin(), ws.update().host_view().end(),
-            std::uint8_t{1});
-  ws.generate(dev, variant.repr, frontier);
-
-  std::vector<std::uint32_t> updated;
-  MstState st{&comp, &best, &canon, &dg, &ws, &updated};
-  std::vector<std::uint32_t> parent(g.num_nodes);
-  std::vector<std::uint8_t> selected(g.num_edges(), 0);
-  std::vector<std::uint32_t> live_roots;
-
-  std::uint32_t iteration = 0;
-  while (!frontier.empty()) {
-    ++iteration;
-    AGG_CHECK_MSG(iteration <= 64 + g.num_nodes, "Boruvka diverged");
-    IterationClock t_iter{dev.mark()};
-
-    // (1) Reset best slots of the components still in play.
-    live_roots.clear();
-    {
-      auto comp_view = comp.host_view();
-      auto best_view = best.host_view();
-      for (const std::uint32_t v : frontier) {
-        const std::uint32_t r = comp_view[v];
-        live_roots.push_back(r);
-        best_view[r] = kNoEdge;
-      }
-      std::sort(live_roots.begin(), live_roots.end());
-      live_roots.erase(std::unique(live_roots.begin(), live_roots.end()),
-                       live_roots.end());
-      charge_aux_kernel(dev, "mst.reset_best", live_roots.size(), 1);
-    }
-
-    // (2) Traced working-set kernel: per-component minimum outgoing arc.
-    launch_frontier<kFindMin>(
-        dev, variant, ws, frontier, opts.thread_tpb, block_tpb,
-        [&](simt::ThreadCtx& ctx, std::uint32_t id, std::uint32_t offset,
-            std::uint32_t step) {
-          find_min_element(ctx, st, id, offset, step);
-        });
-    for (const std::uint32_t v : frontier) {
-      result.metrics.edges_processed += g.degree(v);
-    }
-    std::sort(updated.begin(), updated.end());
-    ws.charge_termination_readback(dev);
-
-    // (3) Hook components along their best arcs (per-root kernel).
-    std::iota(parent.begin(), parent.end(), 0u);
-    std::uint32_t hooks = 0;
-    {
-      auto comp_view = comp.host_view();
-      auto best_view = best.host_view();
-      for (const std::uint32_t r : live_roots) {
-        if (best_view[r] == kNoEdge) continue;
-        const std::uint32_t arc = arc_of[unpack_arc(best_view[r])];
-        // Hook towards the side of the arc that is NOT r's component.
-        const std::uint32_t rt = comp_view[g.col_indices[arc]];
-        parent[r] = rt != r ? rt : comp_view[edge_source(g, arc)];
-        ++hooks;
-      }
-      charge_aux_kernel(dev, "mst.hook", live_roots.size(), 3);
-
-      // (4) Break symmetric hooks: the smaller root stays a root; the
-      // surviving hook's arc joins the forest.
-      for (const std::uint32_t r : live_roots) {
-        if (parent[r] != r && parent[parent[r]] == r && r < parent[r]) {
-          parent[r] = r;
-          --hooks;
-        }
-      }
-      charge_aux_kernel(dev, "mst.cycle_break", live_roots.size(), 2);
-      for (const std::uint32_t r : live_roots) {
-        if (parent[r] == r || best_view[r] == kNoEdge) continue;
-        const std::uint32_t c = unpack_arc(best_view[r]);  // canonical id
-        if (!selected[c]) {
-          selected[c] = 1;
-          result.total_weight += unpack_weight(best_view[r]);
-          ++result.edges_in_forest;
-        }
-      }
-    }
-
-    // (5) Pointer jumping: flatten every node's label to its new root.
-    {
-      auto comp_view = comp.host_view();
-      std::uint32_t jump_passes = 0;
-      bool changed = true;
-      while (changed) {
-        changed = false;
-        ++jump_passes;
-        for (const std::uint32_t r : live_roots) {
-          if (parent[r] != parent[parent[r]]) {
-            parent[r] = parent[parent[r]];
-            changed = true;
-          }
-        }
-      }
-      for (std::uint32_t v = 0; v < g.num_nodes; ++v) {
-        comp_view[v] = parent[comp_view[v]];
-      }
-      // One per-node relabel pass plus jump_passes passes over the roots.
-      charge_aux_kernel(dev, "mst.relabel", g.num_nodes, 2);
-      for (std::uint32_t p = 0; p < jump_passes; ++p) {
-        charge_aux_kernel(dev, "mst.jump", live_roots.size(), 2);
-      }
-    }
-
-    Variant next = variant;
-    if (opts.monitor_interval > 0 && iteration % opts.monitor_interval == 0) {
-      if (variant.repr == WorksetRepr::bitmap) {
-        ws.charge_bitmap_count_kernel(dev);
-      }
-      sel.iteration = iteration;
-      sel.ws_size = updated.size();
-      ++result.metrics.decisions;
-      next = selector(sel);
-      next.ordering = Ordering::unordered;
-      if (next != variant) ++result.metrics.switches;
-    }
-
-    if (hooks == 0) {
-      // No component merged: the surviving update flags are stale; clear
-      // them and stop.
-      for (const std::uint32_t v : updated) ws.update().host_view()[v] = 0;
-      record_iteration(result.metrics, "mst",
-                       {iteration, frontier.size(), variant},
-                       t_iter, dev.mark());
-      break;
-    }
-
-    if (!updated.empty()) {
-      ws.generate(dev, next.repr, updated);
-    }
-    record_iteration(result.metrics, "mst",
-                     {iteration, frontier.size(), variant},
-                     t_iter, dev.mark());
-    frontier.swap(updated);
-    updated.clear();
-    variant = next;
+  MstEngine engine{g,
+                   dg,
+                   comp,
+                   best,
+                   canon,
+                   std::vector<std::uint32_t>(g.num_edges()),
+                   result,
+                   std::vector<std::uint32_t>(g.num_nodes),
+                   std::vector<std::uint8_t>(g.num_edges(), 0),
+                   {}};
+  for (std::uint32_t e = 0; e < g.num_edges(); ++e) {
+    engine.arc_of[canon_host[e]] = e;
   }
+  Loop loop(dev, g, dg, opts, result.metrics);
+
+  loop.sel.ws_size = g.num_nodes;
+  loop.variant = selector(loop.sel);
+  loop.variant.ordering = Ordering::unordered;
+  std::vector<std::uint32_t> all(g.num_nodes);
+  std::iota(all.begin(), all.end(), 0u);
+  loop.seed(std::move(all));
+  loop.run(engine, "mst", selector, g.num_nodes + 64ull);
 
   result.component.resize(g.num_nodes);
   dev.memcpy_d2h(std::span<std::uint32_t>(result.component), comp);
@@ -327,7 +274,7 @@ GpuMstResult run_mst(simt::Device& dev, const graph::Csr& g,
     if (result.component[v] == v) ++result.num_trees;
   }
 
-  ws.release(dev);
+  loop.ws.release(dev);
   dev.free(comp);
   dev.free(best);
   dev.free(canon);
