@@ -1,16 +1,18 @@
 // The engines' side of persistent runs (DESIGN.md "Persistent iterations").
 //
 // From a U_B_QU push iteration whose working set is below the bound F
-// (rt::persistent_bound), the BFS and unordered-SSSP loops run inside one
-// persistent kernel (simt::Device::begin_persistent): each compute and
-// queue-generation kernel becomes a phase behind a grid barrier, and the
-// per-iteration termination readback disappears — the device tests |WS|
-// itself after every compute phase. The run ends at the first compute
-// phase whose next working set is empty or reaches F; the host then reads
-// the termination scalar back once and carries on exactly as after any
-// other iteration. The loops themselves are unchanged: they call enter()
-// before the compute phase, test() after it, check_kept() after the
-// selector, and record() in place of record_iteration().
+// (rt::persistent_bound), iterations run inside one persistent kernel
+// (simt::Device::begin_persistent): each compute and queue-generation
+// kernel becomes a phase behind a grid barrier, and the per-iteration
+// termination readback disappears — the device tests |WS| itself after
+// every compute phase. The run ends at the first compute phase whose next
+// working set is empty or reaches F; the host then reads the termination
+// scalar back once and carries on exactly as after any other iteration.
+// gg::FrontierLoop (frontier_launch.h) holds a traversal's one
+// PersistentRuns: it calls enter() before the compute phase, test() after
+// it, check_kept() after the selector, and record() in place of
+// record_iteration(). Only BFS and unordered SSSP pass it a nonzero bound;
+// the other engines pass PersistentBound{}, which never opens a run.
 #pragma once
 
 #include <cstdint>
