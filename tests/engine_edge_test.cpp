@@ -3,11 +3,18 @@
 // arbitrary graphs, and degenerate topologies must not trip the engines.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "cpu/bfs_serial.h"
 #include "cpu/sssp_serial.h"
 #include "gpu_graph/bfs_engine.h"
+#include "gpu_graph/bfs_multi_engine.h"
+#include "gpu_graph/cc_engine.h"
+#include "gpu_graph/generic_engine.h"
+#include "gpu_graph/mst_engine.h"
+#include "gpu_graph/pagerank_engine.h"
 #include "gpu_graph/sssp_engine.h"
 #include "graph/gen/generators.h"
 
@@ -134,14 +141,68 @@ TEST(EngineEdge, AllVariantsAgreeOnSsspRandomGraph) {
   }
 }
 
+// Every frontier engine stops at EngineOptions::max_iterations. Each one
+// needs at least two iterations on this weighted symmetric chain (MST: one
+// round merges the chain, a second finds nothing left to merge), so a limit
+// of one trips all of them.
 TEST(EngineEdge, MaxIterationsSafetyValveTrips) {
-  const auto g = graph::csr_from_edges(
-      5, std::vector<graph::Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 4}});
-  simt::Device dev;
+  auto g = graph::symmetrize(graph::csr_from_edges(
+      5, std::vector<graph::Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 4}}));
+  graph::assign_symmetric_uniform_weights(g, 1, 50, 3);
   gg::EngineOptions opts;
-  opts.max_iterations = 2;  // the chain needs 5
-  EXPECT_DEATH(gg::run_bfs(dev, g, 0, gg::parse_variant("U_T_QU"), opts),
-               "failed to converge");
+  opts.max_iterations = 1;
+  const gg::Variant v = gg::parse_variant("U_T_QU");
+  const auto selector = gg::fixed_variant(v);
+  const std::vector<graph::NodeId> sources{0, 4};
+  // BFS as a user operator.
+  const auto generic = [&](simt::Device& dev) {
+    static constexpr simt::Site kLevel{0, "t.level"};
+    static constexpr simt::Site kRows{1, "t.rows"};
+    static constexpr simt::Site kEdges{2, "t.edges"};
+    gg::DeviceGraph dg = gg::DeviceGraph::upload(dev, g, false);
+    auto level = dev.alloc<std::uint32_t>(g.num_nodes, "level");
+    dev.fill(level, graph::kInfinity);
+    dev.write_scalar(level, 0, 0u);
+    gg::run_frontier(
+        dev, g, dg, {0},
+        [&](simt::ThreadCtx& ctx, std::uint32_t id, std::uint32_t offset,
+            std::uint32_t step, gg::Push& push) {
+          const std::uint32_t next = ctx.load(level, id, kLevel) + 1;
+          const std::uint32_t end = ctx.load(dg.row_offsets, id + 1, kRows);
+          for (std::uint32_t e = ctx.load(dg.row_offsets, id, kRows) + offset;
+               e < end; e += step) {
+            const std::uint32_t t = ctx.load(dg.col_indices, e, kEdges);
+            if (next < ctx.load(level, t, kLevel)) {
+              ctx.store(level, t, next, kLevel);
+              push.mark(t);
+            }
+          }
+        },
+        selector, opts);
+  };
+  gg::PageRankOptions pr;
+  pr.engine = opts;
+  const struct {
+    const char* algo;
+    std::function<void(simt::Device&)> run;
+  } engines[] = {
+      {"bfs", [&](simt::Device& dev) { gg::run_bfs(dev, g, 0, v, opts); }},
+      {"sssp", [&](simt::Device& dev) { gg::run_sssp(dev, g, 0, v, opts); }},
+      {"cc", [&](simt::Device& dev) { gg::run_cc(dev, g, v, opts); }},
+      {"pagerank",
+       [&](simt::Device& dev) { gg::run_pagerank(dev, g, selector, pr); }},
+      {"mst", [&](simt::Device& dev) { gg::run_mst(dev, g, v, opts); }},
+      {"msbfs",
+       [&](simt::Device& dev) {
+         gg::run_bfs_multi(dev, g, sources, selector, opts);
+       }},
+      {"generic", generic},
+  };
+  for (const auto& e : engines) {
+    simt::Device dev;
+    EXPECT_DEATH(e.run(dev), std::string(e.algo) + " failed to converge")
+        << e.algo;
+  }
 }
 
 TEST(EngineEdge, MetricsTotalsAreConsistent) {
