@@ -101,9 +101,10 @@ svc::Payload dispatch(simt::Device& dev, Resident& res,
   const gg::VariantSelector variant = gg::fixed_variant(p.variant);
   const GraphViews v = views_for(g, q);
   rt::AdaptiveOptions ao = p.options;
-  // Every adaptive BFS and SSSP query of the API runs small frontiers as
-  // persistent runs (DESIGN.md "Persistent iterations"); the answers and
-  // decisions are those of the per-iteration runtime.
+  // Every adaptive query of the API starts with one init kernel and runs
+  // small frontiers as persistent runs (DESIGN.md "Persistent
+  // iterations"); the answers and decisions are those of the per-iteration
+  // runtime.
   ao.persistent = true;
   gg::EngineOptions& eo = ao.engine;  // all a fixed variant runs on
   eo.stream = q.stream;
@@ -323,6 +324,7 @@ gg::GpuBfsMultiResult run_bfs_batch(simt::Device& dev, Resident& res,
                                     simt::StreamId stream) {
   rt::AdaptiveOptions ao = policy.options;
   ao.engine.stream = stream;
+  ao.persistent = true;  // as dispatch does
   return policy.mode == Policy::Mode::fixed_variant
              ? gg::run_bfs_multi(dev, res.dg, g.csr(), sources,
                                  gg::fixed_variant(policy.variant), ao.engine)

@@ -260,8 +260,10 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
   const graph::Csr& start = bfs.cur_view ? bfs.cur_view->csr : g;
 
   bfs.level = dev.alloc<std::uint32_t>(start.num_nodes, "bfs.level");
+  InitKernel init(dev, persistent, opts.hybrid_cpu_threshold > 0, "bfs.init",
+                  1);
   dev.fill(bfs.level, graph::kInfinity);
-  dev.write_scalar(bfs.level, bfs.to_cur(source), 0u);
+  dev.seed_scalar(bfs.level, bfs.to_cur(source), 0u);
   Loop loop(dev, start, dg, opts, result.metrics);
 
   bfs.unexplored_edges = dg.num_edges - g.degree(source);
@@ -282,6 +284,7 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
   loop.variant.representation = bfs.rep;
   bfs.ordered = loop.variant.ordering == Ordering::ordered;
   loop.seed_source(bfs.to_cur(source));
+  init.end();
   loop.run(bfs, "bfs", selector, 4ull * g.num_nodes + 64, persistent,
            "bfs.persistent");
 

@@ -25,7 +25,8 @@ struct GpuBfsResult {
 // variant keeps running. Ordered and unordered BFS differ in the visited
 // check (Fig. 4 line 8 vs 8'); both are level-synchronous. A non-zero
 // `persistent` bound runs small-frontier U_B_QU push iterations inside
-// persistent kernels (gpu_graph/persistent_run.h); hybrid CPU phases, when
+// persistent kernels, and its init_kernel starts the traversal with one
+// init kernel (gpu_graph/persistent_run.h); hybrid CPU phases, when
 // enabled, take precedence and keep one launch per kernel.
 GpuBfsResult run_bfs(simt::Device& dev, const graph::Csr& g, graph::NodeId source,
                      const VariantSelector& selector, const EngineOptions& opts = {},

@@ -88,11 +88,12 @@ struct MultiEngine {
 GpuBfsMultiResult run_bfs_multi(simt::Device& dev, const graph::Csr& g,
                                 std::span<const graph::NodeId> sources,
                                 const VariantSelector& selector,
-                                const EngineOptions& opts) {
+                                const EngineOptions& opts,
+                                const PersistentBound& persistent) {
   return run_one_shot(dev, g, /*with_weights=*/false, opts.stream,
                       [&](DeviceGraph& dg) {
                         return run_bfs_multi(dev, dg, g, sources, selector,
-                                             opts);
+                                             opts, persistent);
                       });
 }
 
@@ -100,7 +101,8 @@ GpuBfsMultiResult run_bfs_multi(simt::Device& dev, DeviceGraph& dg,
                                 const graph::Csr& g,
                                 std::span<const graph::NodeId> sources,
                                 const VariantSelector& selector,
-                                const EngineOptions& opts) {
+                                const EngineOptions& opts,
+                                const PersistentBound& persistent) {
   AGG_CHECK_MSG(!sources.empty() && sources.size() <= kMaxBatchedSources,
                 "batch of 1..32 sources required");
   for (const graph::NodeId s : sources) AGG_CHECK(s < g.num_nodes);
@@ -117,6 +119,7 @@ GpuBfsMultiResult run_bfs_multi(simt::Device& dev, DeviceGraph& dg,
   auto levels =
       dev.alloc<std::uint32_t>(static_cast<std::size_t>(g.num_nodes) * k,
                                "msbfs.levels");
+  InitKernel init(dev, persistent, /*hybrid=*/false, "msbfs.init", k);
   dev.fill(frontier_mask, 0u);
   dev.fill(visited, 0u);
   dev.fill(next_mask, 0u);
@@ -128,10 +131,10 @@ GpuBfsMultiResult run_bfs_multi(simt::Device& dev, DeviceGraph& dg,
   std::vector<std::uint32_t> seeds;
   for (std::uint32_t s = 0; s < k; ++s) {
     const std::uint32_t v = sources[s];
-    dev.write_scalar(frontier_mask, v,
-                     frontier_mask.host_view()[v] | (1u << s));
-    dev.write_scalar(visited, v, visited.host_view()[v] | (1u << s));
-    dev.write_scalar(levels, static_cast<std::size_t>(v) * k + s, 0u);
+    dev.seed_scalar(frontier_mask, v,
+                    frontier_mask.host_view()[v] | (1u << s));
+    dev.seed_scalar(visited, v, visited.host_view()[v] | (1u << s));
+    dev.seed_scalar(levels, static_cast<std::size_t>(v) * k + s, 0u);
     if (std::find(seeds.begin(), seeds.end(), v) == seeds.end()) {
       seeds.push_back(v);
     }
@@ -141,12 +144,18 @@ GpuBfsMultiResult run_bfs_multi(simt::Device& dev, DeviceGraph& dg,
   loop.variant = selector(loop.sel);
   // Lockstep masks have no ordered form.
   loop.variant.ordering = Ordering::unordered;
+  std::sort(seeds.begin(), seeds.end());
+  for (const std::uint32_t v : seeds) {
+    dev.seed_scalar(loop.ws.update(), v, std::uint8_t{1});
+  }
+  init.end();
   // Materialize the initial working set in `variant.repr` form through the
   // regular generation path.
-  loop.seed(std::move(seeds), /*charged=*/true);
+  loop.seed(std::move(seeds));
 
   MultiEngine engine{frontier_mask, visited, next_mask, levels, dg, k};
-  loop.run(engine, "msbfs", selector, 4ull * g.num_nodes + 64);
+  loop.run(engine, "msbfs", selector, 4ull * g.num_nodes + 64, persistent,
+           "msbfs.persistent");
 
   // Download the full levels matrix (n x k) — the batch's entire answer.
   result.levels.resize(static_cast<std::size_t>(g.num_nodes) * k);

@@ -49,16 +49,20 @@ struct GpuBfsMultiResult {
 
 // Resident-graph form; 1 <= sources.size() <= kMaxBatchedSources (duplicate
 // sources are allowed — their searches simply share bits' trajectories).
+// `persistent` as for run_bfs (bfs_engine.h); the sources are the init
+// kernel's arguments.
 GpuBfsMultiResult run_bfs_multi(simt::Device& dev, DeviceGraph& dg,
                                 const graph::Csr& g,
                                 std::span<const graph::NodeId> sources,
                                 const VariantSelector& selector,
-                                const EngineOptions& opts = {});
+                                const EngineOptions& opts = {},
+                                const PersistentBound& persistent = {});
 
 // Convenience form that uploads/releases the graph around the traversal.
 GpuBfsMultiResult run_bfs_multi(simt::Device& dev, const graph::Csr& g,
                                 std::span<const graph::NodeId> sources,
                                 const VariantSelector& selector,
-                                const EngineOptions& opts = {});
+                                const EngineOptions& opts = {},
+                                const PersistentBound& persistent = {});
 
 }  // namespace gg

@@ -89,15 +89,17 @@ struct CcEngine {
 }  // namespace
 
 GpuCcResult run_cc(simt::Device& dev, const graph::Csr& g,
-                   const VariantSelector& selector, const EngineOptions& opts) {
+                   const VariantSelector& selector, const EngineOptions& opts,
+                   const PersistentBound& persistent) {
   return run_one_shot(dev, g, /*with_weights=*/false, opts.stream,
                       [&](DeviceGraph& dg) {
-                        return run_cc(dev, dg, g, selector, opts);
+                        return run_cc(dev, dg, g, selector, opts, persistent);
                       });
 }
 
 GpuCcResult run_cc(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
-                   const VariantSelector& selector, const EngineOptions& opts) {
+                   const VariantSelector& selector, const EngineOptions& opts,
+                   const PersistentBound& persistent) {
   simt::StreamGuard sguard(dev, opts.stream);
   const simt::StatsMark t_begin = dev.stats_mark();
 
@@ -105,6 +107,7 @@ GpuCcResult run_cc(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
 
   // label[v] = v (device-side iota, charged as one uniform kernel).
   auto label = dev.alloc<std::uint32_t>(g.num_nodes, "cc.label");
+  InitKernel init(dev, persistent, /*hybrid=*/false, "cc.init", 0);
   std::iota(label.host_view().begin(), label.host_view().end(), 0u);
   {
     simt::UniformThreadCost cost;
@@ -126,6 +129,7 @@ GpuCcResult run_cc(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
   loop.sel.unexplored_edges = 0;
   loop.variant = normalize_direction(selector(loop.sel));
   loop.variant.ordering = Ordering::unordered;
+  init.end();
 
   // Initial working set = all nodes, produced by the generation kernel from
   // a fully-set update vector.
@@ -134,7 +138,8 @@ GpuCcResult run_cc(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
   loop.seed(std::move(all));
 
   CcEngine engine{label, dg};
-  loop.run(engine, "cc", selector, 4ull * g.num_nodes + 64);
+  loop.run(engine, "cc", selector, 4ull * g.num_nodes + 64, persistent,
+           "cc.persistent");
 
   result.component.resize(g.num_nodes);
   dev.memcpy_d2h(std::span<std::uint32_t>(result.component), label);

@@ -32,14 +32,17 @@ struct GpuCcResult {
 };
 
 // Ordering is ignored (label propagation is inherently unordered); mapping
-// and representation follow the selector per decision point.
+// and representation follow the selector per decision point. `persistent`
+// as for run_bfs (bfs_engine.h).
 GpuCcResult run_cc(simt::Device& dev, const graph::Csr& g,
-                   const VariantSelector& selector, const EngineOptions& opts = {});
+                   const VariantSelector& selector, const EngineOptions& opts = {},
+                   const PersistentBound& persistent = {});
 
 // Resident-graph form (see bfs_engine.h): `dg` must have been uploaded from
 // `g` (a symmetric graph); no upload is charged to the metrics.
 GpuCcResult run_cc(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
-                   const VariantSelector& selector, const EngineOptions& opts = {});
+                   const VariantSelector& selector, const EngineOptions& opts = {},
+                   const PersistentBound& persistent = {});
 
 inline GpuCcResult run_cc(simt::Device& dev, const graph::Csr& g, Variant variant,
                           const EngineOptions& opts = {}) {

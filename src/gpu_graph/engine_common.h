@@ -79,13 +79,17 @@ struct EngineOptions {
   const RepSet* reps = nullptr;
 };
 
-// The working-set bound of persistent runs (DESIGN.md "Persistent
-// iterations"), derived by rt::persistent_bound from the selector's own
+// What the serving path (rt::AdaptiveOptions::persistent) lets a frontier
+// traversal fold (DESIGN.md "Persistent iterations"). `init_kernel`: its
+// fills and seeds become one init kernel (gg::InitKernel). `ws_below`, the
+// bound F derived by rt::persistent_bound from the selector's own
 // thresholds: for every |WS| < ws_below the selector keeps U_B_QU, push and
 // the running layout, so the engine may run such iterations inside one
-// persistent kernel. ws_below = 0 keeps one launch per kernel. t2 and
-// alpha_term are the two sides of the min that gave ws_below, for the trace.
+// persistent kernel; 0 keeps one launch per kernel. t2 and alpha_term are
+// the two sides of the min that gave ws_below, for the trace. BFS, SSSP,
+// CC, PageRank and MS-BFS take one; the default folds nothing.
 struct PersistentBound {
+  bool init_kernel = false;
   std::uint64_t ws_below = 0;
   std::uint64_t t2 = 0;
   bool has_alpha_term = false;

@@ -223,17 +223,11 @@ class FrontierLoop {
   }
 
   // Seeds the working set with `nodes` through the generation kernel, from
-  // update flags set on the host or, `charged`, by one scalar write each.
-  void seed(std::vector<std::uint32_t> nodes, bool charged = false) {
+  // update flags set on the host (or already seeded by the engine).
+  void seed(std::vector<std::uint32_t> nodes) {
     frontier = std::move(nodes);
     std::sort(frontier.begin(), frontier.end());
-    for (const std::uint32_t v : frontier) {
-      if (charged) {
-        dev.write_scalar(ws.update(), v, std::uint8_t{1});
-      } else {
-        ws.update().host_view()[v] = 1;
-      }
-    }
+    for (const std::uint32_t v : frontier) ws.update().host_view()[v] = 1;
     ws.generate(dev, variant.repr, frontier);
   }
 

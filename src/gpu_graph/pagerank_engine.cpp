@@ -82,17 +82,20 @@ struct PrEngine {
 
 GpuPageRankResult run_pagerank(simt::Device& dev, const graph::Csr& g,
                                const VariantSelector& selector,
-                               const PageRankOptions& opts) {
+                               const PageRankOptions& opts,
+                               const PersistentBound& persistent) {
   return run_one_shot(dev, g, /*with_weights=*/false, opts.engine.stream,
                       [&](DeviceGraph& dg) {
-                        return run_pagerank(dev, dg, g, selector, opts);
+                        return run_pagerank(dev, dg, g, selector, opts,
+                                            persistent);
                       });
 }
 
 GpuPageRankResult run_pagerank(simt::Device& dev, DeviceGraph& dg,
                                const graph::Csr& g,
                                const VariantSelector& selector,
-                               const PageRankOptions& opts) {
+                               const PageRankOptions& opts,
+                               const PersistentBound& persistent) {
   AGG_CHECK(g.num_nodes > 0);
   AGG_CHECK(opts.damping > 0.0 && opts.damping < 1.0);
   simt::StreamGuard sguard(dev, opts.engine.stream);
@@ -102,6 +105,7 @@ GpuPageRankResult run_pagerank(simt::Device& dev, DeviceGraph& dg,
 
   auto rank = dev.alloc<float>(g.num_nodes, "pr.rank");
   auto residual = dev.alloc<float>(g.num_nodes, "pr.residual");
+  InitKernel init(dev, persistent, /*hybrid=*/false, "pr.init", 0);
   dev.fill(rank, 0.0f);
   dev.fill(residual,
            static_cast<float>((1.0 - opts.damping) / g.num_nodes));
@@ -110,6 +114,7 @@ GpuPageRankResult run_pagerank(simt::Device& dev, DeviceGraph& dg,
   loop.sel.ws_size = g.num_nodes;
   loop.variant = selector(loop.sel);
   loop.variant.ordering = Ordering::unordered;
+  init.end();
   std::vector<std::uint32_t> all(g.num_nodes);
   std::iota(all.begin(), all.end(), 0u);
   loop.seed(std::move(all));
@@ -123,7 +128,8 @@ GpuPageRankResult run_pagerank(simt::Device& dev, DeviceGraph& dg,
                   static_cast<float>(opts.damping),
                   static_cast<float>(opts.push_tolerance *
                                      (1.0 - opts.damping) / g.num_nodes)};
-  loop.run(engine, "pagerank", selector, 64ull * g.num_nodes + 4096);
+  loop.run(engine, "pagerank", selector, 64ull * g.num_nodes + 4096,
+           persistent, "pr.persistent");
 
   result.rank.resize(g.num_nodes);
   dev.memcpy_d2h(std::span<float>(result.rank), rank);

@@ -30,16 +30,19 @@ struct GpuPageRankResult {
   TraversalMetrics metrics;
 };
 
+// `persistent` as for run_bfs (bfs_engine.h).
 GpuPageRankResult run_pagerank(simt::Device& dev, const graph::Csr& g,
                                const VariantSelector& selector,
-                               const PageRankOptions& opts = {});
+                               const PageRankOptions& opts = {},
+                               const PersistentBound& persistent = {});
 
 // Resident-graph form (see bfs_engine.h): `dg` must have been uploaded from
 // `g`; no upload is charged to the metrics.
 GpuPageRankResult run_pagerank(simt::Device& dev, DeviceGraph& dg,
                                const graph::Csr& g,
                                const VariantSelector& selector,
-                               const PageRankOptions& opts = {});
+                               const PageRankOptions& opts = {},
+                               const PersistentBound& persistent = {});
 
 inline GpuPageRankResult run_pagerank(simt::Device& dev, const graph::Csr& g,
                                       Variant variant,

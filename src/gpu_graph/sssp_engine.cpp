@@ -132,12 +132,15 @@ GpuSsspResult run_unordered(simt::Device& dev, DeviceGraph& dg,
 
   GpuSsspResult result;
   auto dist = dev.alloc<std::uint32_t>(g.num_nodes, "sssp.dist");
+  InitKernel init(dev, persistent, opts.hybrid_cpu_threshold > 0, "sssp.init",
+                  1);
   dev.fill(dist, graph::kInfinity);
-  dev.write_scalar(dist, source, 0u);
+  dev.seed_scalar(dist, source, 0u);
   Loop loop(dev, g, dg, opts, result.metrics);
   loop.sel = sel;
   loop.variant = normalize_direction(variant);
   loop.seed_source(source);
+  init.end();
 
   UnorderedEngine engine{dist, dg, g, opts, {}};
   loop.run(engine, "sssp", selector, 16ull * g.num_nodes + 64, persistent,
@@ -240,10 +243,12 @@ GpuSsspResult run_ordered(simt::Device& dev, DeviceGraph& dg,
   pred.stride = 1;
   pred.ops = 4;  // candidate flag + tentative-distance comparison
 
+  const std::uint64_t limit =
+      opts.max_iterations ? opts.max_iterations : 64ull * g.num_nodes + 64;
   std::uint32_t iteration = 0;
   while (cand_count > 0) {
     ++iteration;
-    AGG_CHECK_MSG(iteration <= 64ull * g.num_nodes + 64, "ordered SSSP diverged");
+    AGG_CHECK_MSG(iteration <= limit, "sssp failed to converge");
     IterationClock t_iter{dev.mark()};
 
     // (1) findmin by parallel reduction (Sec. V.B): over the dense tentative

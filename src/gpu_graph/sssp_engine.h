@@ -29,8 +29,9 @@ struct GpuSsspResult {
 // 0 fixes the algorithm; mapping/representation may change per decision
 // point (unordered only — the ordered engine honors the initial variant).
 // A non-zero `persistent` bound runs small-frontier U_B_QU push iterations
-// of the unordered engine inside persistent kernels
-// (gpu_graph/persistent_run.h); hybrid CPU phases take precedence.
+// of the unordered engine inside persistent kernels, and its init_kernel
+// starts that engine with one init kernel (gpu_graph/persistent_run.h);
+// hybrid CPU phases take precedence. The ordered engine ignores it.
 GpuSsspResult run_sssp(simt::Device& dev, const graph::Csr& g, graph::NodeId source,
                        const VariantSelector& selector, const EngineOptions& opts = {},
                        const PersistentBound& persistent = {});

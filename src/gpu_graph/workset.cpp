@@ -26,7 +26,7 @@ Workset::Workset(simt::Device& dev, std::uint32_t num_nodes, bool scan_gen)
   changed_ = dev.alloc<std::uint32_t>(1, "ws.changed");
   dev.fill(bitmap_, std::uint8_t{0});
   dev.fill(update_, std::uint8_t{0});
-  dev.write_scalar(queue_len_, 0, 0u);
+  dev.seed_scalar(queue_len_, 0, 0u);
 }
 
 void Workset::release(simt::Device& dev) {
@@ -40,10 +40,10 @@ void Workset::release(simt::Device& dev) {
 void Workset::init_source(simt::Device& dev, std::uint32_t source, WorksetRepr repr) {
   AGG_CHECK(source < n_);
   if (repr == WorksetRepr::bitmap) {
-    dev.write_scalar(bitmap_, source, std::uint8_t{1});
+    dev.seed_scalar(bitmap_, source, std::uint8_t{1});
   } else {
-    dev.write_scalar(queue_, 0, source);
-    dev.write_scalar(queue_len_, 0, 1u);
+    dev.seed_scalar(queue_, 0, source);
+    dev.seed_scalar(queue_len_, 0, 1u);
   }
 }
 

@@ -31,13 +31,16 @@ class Workset {
   // optimization the paper cites as orthogonal (an exclusive prefix scan
   // over the update vector computes insertion offsets without atomics, at
   // the cost of extra passes over all n flags). Engines pass
-  // EngineOptions::scan_queue_gen.
+  // EngineOptions::scan_queue_gen. Clears the bitmap and update vector
+  // with two fills and the queue length with a seed store; inside an init
+  // kernel (gg::InitKernel) all three fold into it.
   Workset(simt::Device& dev, std::uint32_t num_nodes, bool scan_gen = false);
   void release(simt::Device& dev);
 
   std::uint32_t num_nodes() const { return n_; }
 
-  // Seeds the working set with the traversal source in `repr` form.
+  // Seeds the working set with the traversal source in `repr` form
+  // (simt::Device::seed_scalar).
   void init_source(simt::Device& dev, std::uint32_t source, WorksetRepr repr);
 
   // Runs CUDA_workset_gen: transforms the update vector into `repr`,

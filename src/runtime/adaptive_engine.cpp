@@ -81,18 +81,30 @@ std::uint32_t max_outdegree_of(const graph::Csr& g) {
   return maxd;
 }
 
-// The persistent-run bound of a traversal over `g` (none with the option
-// off). BFS reports a gather volume of at least n, SSSP a flat 2m + n.
+// What the serving path folds in a traversal over `g` under `direction`
+// (nothing with the option off). BFS and CC report a gather volume of at
+// least n, SSSP a flat 2m + n; the push-only selectors of PageRank and
+// MS-BFS need no volume.
 gg::PersistentBound persistent_for(const Thresholds& t,
                                    const AdaptiveOptions& opts,
-                                   const graph::Csr& g, bool sssp) {
+                                   const graph::Csr& g, bool sssp,
+                                   gg::Direction direction) {
   if (!opts.persistent) return {};
+  std::vector<std::uint64_t> degree_counts;
+  if (direction == gg::Direction::adaptive) {
+    degree_counts.resize(std::size_t{max_outdegree_of(g)} + 1);
+    for (std::uint32_t v = 0; v < g.num_nodes; ++v) {
+      ++degree_counts[g.degree(v)];
+    }
+  }
   const std::uint64_t gather_min =
       (sssp ? 2 * g.num_edges() : 0) + g.num_nodes;
-  return persistent_bound(
-      t, opts.direction, gather_min,
-      opts.direction == gg::Direction::adaptive ? max_outdegree_of(g) : 0);
+  gg::PersistentBound b =
+      persistent_bound(t, direction, gather_min, degree_counts);
+  b.init_kernel = true;
+  return b;
 }
+
 
 // Query-start representation resolution for the engines without an
 // in-engine controller (SSSP/CC): picks the layout once, on the same pure
@@ -247,7 +259,7 @@ gg::GpuBfsResult adaptive_bfs(simt::Device& dev, const graph::Csr& g,
   return gg::run_bfs(dev, g, source,
                      make_adaptive_selector(t, eo.monitor_interval, "bfs",
                                             opts.direction, opts.representation),
-                     eo, persistent_for(t, opts, g, false));
+                     eo, persistent_for(t, opts, g, false, opts.direction));
 }
 
 gg::GpuSsspResult adaptive_sssp(simt::Device& dev, const graph::Csr& g,
@@ -260,7 +272,7 @@ gg::GpuSsspResult adaptive_sssp(simt::Device& dev, const graph::Csr& g,
     return gg::run_sssp(
         dev, g, source,
         make_adaptive_selector(t, eo.monitor_interval, "sssp", opts.direction),
-        eo, persistent_for(t, opts, g, true));
+        eo, persistent_for(t, opts, g, true, opts.direction));
   }
   // SSSP has no in-engine rep controller: run the whole traversal in the
   // resolved layout and map distances back. The cached CSC (if any) is of
@@ -272,7 +284,7 @@ gg::GpuSsspResult adaptive_sssp(simt::Device& dev, const graph::Csr& g,
       dev, view.csr, view.new_id[source],
       make_adaptive_selector(t, eo.monitor_interval, "sssp", opts.direction,
                              rep.kind),
-      eo, persistent_for(t, opts, view.csr, true));
+      eo, persistent_for(t, opts, view.csr, true, opts.direction));
   rep_payload_to_original(r.dist, view);
   return r;
 }
@@ -287,7 +299,7 @@ gg::GpuCcResult adaptive_cc(simt::Device& dev, const graph::Csr& g,
     return gg::run_cc(
         dev, g,
         make_adaptive_selector(t, eo.monitor_interval, "cc", opts.direction),
-        eo);
+        eo, persistent_for(t, opts, g, false, opts.direction));
   }
   eo.csc = nullptr;
   eo.reps = nullptr;
@@ -296,7 +308,7 @@ gg::GpuCcResult adaptive_cc(simt::Device& dev, const graph::Csr& g,
       dev, view.csr,
       make_adaptive_selector(t, eo.monitor_interval, "cc", opts.direction,
                              rep.kind),
-      eo);
+      eo, persistent_for(t, opts, view.csr, false, opts.direction));
   rep_canonicalize_cc(r, view);
   return r;
 }
@@ -318,7 +330,7 @@ gg::GpuPageRankResult adaptive_pagerank(simt::Device& dev, const graph::Csr& g,
   return gg::run_pagerank(
       dev, g,
       make_adaptive_selector(t, options.engine.monitor_interval, "pagerank"),
-      options);
+      options, persistent_for(t, opts, g, false, gg::Direction::push));
 }
 
 gg::GpuBfsResult adaptive_bfs(simt::Device& dev, gg::DeviceGraph& dg,
@@ -349,7 +361,7 @@ gg::GpuBfsResult adaptive_bfs(simt::Device& dev, gg::DeviceGraph& dg,
   return gg::run_bfs(dev, dg, g, source,
                      make_adaptive_selector(t, eo.monitor_interval, "bfs",
                                             opts.direction, opts.representation),
-                     eo, persistent_for(t, opts, g, false));
+                     eo, persistent_for(t, opts, g, false, opts.direction));
 }
 
 gg::GpuSsspResult adaptive_sssp(simt::Device& dev, gg::DeviceGraph& dg,
@@ -363,7 +375,7 @@ gg::GpuSsspResult adaptive_sssp(simt::Device& dev, gg::DeviceGraph& dg,
     return gg::run_sssp(
         dev, dg, g, source,
         make_adaptive_selector(t, eo.monitor_interval, "sssp", opts.direction),
-        eo, persistent_for(t, opts, g, true));
+        eo, persistent_for(t, opts, g, true, opts.direction));
   }
   eo.csc = nullptr;
   eo.reps = nullptr;
@@ -379,7 +391,7 @@ gg::GpuSsspResult adaptive_sssp(simt::Device& dev, gg::DeviceGraph& dg,
       dev, *rdg, view.csr, view.new_id[source],
       make_adaptive_selector(t, eo.monitor_interval, "sssp", opts.direction,
                              rep.kind),
-      eo, persistent_for(t, opts, view.csr, true));
+      eo, persistent_for(t, opts, view.csr, true, opts.direction));
   rep_payload_to_original(r.dist, view);
   return r;
 }
@@ -394,7 +406,7 @@ gg::GpuCcResult adaptive_cc(simt::Device& dev, gg::DeviceGraph& dg,
     return gg::run_cc(
         dev, dg, g,
         make_adaptive_selector(t, eo.monitor_interval, "cc", opts.direction),
-        eo);
+        eo, persistent_for(t, opts, g, false, opts.direction));
   }
   eo.csc = nullptr;
   eo.reps = nullptr;
@@ -408,7 +420,7 @@ gg::GpuCcResult adaptive_cc(simt::Device& dev, gg::DeviceGraph& dg,
       dev, *rdg, view.csr,
       make_adaptive_selector(t, eo.monitor_interval, "cc", opts.direction,
                              rep.kind),
-      eo);
+      eo, persistent_for(t, opts, view.csr, false, opts.direction));
   rep_canonicalize_cc(r, view);
   return r;
 }
@@ -423,7 +435,7 @@ gg::GpuPageRankResult adaptive_pagerank(simt::Device& dev, gg::DeviceGraph& dg,
   return gg::run_pagerank(
       dev, dg, g,
       make_adaptive_selector(t, options.engine.monitor_interval, "pagerank"),
-      options);
+      options, persistent_for(t, opts, g, false, gg::Direction::push));
 }
 
 gg::GpuBfsMultiResult adaptive_bfs_multi(simt::Device& dev, gg::DeviceGraph& dg,
@@ -434,7 +446,8 @@ gg::GpuBfsMultiResult adaptive_bfs_multi(simt::Device& dev, gg::DeviceGraph& dg,
   const gg::EngineOptions eo = engine_opts(opts);
   return gg::run_bfs_multi(
       dev, dg, g, sources,
-      make_adaptive_selector(t, eo.monitor_interval, "msbfs"), eo);
+      make_adaptive_selector(t, eo.monitor_interval, "msbfs"), eo,
+      persistent_for(t, opts, g, false, gg::Direction::push));
 }
 
 }  // namespace rt

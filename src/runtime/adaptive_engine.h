@@ -45,14 +45,17 @@ struct AdaptiveOptions {
   //    MS-BFS path always run plain (their results are not invariant under
   //    renumbering: FP summation order / in-place contraction).
   gg::Representation representation = gg::Representation::plain;
-  // Persistent runs for BFS and SSSP (an extension, not the paper's
-  // runtime; DESIGN.md "Persistent iterations"): iterations whose working
-  // set is below the derived bound rt::persistent_bound run inside one
-  // persistent kernel, with one launch and one termination readback per
-  // run. Decisions and answers are those of the per-iteration runtime;
-  // only the modeled launch and readback charges change. Off here, so the
-  // paper benches reproduce the paper's runtime; exec::run turns it on.
-  // Hybrid CPU phases, when enabled, take precedence.
+  // The serving path's fixed-cost folding for BFS, unordered SSSP, CC,
+  // PageRank and MS-BFS (an extension, not the paper's runtime; DESIGN.md
+  // "Persistent iterations"): each traversal starts with one init kernel in
+  // place of its fills and seed writes, and iterations whose working set is
+  // below the derived bound rt::persistent_bound run inside one persistent
+  // kernel, with one launch and one termination readback per run.
+  // Decisions and answers are those of the per-iteration runtime; only the
+  // modeled launch, readback and seed charges change. Off here, so the
+  // paper benches reproduce the paper's runtime; exec::run and
+  // exec::run_bfs_batch turn it on. Hybrid CPU phases, when enabled, take
+  // precedence over all of it. MST keeps per-iteration launches.
   bool persistent = false;
   gg::EngineOptions engine;            // tpb knobs (monitor_interval is set here)
 };

@@ -95,28 +95,44 @@ gg::Representation decide_representation_step(
   return want;
 }
 
-gg::PersistentBound persistent_bound(const Thresholds& t,
-                                     gg::Direction direction,
-                                     std::uint64_t gather_min,
-                                     std::uint32_t max_outdegree) {
+gg::PersistentBound persistent_bound(
+    const Thresholds& t, gg::Direction direction, std::uint64_t gather_min,
+    std::span<const std::uint64_t> degree_counts) {
   gg::PersistentBound b;
   if (direction == gg::Direction::pull || !(t.t2_ws_size > 0)) return b;
   // For an integer |WS|, |WS| < T2 exactly when |WS| < ceil(T2).
   b.t2 = static_cast<std::uint64_t>(std::ceil(std::min(t.t2_ws_size, 0x1p62)));
   b.ws_below = b.t2;
   if (direction != gg::Direction::adaptive) return b;
-  // decide_direction compares against do_alpha * (proxy + n) in doubles; it
-  // is monotone in the proxy, so this product is its smallest right side.
+  // decide_direction compares double(frontier_edges) against do_alpha *
+  // (proxy + n) in doubles; it is monotone in the proxy, so this product is
+  // its smallest right side.
   const double volume = t.do_alpha * static_cast<double>(gather_min);
   std::uint64_t a = 0;
-  if (volume >= 0 && max_outdegree == 0) {
-    a = b.t2;  // no edges: the scatter mass is 0 and never exceeds the volume
-  } else if (volume >= 0) {
-    const double maxd = static_cast<double>(max_outdegree);
-    a = static_cast<std::uint64_t>(std::min(std::floor(volume / maxd), 0x1p62));
-    // Keep a * maxd <= volume in the same arithmetic, whatever the division
-    // rounded to: then |WS| < a gives frontier_edges < a * maxd <= volume.
-    while (a > 0 && static_cast<double>(a) * maxd > volume) --a;
+  if (volume >= 0) {
+    // Walk the outdegrees from the largest down, taking whole buckets while
+    // the prefix sum, compared as decide_direction compares it, fits.
+    a = b.t2;  // every edge fits: no working set can cross the volume
+    std::uint64_t k = 0;
+    std::uint64_t sum = 0;
+    for (std::size_t d = degree_counts.size(); d-- > 1;) {
+      const std::uint64_t c = degree_counts[d];
+      if (static_cast<double>(sum + c * d) <= volume) {
+        k += c;
+        sum += c * d;
+        continue;
+      }
+      // Part of this bucket: the largest j with sum + j * d inside the
+      // volume in the same arithmetic, whatever the division rounded to.
+      const double room =
+          (volume - static_cast<double>(sum)) / static_cast<double>(d);
+      auto j =
+          static_cast<std::uint64_t>(std::min(room, static_cast<double>(c)));
+      while (j > 0 && static_cast<double>(sum + j * d) > volume) --j;
+      while (j + 1 < c && static_cast<double>(sum + (j + 1) * d) <= volume) ++j;
+      a = k + j;
+      break;
+    }
   }
   b.has_alpha_term = true;
   b.alpha_term = a;

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "gpu_graph/engine_common.h"
 #include "gpu_graph/variant.h"
@@ -137,17 +138,22 @@ gg::Representation decide_representation_step(
 //  * decide() returns B_QU for every |WS| < T2, and
 //    decide_representation_step() never switches there;
 //  * under Direction::adaptive, push -> pull needs frontier_edges >
-//    do_alpha * gather volume, while frontier_edges <= |WS| * max_outdegree
-//    and the volume is at least `gather_min`, the smallest the engine can
-//    report (n for BFS, whose unexplored-edge proxy can reach 0; 2m + n for
-//    SSSP, whose proxy is flat).
-// So F = T2 under push, min(T2, floor(do_alpha * gather_min /
-// max_outdegree)) under adaptive direction, and 0 under pull (nothing runs
-// push). Pure; the result also carries both sides of the min for the trace.
-gg::PersistentBound persistent_bound(const Thresholds& t,
-                                     gg::Direction direction,
-                                     std::uint64_t gather_min,
-                                     std::uint32_t max_outdegree);
+//    do_alpha * gather volume. frontier_edges sums the outdegrees of |WS|
+//    distinct nodes, so it is at most the sum of the |WS| largest
+//    outdegrees, and the volume is at least `gather_min`, the smallest the
+//    engine can report (n for BFS, whose unexplored-edge proxy can reach 0,
+//    and for CC, whose proxy m - frontier_edges can too; 2m + n for SSSP,
+//    whose proxy is flat).
+// `degree_counts[d]` is the number of nodes of outdegree d (read only under
+// adaptive direction). Every layout of a graph has its nonzero outdegrees,
+// so the logical graph's counts bound every layout's frontier. So F = T2
+// under push, min(T2, the largest k whose top-k outdegree sum is at most
+// do_alpha * gather_min; T2 when every edge fits) under adaptive direction,
+// and 0 under pull (nothing runs push). Pure; the result also carries both
+// sides of the min for the trace, and init_kernel stays unset.
+gg::PersistentBound persistent_bound(
+    const Thresholds& t, gg::Direction direction, std::uint64_t gather_min,
+    std::span<const std::uint64_t> degree_counts);
 
 // CPU-fallback decision for the serving layer: answer a query with the
 // serial oracle instead of launching on the device. Complements the variant

@@ -32,8 +32,30 @@ const std::string& Device::stream_name(StreamId s) const {
   return streams_[s - 1].name;
 }
 
+namespace {
+
+// Adds the work of `ks` to `into`, the totals of a persistent run or an init.
+void add_work(KernelStats& into, const KernelStats& ks) {
+  into.warps_executed += ks.warps_executed;
+  into.warps_uniform += ks.warps_uniform;
+  into.issue_cycles += ks.issue_cycles;
+  into.mem_instrs += ks.mem_instrs;
+  into.transactions += ks.transactions;
+  into.atomics += ks.atomics;
+  into.max_atomic_same_addr =
+      std::max(into.max_atomic_same_addr, ks.max_atomic_same_addr);
+  into.lane_work += ks.lane_work;
+  into.lockstep_work += ks.lockstep_work;
+  into.sm_time_us += ks.sm_time_us;
+  into.bw_time_us += ks.bw_time_us;
+  into.atomic_time_us += ks.atomic_time_us;
+}
+
+}  // namespace
+
 void Device::begin_persistent(const char* name, std::uint32_t tpb) {
   AGG_CHECK_MSG(!run_.open, "persistent runs do not nest");
+  AGG_CHECK_MSG(!init_.open, "persistent run inside an init kernel");
   const std::uint64_t blocks =
       static_cast<std::uint64_t>(props_.resident_blocks(tpb)) *
       static_cast<std::uint64_t>(props_.num_sms);
@@ -55,19 +77,7 @@ void Device::add_phase(const KernelStats& ks) {
   if (r.phases++ > 0) r.elapsed_us += r.barrier_us;
   // The kernel's own time without its launch overhead (assemble_kernel_time).
   r.elapsed_us += std::max({ks.sm_time_us, ks.bw_time_us, ks.atomic_time_us});
-  KernelStats& s = r.stats;
-  s.warps_executed += ks.warps_executed;
-  s.warps_uniform += ks.warps_uniform;
-  s.issue_cycles += ks.issue_cycles;
-  s.mem_instrs += ks.mem_instrs;
-  s.transactions += ks.transactions;
-  s.atomics += ks.atomics;
-  s.max_atomic_same_addr = std::max(s.max_atomic_same_addr, ks.max_atomic_same_addr);
-  s.lane_work += ks.lane_work;
-  s.lockstep_work += ks.lockstep_work;
-  s.sm_time_us += ks.sm_time_us;
-  s.bw_time_us += ks.bw_time_us;
-  s.atomic_time_us += ks.atomic_time_us;
+  add_work(r.stats, ks);
   // Decisions taken inside the run are stamped with its provisional clock.
   if (trace::active()) trace::Tracer::instance().set_time_us(now_us());
 }
@@ -87,6 +97,31 @@ ClockMark Device::end_persistent_mark() {
     return {std::numeric_limits<double>::quiet_NaN(), m};
   }
   return {commit_kernel(ks) - provisional_start};
+}
+
+void Device::begin_init(const char* name, std::uint64_t arg_bytes) {
+  AGG_CHECK_MSG(!init_.open && !run_.open,
+                "an init kernel opens outside any init or persistent run");
+  AGG_CHECK_MSG(arg_bytes <= kKernelParamBytes,
+                "init kernel arguments exceed the parameter space");
+  init_.open = true;
+  init_.stats.name = name;
+}
+
+void Device::add_init_work(const KernelStats& ks) {
+  KernelStats& s = init_.stats;
+  s.blocks += ks.blocks;
+  s.total_threads += ks.total_threads;
+  add_work(s, ks);
+}
+
+void Device::end_init() {
+  AGG_CHECK_MSG(init_.open, "no init kernel is open");
+  KernelStats ks = init_.stats;
+  init_ = InitKernel{};
+  ks.time_us = std::max({ks.sm_time_us, ks.bw_time_us, ks.atomic_time_us}) +
+               tm_.launch_overhead_us;
+  account_kernel(ks);
 }
 
 Device Device::recorder(const Device& real) {

@@ -234,6 +234,17 @@ class Device {
     account_transfer(sizeof(T), /*to_device=*/true);
   }
 
+  // A value a traversal starts from (a source's level, a batch's mask bit).
+  // Inside an init kernel the kernel stores it, in place of the fill value
+  // at that slot, from its arguments: nothing is charged beyond the init's
+  // fills. Outside one it is a write_scalar.
+  template <typename T>
+  void seed_scalar(DeviceBuffer<T>& dst, std::size_t i, T value) {
+    if (!init_.open) return write_scalar(dst, i, value);
+    AGG_CHECK(i < dst.size());
+    dst.host_view()[i] = value;
+  }
+
   // ---- device-side fill (charged as an analytic uniform kernel) ----
   template <typename T>
   void fill(DeviceBuffer<T>& buf, T value) {
@@ -298,6 +309,22 @@ class Device {
   void abandon_persistent() { run_ = PersistentRun{}; }
   bool in_persistent() const { return run_.open; }
 
+  // ---- init kernels (DESIGN.md "Persistent iterations") ----
+  // Between begin_init() and end_init(), every kernel the device accounts —
+  // the fills that initialise a traversal's buffers — folds into one kernel
+  // whose seeds (seed_scalar) travel as its `arg_bytes` of arguments, inside
+  // the kernel parameter space. Its work is the sum of the folded kernels'
+  // work, and its time max(SM, bandwidth, atomic) of those sums plus one
+  // launch overhead. It is accounted when it ends, as one kernel: one op on
+  // the compute engine, one fault-injector op, one observer call, one trace
+  // event. Transfers, host phases and persistent runs cannot happen while an
+  // init is open.
+  void begin_init(const char* name, std::uint64_t arg_bytes);
+  void end_init();
+  // Drops an open init without accounting it (exception unwinding).
+  void abandon_init() { init_ = InitKernel{}; }
+  bool in_init() const { return init_.open; }
+
   // ---- clock & accounting ----
   // The current stream's notion of time: completion of its last op. For the
   // default stream this is the legacy device clock.
@@ -337,7 +364,9 @@ class Device {
   const KernelObserver& kernel_observer() const { return observer_; }
 
   void account_kernel(const KernelStats& ks) {
-    if (run_.open) {
+    if (init_.open) {
+      add_init_work(ks);
+    } else if (run_.open) {
       add_phase(ks);
     } else if (recording_) {
       log_kernel(OpLog::Kind::kernel, ks);
@@ -350,6 +379,7 @@ class Device {
   // Occupies neither device engine: it only extends the issuing stream.
   void account_host_compute(double us) {
     AGG_CHECK_MSG(!run_.open, "host phase inside a persistent run");
+    AGG_CHECK_MSG(!init_.open, "host phase inside an init kernel");
     if (recording_) {
       log_op({OpLog::Kind::host, 0, 0, 0, us});
       return;
@@ -369,6 +399,7 @@ class Device {
 
   void account_transfer(std::uint64_t bytes, bool to_device) {
     AGG_CHECK_MSG(!run_.open, "transfer inside a persistent run");
+    AGG_CHECK_MSG(!init_.open, "transfer inside an init kernel");
     if (recording_) {
       log_op({to_device ? OpLog::Kind::h2d : OpLog::Kind::d2h, 0, 0, bytes, 0});
       return;
@@ -429,6 +460,12 @@ class Device {
     KernelStats stats;
   };
 
+  // The init kernel being assembled: the totals of the kernels folded in.
+  struct InitKernel {
+    bool open = false;
+    KernelStats stats;
+  };
+
   // Fault check, observer, timeline placement, counters and trace of one
   // kernel; returns its modeled start.
   double commit_kernel(const KernelStats& ks) {
@@ -447,8 +484,10 @@ class Device {
     if (trace::active()) trace_kernel(ks, start_us);
     return start_us;
   }
-  // Folds one kernel into the open run as a phase (device.cpp).
+  // Folds one kernel into the open run as a phase, or into the open init
+  // (device.cpp).
   void add_phase(const KernelStats& ks);
+  void add_init_work(const KernelStats& ks);
 
   void log_op(const OpLog::Op& op) { log_.ops.push_back(op); }
   void log_kernel(OpLog::Kind kind, const KernelStats& ks) {
@@ -512,6 +551,7 @@ class Device {
   FaultInjector injector_;
   bool fault_armed_ = false;
   PersistentRun run_;
+  InitKernel init_;
   bool recording_ = false;
   OpLog log_;
 };
@@ -529,6 +569,30 @@ class StreamGuard {
  private:
   Device& dev_;
   StreamId prev_;
+};
+
+// Scoped init kernel (Device::begin_init): an init still open when the scope
+// dies — an exception unwound through it — is dropped unaccounted.
+class InitScope {
+ public:
+  InitScope(Device& dev, const char* name, std::uint64_t arg_bytes)
+      : dev_(dev) {
+    dev_.begin_init(name, arg_bytes);
+  }
+  ~InitScope() {
+    if (open_) dev_.abandon_init();
+  }
+  InitScope(const InitScope&) = delete;
+  InitScope& operator=(const InitScope&) = delete;
+
+  void end() {
+    open_ = false;
+    dev_.end_init();
+  }
+
+ private:
+  Device& dev_;
+  bool open_ = true;
 };
 
 // Scoped persistent run (Device::begin_persistent): a run still open when

@@ -12,6 +12,8 @@
 namespace simt {
 
 inline constexpr int kWarpSize = 32;
+// Kernel parameter space of every profile here (Fermi and Kepler: 4 KB).
+inline constexpr std::uint64_t kKernelParamBytes = 4096;
 
 struct DeviceProps {
   std::string name = "Tesla C2070 (simulated)";

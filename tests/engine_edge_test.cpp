@@ -188,6 +188,11 @@ TEST(EngineEdge, MaxIterationsSafetyValveTrips) {
   } engines[] = {
       {"bfs", [&](simt::Device& dev) { gg::run_bfs(dev, g, 0, v, opts); }},
       {"sssp", [&](simt::Device& dev) { gg::run_sssp(dev, g, 0, v, opts); }},
+      // Ordered SSSP, the one frontier traversal off gg::FrontierLoop.
+      {"sssp",
+       [&](simt::Device& dev) {
+         gg::run_sssp(dev, g, 0, gg::parse_variant("O_T_QU"), opts);
+       }},
       {"cc", [&](simt::Device& dev) { gg::run_cc(dev, g, v, opts); }},
       {"pagerank",
        [&](simt::Device& dev) { gg::run_pagerank(dev, g, selector, pr); }},

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -123,93 +124,151 @@ TEST(Decision, DeviceDerivedT2TracksSmCount) {
 
 // ---- persistent-run bound ---------------------------------------------------
 
+// A degree sequence as persistent_bound reads it, with the top-k prefix
+// sums the frontier's edge mass is bounded by.
+struct Degrees {
+  std::string name;
+  std::vector<std::uint64_t> counts;  // counts[d] = nodes of outdegree d
+  std::vector<std::uint64_t> prefix;  // prefix[k] = sum of the k largest
+  std::uint64_t m = 0;
+};
+
+Degrees degrees(std::string name, std::vector<std::uint32_t> seq) {
+  Degrees d;
+  d.name = std::move(name);
+  std::sort(seq.begin(), seq.end(), std::greater<>());
+  d.counts.assign(seq.empty() ? 1 : seq.front() + 1, 0);
+  d.prefix.assign(1, 0);
+  for (const std::uint32_t x : seq) {
+    ++d.counts[x];
+    d.prefix.push_back(d.prefix.back() + x);
+  }
+  d.m = d.prefix.back();
+  return d;
+}
+
+// Flat, hub-skewed and Zipf-like outdegree sequences of n nodes.
+std::vector<Degrees> degree_sequences(std::uint32_t n) {
+  std::vector<Degrees> out;
+  out.push_back(degrees("empty", std::vector<std::uint32_t>(n, 0)));
+  for (const std::uint32_t d : {1u, 3u, 64u}) {
+    out.push_back(degrees("flat" + std::to_string(d),
+                          std::vector<std::uint32_t>(n, d)));
+  }
+  std::vector<std::uint32_t> hub(n, 3);
+  hub[0] = 5000;
+  out.push_back(degrees("hub", hub));
+  std::vector<std::uint32_t> zipf(n);
+  for (std::uint32_t i = 0; i < n; ++i) zipf[i] = 5000 / (i + 1);
+  out.push_back(degrees("zipf", zipf));
+  return out;
+}
+
+// The traversals whose selectors the bound is derived for: BFS and CC
+// report a gather volume of at least n (BFS's proxy can reach 0, CC's is
+// m - frontier_edges), SSSP a flat 2m + n; PageRank and MS-BFS select push
+// only.
+enum class Kind { bfs, sssp, cc, push_only };
+
 // For every |WS| below F = rt::persistent_bound, the selector and the pure
-// functions it composes keep U_B_QU, push and the current layout, whatever
-// the frontier's edge mass (up to |WS| * max outdegree) and however little
-// of the graph is left unexplored.
+// functions it composes keep U_B_QU, push and the current layout, with the
+// frontier's edge mass at its largest, the |WS| largest outdegrees, and the
+// gather volume at its smallest.
 TEST(PersistentBound, NoDecisionChangesBelowTheBound) {
   std::uint64_t checked = 0;
   std::uint64_t alpha_bound = 0;
   for (const std::uint32_t n : {1u, 100u, 4096u, 1000000u}) {
-    const std::uint64_t nn = n;
-    for (const std::uint64_t m : {std::uint64_t{0}, nn, 8 * nn, 40 * nn}) {
-      for (const std::uint32_t maxd : {0u, 1u, 3u, 64u, 5000u}) {
-        if ((m == 0) != (maxd == 0)) continue;
-        const double avg = n ? static_cast<double>(m) / n : 0.0;
-        const double stddev = 4 * avg;  // skewed: the layout prefers a switch
-        for (const double t2 : {0.0, 37.5, 2688.0}) {
-          for (const double alpha : {0.0, 0.05, 0.5, 2.0}) {
-            for (const gg::Direction dir :
-                 {gg::Direction::push, gg::Direction::pull,
-                  gg::Direction::adaptive}) {
-              for (const bool sssp : {false, true}) {
-                Thresholds t = default_thresholds();
-                t.t2_ws_size = t2;
-                t.do_alpha = alpha;
-                t.rep_min_nodes = 1;
-                const std::uint64_t unexplored = sssp ? 2 * m : 0;
-                const gg::PersistentBound b = rt::persistent_bound(
-                    t, dir, (sssp ? 2 * m : 0) + n, maxd);
-                SCOPED_TRACE(testing::Message()
-                             << "n " << n << " m " << m << " maxd " << maxd
-                             << " T2 " << t2 << " alpha " << alpha << " dir "
-                             << gg::direction_name(dir) << " sssp " << sssp
-                             << " F " << b.ws_below);
-                ASSERT_LE(b.ws_below, static_cast<std::uint64_t>(std::ceil(t2)));
-                if (dir == gg::Direction::pull) {
-                  ASSERT_EQ(b.ws_below, 0u);
-                }
-                if (b.has_alpha_term && b.alpha_term < b.t2) ++alpha_bound;
-                std::vector<std::uint64_t> sizes;
-                for (std::uint64_t ws = 0; ws < std::min<std::uint64_t>(b.ws_below, 64);
-                     ++ws) {
-                  sizes.push_back(ws);
-                }
-                if (b.ws_below > 64) {
-                  sizes.insert(sizes.end(), {b.ws_below / 2, b.ws_below - 2,
-                                             b.ws_below - 1});
-                }
-                for (const gg::Representation cur :
-                     {gg::Representation::plain, gg::Representation::relabelled,
-                      gg::Representation::binned}) {
-                  const auto pick = rt::make_adaptive_selector(
-                      t, 1, "test", dir, gg::Representation::adaptive);
-                  for (const std::uint64_t ws : sizes) {
-                    const std::uint64_t fe = ws * maxd;
-                    const gg::Variant v = rt::decide(t, ws, avg, n, stddev);
-                    ASSERT_EQ(v.mapping, Mapping::block) << "ws " << ws;
-                    ASSERT_EQ(v.repr, WorksetRepr::queue) << "ws " << ws;
-                    if (dir == gg::Direction::adaptive) {
-                      ASSERT_EQ(rt::decide_direction(t, gg::Direction::push, fe,
-                                                     unexplored, n),
-                                gg::Direction::push)
-                          << "ws " << ws;
-                    }
-                    for (const bool resident : {false, true}) {
-                      ASSERT_EQ(rt::decide_representation_step(
-                                    t, cur, resident, ws, fe, 40ull * n + m, m,
-                                    n, avg, stddev, maxd),
-                                cur)
-                          << "ws " << ws;
-                    }
-                    gg::SelectorInput in;
-                    in.ws_size = ws;
-                    in.avg_outdegree = avg;
-                    in.outdeg_stddev = stddev;
-                    in.num_nodes = n;
-                    in.frontier_edges = fe;
-                    in.unexplored_edges = unexplored;
-                    in.num_edges = m;
-                    in.representation = cur;
-                    in.max_outdegree = maxd;
-                    in.rel_available = in.bin_available = true;
-                    const gg::Variant s = pick(in);
-                    ASSERT_EQ(s.mapping, Mapping::block) << "ws " << ws;
-                    ASSERT_EQ(s.repr, WorksetRepr::queue) << "ws " << ws;
-                    ASSERT_EQ(s.direction, gg::Direction::push) << "ws " << ws;
-                    ASSERT_EQ(s.representation, cur) << "ws " << ws;
-                    ++checked;
+    for (const Degrees& deg : degree_sequences(n)) {
+      const std::uint64_t m = deg.m;
+      const double avg = static_cast<double>(m) / n;
+      const double stddev = 4 * avg;  // skewed: the layout prefers a switch
+      const auto maxd = static_cast<std::uint32_t>(deg.counts.size() - 1);
+      for (const double t2 : {0.0, 37.5, 2688.0}) {
+        for (const double alpha : {0.0, 0.05, 0.5, 2.0}) {
+          for (const gg::Direction option :
+               {gg::Direction::push, gg::Direction::pull,
+                gg::Direction::adaptive}) {
+            for (const Kind kind :
+                 {Kind::bfs, Kind::sssp, Kind::cc, Kind::push_only}) {
+              // The runtime derives a push-only selector's bound under push.
+              const gg::Direction dir =
+                  kind == Kind::push_only ? gg::Direction::push : option;
+              Thresholds t = default_thresholds();
+              t.t2_ws_size = t2;
+              t.do_alpha = alpha;
+              t.rep_min_nodes = 1;
+              const gg::PersistentBound b = rt::persistent_bound(
+                  t, dir, (kind == Kind::sssp ? 2 * m : 0) + n, deg.counts);
+              SCOPED_TRACE(testing::Message()
+                           << "n " << n << " degrees " << deg.name << " T2 "
+                           << t2 << " alpha " << alpha << " dir "
+                           << gg::direction_name(dir) << " kind "
+                           << static_cast<int>(kind) << " F " << b.ws_below);
+              ASSERT_LE(b.ws_below, static_cast<std::uint64_t>(std::ceil(t2)));
+              ASSERT_FALSE(b.init_kernel);
+              if (dir == gg::Direction::pull) {
+                ASSERT_EQ(b.ws_below, 0u);
+              }
+              if (b.has_alpha_term && b.alpha_term < b.t2) ++alpha_bound;
+              std::vector<std::uint64_t> sizes;
+              for (std::uint64_t ws = 0;
+                   ws < std::min<std::uint64_t>(b.ws_below, 64); ++ws) {
+                sizes.push_back(ws);
+              }
+              if (b.ws_below > 64) {
+                sizes.insert(sizes.end(),
+                             {b.ws_below / 2, b.ws_below - 2, b.ws_below - 1});
+              }
+              const auto pick =
+                  kind == Kind::push_only
+                      ? rt::make_adaptive_selector(t, 1, "msbfs")
+                      : rt::make_adaptive_selector(
+                            t, 1, "test", dir, gg::Representation::adaptive);
+              for (const gg::Representation cur :
+                   {gg::Representation::plain, gg::Representation::relabelled,
+                    gg::Representation::binned}) {
+                for (const std::uint64_t ws : sizes) {
+                  const std::uint64_t fe =
+                      deg.prefix[std::min<std::uint64_t>(ws, n)];
+                  const std::uint64_t unexplored = kind == Kind::sssp ? 2 * m
+                                                   : kind == Kind::cc ? m - fe
+                                                                      : 0;
+                  const gg::Variant v = rt::decide(t, ws, avg, n, stddev);
+                  ASSERT_EQ(v.mapping, Mapping::block) << "ws " << ws;
+                  ASSERT_EQ(v.repr, WorksetRepr::queue) << "ws " << ws;
+                  if (dir == gg::Direction::adaptive) {
+                    ASSERT_EQ(rt::decide_direction(t, gg::Direction::push, fe,
+                                                   unexplored, n),
+                              gg::Direction::push)
+                        << "ws " << ws;
                   }
+                  for (const bool resident : {false, true}) {
+                    ASSERT_EQ(rt::decide_representation_step(
+                                  t, cur, resident, ws, fe, 40ull * n + m, m,
+                                  n, avg, stddev, maxd),
+                              cur)
+                        << "ws " << ws;
+                  }
+                  gg::SelectorInput in;
+                  in.ws_size = ws;
+                  in.avg_outdegree = avg;
+                  in.outdeg_stddev = stddev;
+                  in.num_nodes = n;
+                  in.frontier_edges = fe;
+                  in.unexplored_edges = unexplored;
+                  in.num_edges = m;
+                  in.representation = cur;
+                  in.max_outdegree = maxd;
+                  in.rel_available = in.bin_available = true;
+                  const gg::Variant s = pick(in);
+                  ASSERT_EQ(s.mapping, Mapping::block) << "ws " << ws;
+                  ASSERT_EQ(s.repr, WorksetRepr::queue) << "ws " << ws;
+                  ASSERT_EQ(s.direction, gg::Direction::push) << "ws " << ws;
+                  ASSERT_EQ(s.representation,
+                            kind == Kind::push_only ? gg::Representation::plain
+                                                    : cur)
+                      << "ws " << ws;
+                  ++checked;
                 }
               }
             }
@@ -224,23 +283,46 @@ TEST(PersistentBound, NoDecisionChangesBelowTheBound) {
 
 TEST(PersistentBound, DerivedValues) {
   Thresholds t = default_thresholds();
+  const std::vector<std::uint32_t> flat17(4096, 17);
+  const Degrees flat = degrees("flat17", flat17);
   // Push: F = T2.
-  auto b = rt::persistent_bound(t, gg::Direction::push, 4096, 17);
+  auto b = rt::persistent_bound(t, gg::Direction::push, 4096, flat.counts);
   EXPECT_EQ(b.ws_below, 2688u);
   EXPECT_FALSE(b.has_alpha_term);
-  // Adaptive BFS on a 4,096-node graph with max outdegree 17:
-  // floor(0.5 * 4096 / 17) = 120.
-  b = rt::persistent_bound(t, gg::Direction::adaptive, 4096, 17);
+  EXPECT_FALSE(b.init_kernel);  // the runtime sets it, not the bound
+  // Adaptive BFS on a 4,096-node graph of outdegree 17 throughout: the
+  // largest k with 17k <= 0.5 * 4096 is 120.
+  b = rt::persistent_bound(t, gg::Direction::adaptive, 4096, flat.counts);
   EXPECT_TRUE(b.has_alpha_term);
   EXPECT_EQ(b.alpha_term, 120u);
   EXPECT_EQ(b.t2, 2688u);
   EXPECT_EQ(b.ws_below, 120u);
+  // One hub of 1,000, ten nodes of 100, the rest of 2: the hub and the ten
+  // fill 2,000 of the 2,048, and 24 nodes of 2 the rest. A bound by the
+  // largest outdegree alone would give floor(2048 / 1000) = 2.
+  std::vector<std::uint32_t> skewed(4096, 2);
+  skewed[0] = 1000;
+  std::fill(skewed.begin() + 1, skewed.begin() + 11, 100u);
+  b = rt::persistent_bound(t, gg::Direction::adaptive, 4096,
+                           degrees("skewed", skewed).counts);
+  EXPECT_EQ(b.alpha_term, 35u);
+  EXPECT_EQ(b.ws_below, 35u);
+  // SSSP's flat volume 2m + n: at do_alpha 0.5 every edge fits, so F = T2.
+  b = rt::persistent_bound(t, gg::Direction::adaptive,
+                           2 * flat.m + 4096, flat.counts);
+  EXPECT_EQ(b.alpha_term, 2688u);
+  EXPECT_EQ(b.ws_below, 2688u);
   // Pull never runs push; a non-integral T2 rounds up.
-  EXPECT_EQ(rt::persistent_bound(t, gg::Direction::pull, 4096, 17).ws_below, 0u);
+  EXPECT_EQ(
+      rt::persistent_bound(t, gg::Direction::pull, 4096, flat.counts).ws_below,
+      0u);
   t.t2_ws_size = 37.5;
-  EXPECT_EQ(rt::persistent_bound(t, gg::Direction::push, 4096, 17).ws_below, 38u);
+  EXPECT_EQ(
+      rt::persistent_bound(t, gg::Direction::push, 4096, flat.counts).ws_below,
+      38u);
   t.do_alpha = -1;
-  EXPECT_EQ(rt::persistent_bound(t, gg::Direction::adaptive, 4096, 0).ws_below, 0u);
+  EXPECT_EQ(rt::persistent_bound(t, gg::Direction::adaptive, 4096, {}).ws_below,
+            0u);
 }
 
 // ---- inspector --------------------------------------------------------------
