@@ -399,7 +399,8 @@ void hybrid(const std::string& gname, const Graphs& gs,
 }
 
 // Sampled monitoring (paper Sec. VI.E (ii)): every engine decides only at
-// every fourth iteration, with persistent runs on for BFS and SSSP.
+// every fourth iteration, with the serving path's init kernel and
+// persistent runs on for every engine but MST and the generic one.
 void sampled(const Graphs& gs, std::vector<std::string>& out) {
   const graph::Csr& g = gs.plain.csr();
   const graph::NodeId src = gs.plain.default_source();
