@@ -215,7 +215,7 @@ ShardedRun sharded_bfs(simt::Fleet& fleet, ShardedGraph& sg,
 
 ShardedRun sharded_cc(simt::Fleet& fleet, ShardedGraph& sg,
                       const std::vector<simt::StreamId>& streams,
-                      double not_before_us,
+                      double not_before_us, const adaptive::Policy& policy,
                       std::vector<std::uint32_t>& component,
                       std::uint32_t& num_components) {
   AGG_CHECK(streams.size() == sg.shards.size());
@@ -229,7 +229,13 @@ ShardedRun sharded_cc(simt::Fleet& fleet, ShardedGraph& sg,
 
   // Each shard solves its local symmetric closure with the resident CC
   // engine; the per-device runs overlap on the modeled clock (one stream per
-  // device, all starting at the barrier).
+  // device, all starting at the barrier). The slices keep their plain
+  // layout: a device that holds only a slice has no room for a second one,
+  // so a fixed variant runs on it whatever its representation.
+  const bool fixed = policy.mode == adaptive::Policy::Mode::fixed_variant;
+  rt::AdaptiveOptions ao = policy.options;
+  ao.representation = gg::Representation::plain;
+  ao.persistent = true;
   std::vector<gg::GpuCcResult> results(k);
   for (std::size_t i = 0; i < k; ++i) {
     Shard& sh = sg.shards[i];
@@ -240,9 +246,10 @@ ShardedRun sharded_cc(simt::Fleet& fleet, ShardedGraph& sg,
       sh.sym_dg = gg::DeviceGraph::upload(dev, sh.sym_csr,
                                           /*with_weights=*/false);
     }
-    rt::AdaptiveOptions opts;
-    opts.engine.stream = streams[i];
-    results[i] = rt::adaptive_cc(dev, *sh.sym_dg, sh.sym_csr, opts);
+    ao.engine.stream = streams[i];
+    results[i] = fixed ? gg::run_cc(dev, *sh.sym_dg, sh.sym_csr,
+                                    gg::fixed_variant(policy.variant), ao.engine)
+                       : rt::adaptive_cc(dev, *sh.sym_dg, sh.sym_csr, ao);
   }
 
   // Host union-find merge: union every vertex with its per-shard label.

@@ -36,6 +36,7 @@
 #include <optional>
 #include <vector>
 
+#include "api/algorithms.h"
 #include "gpu_graph/device_graph.h"
 #include "service/placement.h"
 #include "simt/cluster.h"
@@ -90,11 +91,16 @@ ShardedRun sharded_bfs(simt::Fleet& fleet, ShardedGraph& sg,
                        const std::vector<simt::StreamId>& streams,
                        double not_before_us, std::vector<std::uint32_t>& levels);
 
-// Per-shard device CC + host union-find merge. Fills `component` (size
-// num_nodes, smallest-member-id labels) and `num_components`.
+// Per-shard device CC + host union-find merge. Each shard runs under
+// `policy` as exec::run would — a fixed variant as given, otherwise the
+// adaptive runtime with the serving path's init kernel and persistent runs —
+// but always on the slice's plain layout.
+// Fills `component` (size num_nodes, smallest-member-id labels) and
+// `num_components`.
 ShardedRun sharded_cc(simt::Fleet& fleet, ShardedGraph& sg,
                       const std::vector<simt::StreamId>& streams,
-                      double not_before_us, std::vector<std::uint32_t>& component,
+                      double not_before_us, const adaptive::Policy& policy,
+                      std::vector<std::uint32_t>& component,
                       std::uint32_t& num_components);
 
 }  // namespace svc

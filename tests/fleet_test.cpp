@@ -4,6 +4,7 @@
 // registration.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "simt/cluster.h"
 #include "simt/exec_pool.h"
 #include "simt/fault.h"
+#include "simt/profiler.h"
 #include "trace/counters.h"
 
 namespace {
@@ -301,11 +303,13 @@ TEST(ShardedTest, BfsAndCcMatchSingleDevice) {
   ASSERT_FALSE(sharded.placement(gid).replicated());
 
   auto query = [](svc::GraphService& s, svc::GraphId g, svc::Algo algo,
-                  graph::NodeId src) {
+                  graph::NodeId src,
+                  const adaptive::Policy& policy = adaptive::Policy{}) {
     svc::QueryRequest req;
     req.graph = g;
     req.algo = algo;
     req.source = src;
+    req.policy = policy;
     EXPECT_TRUE(s.submit(std::move(req)));
     auto out = s.drain();
     EXPECT_EQ(out.size(), 1u);
@@ -320,12 +324,37 @@ TEST(ShardedTest, BfsAndCcMatchSingleDevice) {
     EXPECT_FALSE(got.degraded);
     EXPECT_EQ(got.bfs().level, want.bfs().level);
   }
-  const auto want_cc = query(single, sgid, svc::Algo::cc, 0);
-  const auto got_cc = query(sharded, gid, svc::Algo::cc, 0);
-  EXPECT_TRUE(got_cc.sharded);
-  EXPECT_FALSE(got_cc.degraded);
-  EXPECT_EQ(got_cc.cc().component, want_cc.cc().component);
-  EXPECT_EQ(got_cc.cc().num_components, want_cc.cc().num_components);
+  // Each shard's CC runs under the query's policy, as a single-device query
+  // would: the adaptive policy starts with the serving path's init kernel,
+  // a fixed one launches its variant's kernels and no init.
+  const std::vector<svc::ShardRange>& shards = sharded.placement(gid).shards;
+  ASSERT_GE(shards.size(), 2u);
+  for (const adaptive::Policy& policy :
+       {adaptive::Policy::adapt(), adaptive::Policy::fixed("U_T_BM")}) {
+    const bool fixed = policy.mode == adaptive::Policy::Mode::fixed_variant;
+    std::vector<std::unique_ptr<simt::Profiler>> profilers;
+    for (const svc::ShardRange& r : shards) {
+      profilers.push_back(
+          std::make_unique<simt::Profiler>(sharded.fleet().device(r.device)));
+    }
+    const auto want_cc = query(single, sgid, svc::Algo::cc, 0, policy);
+    const auto got_cc = query(sharded, gid, svc::Algo::cc, 0, policy);
+    EXPECT_TRUE(got_cc.sharded);
+    EXPECT_FALSE(got_cc.degraded);
+    EXPECT_EQ(got_cc.cc().component, want_cc.cc().component);
+    EXPECT_EQ(got_cc.cc().num_components, want_cc.cc().num_components);
+    for (std::size_t i = 0; i < profilers.size(); ++i) {
+      const auto entries = profilers[i]->entries();
+      const auto init = entries.find("cc.init");
+      if (fixed) {
+        EXPECT_EQ(init, entries.end()) << "shard " << i;
+        EXPECT_EQ(entries.count("cc.compute.T_BM"), 1u) << "shard " << i;
+      } else {
+        ASSERT_NE(init, entries.end()) << "shard " << i;
+        EXPECT_EQ(init->second.launches, 1u) << "shard " << i;
+      }
+    }
+  }
 }
 
 // ---- Session: opaque GraphId registration ----
