@@ -134,6 +134,8 @@ class ResultCache {
     CacheKey key;
     Value value;
     std::size_t bytes = 0;
+    // Modeled time the answer was ready: a hit is never served before it.
+    double ready_us = 0;
   };
 
   explicit ResultCache(std::size_t capacity_bytes = 0)
@@ -171,11 +173,13 @@ class ResultCache {
     return &*it->second;
   }
 
-  // Inserts `key`, evicting least-recently-used entries until it fits;
-  // returns the number of entries evicted. A value larger than the whole
-  // budget is rejected (stats().rejected); a key already present keeps its
-  // existing entry (identical queries produce identical exact payloads).
-  std::size_t insert(const CacheKey& key, Value value, std::size_t bytes) {
+  // Inserts `key`, ready at modeled time `ready_us`, evicting
+  // least-recently-used entries until it fits; returns the number of entries
+  // evicted. A value larger than the whole budget is rejected
+  // (stats().rejected); a key already present keeps its existing entry
+  // (identical queries produce identical exact payloads).
+  std::size_t insert(const CacheKey& key, Value value, std::size_t bytes,
+                     double ready_us = 0) {
     if (!enabled()) return 0;
     if (index_.count(key)) return 0;
     if (bytes > capacity_) {
@@ -187,7 +191,7 @@ class ResultCache {
       evict_one();
       ++evicted;
     }
-    lru_.push_front(Entry{key, std::move(value), bytes});
+    lru_.push_front(Entry{key, std::move(value), bytes, ready_us});
     index_[key] = lru_.begin();
     bytes_ += bytes;
     ++stats_.insertions;
@@ -218,7 +222,8 @@ class ResultCache {
   // version) still hit them. `keep` receives each entry's key and must be
   // conservative: keep only answers provably unchanged by the delta (the
   // service passes a per-component reachability test built on incremental
-  // CC labels). LRU order and recency are preserved across the re-key.
+  // CC labels). LRU order, recency and ready time are preserved across the
+  // re-key.
   // Returns {kept, dropped}.
   struct DeltaInvalidateResult {
     std::size_t kept = 0;
