@@ -61,7 +61,7 @@ std::vector<svc::QueryOutcome> run_stream(
   return outcomes;
 }
 
-// Cache, collapsing and MS-BFS batching all off: each query pays its full
+// Cache, collapsing and batching all off: each query pays its full
 // traversal, so makespan measures routing parallelism alone.
 svc::ServiceOptions service_options() {
   svc::ServiceOptions opts;

@@ -2,7 +2,7 @@
 // on the modeled clock:
 //
 //  1. *Batched multi-source BFS*: answering a batch of 32 same-graph BFS
-//     queries with one fused mask-per-node traversal (bfs_multi_engine)
+//     queries with one fused mask-per-node traversal (multi_source_engine)
 //     beats 32 independent sequential traversals by >= 2x modeled
 //     throughput — the fused pass shares the frontier structure, so each
 //     adjacency list is read once per union-frontier iteration rather than
@@ -18,7 +18,7 @@
 #include "bench_util.h"
 #include "common/prng.h"
 #include "common/table.h"
-#include "gpu_graph/bfs_multi_engine.h"
+#include "gpu_graph/multi_source_engine.h"
 #include "runtime/adaptive_engine.h"
 #include "service/graph_service.h"
 
@@ -58,7 +58,7 @@ void bench_batching(const std::vector<graph::gen::Dataset>& datasets) {
       batch_us = r.metrics.total_us;
       for (std::size_t s = 0; s < sources.size() && match; ++s) {
         for (std::size_t v = 0; v < d.csr.num_nodes; ++v) {
-          if (r.levels[v * sources.size() + s] != expected[s][v]) {
+          if (r.values[v * sources.size() + s] != expected[s][v]) {
             match = false;
             break;
           }

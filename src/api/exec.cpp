@@ -52,6 +52,29 @@ void release_since(simt::Device& dev, gg::DeviceGraph& dg,
   }
 }
 
+// Runs `attempt` on dev against `res` as one device attempt: on a
+// simt::DeviceFault it frees what the attempt pinned into `res` and reclaims
+// the scratch it orphaned, then rethrows.
+template <typename Attempt>
+auto guarded(simt::Device& dev, Resident& res, Attempt&& attempt) {
+  const std::uint64_t mark = dev.mem_mark();
+  const std::uint64_t frontier = dev.mem_frontier();
+  try {
+    return attempt();
+  } catch (const simt::DeviceFault&) {
+    // Free what this attempt pinned before reclaiming the scratch it
+    // orphaned: the reclaim rolls back their accounting as well, so a
+    // structure left in `res` would later be counted out a second time.
+    release_since(dev, res.dg, frontier);
+    if (res.sym) {
+      release_since(dev, *res.sym, frontier);
+      if (!res.sym->row_offsets.valid()) res.sym.reset();
+    }
+    dev.mem_reclaim(mark);
+    throw;
+  }
+}
+
 // The Graph structures q's engines read, built on first use and cached by
 // the Graph: the CSR the traversal runs on (cc: the closure), the CSC for
 // pull iterations, and the layout views — both handed to the engines, or
@@ -260,7 +283,7 @@ std::uint32_t residency_bits(const gg::DeviceGraph& dg) {
 
 // The traversal metrics of a recorded answer.
 gg::TraversalMetrics& metrics_of(Recording& rec) {
-  if (rec.batch) return rec.levels.metrics;
+  if (rec.batch) return rec.multi.metrics;
   gg::TraversalMetrics* m = nullptr;
   std::visit(
       [&m](auto& r) {
@@ -317,18 +340,79 @@ std::uint32_t residency(const Resident& res) {
   return residency_bits(res.dg) | (res.sym ? residency_bits(*res.sym) << 14 : 0);
 }
 
-gg::GpuBfsMultiResult run_bfs_batch(simt::Device& dev, Resident& res,
-                                    const adaptive::Graph& g,
-                                    std::span<const graph::NodeId> sources,
-                                    const adaptive::Policy& policy,
-                                    simt::StreamId stream) {
+bool batchable(const adaptive::Graph& g, const Query& q) {
+  const Policy& p = q.policy;
+  if (p.mode == Policy::Mode::cpu_serial) return false;
+  if (q.algo == svc::Algo::bfs) return true;
+  if (q.algo != svc::Algo::sssp) return false;
+  if (p.mode == Policy::Mode::fixed_variant) {
+    const gg::Variant v =
+        gg::normalize_representation(gg::normalize_direction(p.variant));
+    return v.ordering == gg::Ordering::unordered &&
+           v.direction == gg::Direction::push &&
+           v.representation == Representation::plain;
+  }
+  // The SSSP engine's direction controller weighs a scatter mass of at most
+  // m against a flat gather volume of 2m + n (sssp_engine.cpp), so adaptive
+  // direction stays push wherever do_alpha makes that volume cover m.
+  const gg::Direction d = p.options.direction;
+  const auto m = static_cast<double>(g.num_edges());
+  return d == gg::Direction::push ||
+         (d == gg::Direction::adaptive &&
+          !(m > p.options.thresholds.do_alpha *
+                    (2 * m + static_cast<double>(g.num_nodes()))));
+}
+
+gg::GpuMultiResult run_batch(simt::Device& dev, Resident& res,
+                             const adaptive::Graph& g, svc::Algo algo,
+                             std::span<const graph::NodeId> sources,
+                             const adaptive::Policy& policy,
+                             simt::StreamId stream) {
+  AGG_CHECK(algo == svc::Algo::bfs || algo == svc::Algo::sssp);
+  const bool fixed = policy.mode == Policy::Mode::fixed_variant;
+  const gg::VariantSelector variant = gg::fixed_variant(policy.variant);
   rt::AdaptiveOptions ao = policy.options;
   ao.engine.stream = stream;
   ao.persistent = true;  // as dispatch does
-  return policy.mode == Policy::Mode::fixed_variant
-             ? gg::run_bfs_multi(dev, res.dg, g.csr(), sources,
-                                 gg::fixed_variant(policy.variant), ao.engine)
-             : rt::adaptive_bfs_multi(dev, res.dg, g.csr(), sources, ao);
+  // The Graph's cached layouts, so repeated batches share one conversion.
+  gg::RepSet reps;
+  if (algo == svc::Algo::sssp && !fixed &&
+      ao.representation != Representation::plain) {
+    reps = {&g.relabelled_view(false), &g.binned_view(false),
+            ao.representation};
+    ao.engine.reps = &reps;
+  }
+  return guarded(dev, res, [&] {
+    if (algo == svc::Algo::bfs) {
+      return fixed ? gg::run_bfs_multi(dev, res.dg, g.csr(), sources, variant,
+                                       ao.engine)
+                   : rt::adaptive_bfs_multi(dev, res.dg, g.csr(), sources, ao);
+    }
+    return fixed ? gg::run_sssp_multi(dev, res.dg, g.csr(), sources, variant,
+                                      ao.engine)
+                 : rt::adaptive_sssp_multi(dev, res.dg, g.csr(), sources, ao);
+  });
+}
+
+svc::Payload batch_answer(svc::Algo algo, const gg::GpuMultiResult& r,
+                          std::uint32_t s) {
+  const std::uint32_t k = r.num_sources;
+  AGG_CHECK(s < k);
+  std::vector<std::uint32_t> column(r.values.size() / k);
+  for (std::size_t v = 0; v < column.size(); ++v) {
+    column[v] = r.values[v * k + s];
+  }
+  if (algo == svc::Algo::bfs) {
+    adaptive::BfsResult out;
+    out.level = std::move(column);
+    out.metrics = r.metrics;
+    return out;
+  }
+  AGG_CHECK(algo == svc::Algo::sssp);
+  adaptive::SsspResult out;
+  out.dist = std::move(column);
+  out.metrics = r.metrics;
+  return out;
 }
 
 Recording record(simt::Device recorder, const Resident& res,
@@ -343,13 +427,13 @@ Recording record(simt::Device recorder, const Resident& res,
 }
 
 Recording record_batch(simt::Device recorder, const Resident& res,
-                       const adaptive::Graph& g,
+                       const adaptive::Graph& g, svc::Algo algo,
                        std::vector<graph::NodeId> sources,
                        adaptive::Policy policy) {
   Recording rec;
   rec.batch = true;
   record_unit(recorder, res, g, rec, [&](simt::Device& d, Resident& view) {
-    rec.levels = run_bfs_batch(d, view, g, sources, policy, 0);
+    rec.multi = run_batch(d, view, g, algo, sources, policy, 0);
   });
   return rec;
 }
@@ -372,22 +456,7 @@ svc::Payload run(simt::Device& dev, Resident& res, const adaptive::Graph& g,
   AGG_CHECK_MSG(q.policy.mode != Policy::Mode::cpu_serial,
                 "cpu_serial queries run on exec::run_cpu");
   check(g, q);
-  const std::uint64_t mark = dev.mem_mark();
-  const std::uint64_t frontier = dev.mem_frontier();
-  try {
-    return dispatch(dev, res, g, q);
-  } catch (const simt::DeviceFault&) {
-    // Free what this attempt pinned before reclaiming the scratch it
-    // orphaned: the reclaim rolls back their accounting as well, so a
-    // structure left in `res` would later be counted out a second time.
-    release_since(dev, res.dg, frontier);
-    if (res.sym) {
-      release_since(dev, *res.sym, frontier);
-      if (!res.sym->row_offsets.valid()) res.sym.reset();
-    }
-    dev.mem_reclaim(mark);
-    throw;
-  }
+  return guarded(dev, res, [&] { return dispatch(dev, res, g, q); });
 }
 
 CpuAnswer run_cpu(const adaptive::Graph& g, const Query& q) {

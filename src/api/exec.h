@@ -21,8 +21,8 @@
 
 #include "api/algorithms.h"
 #include "api/graph_api.h"
-#include "gpu_graph/bfs_multi_engine.h"
 #include "gpu_graph/device_graph.h"
+#include "gpu_graph/multi_source_engine.h"
 #include "service/result_cache.h"
 #include "simt/device.h"
 
@@ -86,16 +86,29 @@ svc::Payload run(simt::Device& dev, Resident& res, const adaptive::Graph& g,
 bool prepare_recording(const Resident& res, const adaptive::Graph& g,
                        const Query& q);
 
-// The fused multi-source BFS over `sources` on the resident copy under a
-// fixed-variant or adaptive `policy`, issued on `stream`: the service's
-// batch unit.
-gg::GpuBfsMultiResult run_bfs_batch(simt::Device& dev, Resident& res,
-                                    const adaptive::Graph& g,
-                                    std::span<const graph::NodeId> sources,
-                                    const adaptive::Policy& policy,
-                                    simt::StreamId stream);
+// Whether q may be a member of a run_batch: a BFS under a fixed or adaptive
+// policy, or an SSSP that run(q) would answer on the unordered push engine —
+// under the adaptive policy, unless it may pull on g, or under a fixed
+// unordered push variant on the plain layout. Ordered, pulling and fixed
+// _REL/_BIN SSSP run alone. Members of one batch share q's policy.
+bool batchable(const adaptive::Graph& g, const Query& q);
 
-// One device unit — an exec::run attempt or a run_bfs_batch — simulated
+// The fused multi-source traversal of `algo` (bfs or sssp) over `sources` on
+// the resident copy under `policy`, whose queries are batchable, issued on
+// `stream`: the service's batch unit. A fault is handled as run() handles
+// one, then rethrown.
+gg::GpuMultiResult run_batch(simt::Device& dev, Resident& res,
+                             const adaptive::Graph& g, svc::Algo algo,
+                             std::span<const graph::NodeId> sources,
+                             const adaptive::Policy& policy,
+                             simt::StreamId stream);
+
+// Source slot `s`'s answer in a run_batch result of `algo`: column s of the
+// matrix, with the batch's metrics.
+svc::Payload batch_answer(svc::Algo algo, const gg::GpuMultiResult& r,
+                          std::uint32_t s);
+
+// One device unit — an exec::run attempt or a run_batch — simulated
 // ahead of its turn on a recording device (simt::Device::recorder) against
 // an alias of a replica's resident copy, on any host thread (DESIGN.md
 // "Query-parallel drains"). It holds the op log and the answer, whose
@@ -104,8 +117,8 @@ struct Recording {
   bool ok = false;  // false: the unit tried to pin, or ran out of memory
   bool batch = false;
   simt::OpLog log;
-  svc::Payload payload;          // an exec::run unit's answer
-  gg::GpuBfsMultiResult levels;  // a batch unit's answer
+  svc::Payload payload;       // an exec::run unit's answer
+  gg::GpuMultiResult multi;   // a batch unit's answer
   // What the answer was computed against: the graph and its version, the
   // replica's residency and the device model.
   const adaptive::Graph* graph = nullptr;
@@ -123,7 +136,7 @@ struct Recording {
 Recording record(simt::Device recorder, const Resident& res,
                  const adaptive::Graph& g, Query q);
 Recording record_batch(simt::Device recorder, const Resident& res,
-                       const adaptive::Graph& g,
+                       const adaptive::Graph& g, svc::Algo algo,
                        std::vector<graph::NodeId> sources,
                        adaptive::Policy policy);
 

@@ -87,7 +87,8 @@ struct EngineOptions {
 // the running layout, so the engine may run such iterations inside one
 // persistent kernel; 0 keeps one launch per kernel. t2 and alpha_term are
 // the two sides of the min that gave ws_below, for the trace. BFS, SSSP,
-// CC, PageRank and MS-BFS take one; the default folds nothing.
+// CC, PageRank and the fused MS-BFS and SSSP batches take one; the default
+// folds nothing.
 struct PersistentBound {
   bool init_kernel = false;
   std::uint64_t ws_below = 0;

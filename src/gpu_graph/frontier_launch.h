@@ -1,7 +1,8 @@
 // The iteration loop of the frontier engines (paper Fig. 8) and its push
 // launch shapes (paper Sec. IV.B, V). FrontierLoop, at the end of this
 // file, runs every engine's loop: BFS, unordered SSSP, CC, PageRank, MST's
-// find-min, MS-BFS and the generic operator engine.
+// find-min, the fused MS-BFS and SSSP batches and the generic operator
+// engine.
 //
 // The computation kernel runs over a bitmap or queue working set, with
 // thread, block or warp mapping (the last is Hong et al.'s

@@ -11,10 +11,10 @@
 // gg::FrontierLoop (frontier_launch.h) holds a traversal's one
 // PersistentRuns: it calls enter() before the compute phase, test() after
 // it, check_kept() after the selector, and record() in place of
-// record_iteration(). BFS, unordered SSSP, CC, PageRank and MS-BFS pass it
-// the bound they were given: nonzero on the serving path, PersistentBound{}
-// (which never opens a run) in the paper benches. MST and the generic
-// engine always pass PersistentBound{}.
+// record_iteration(). BFS, unordered SSSP, CC, PageRank and the fused
+// MS-BFS and SSSP batches pass it the bound they were given: nonzero on the
+// serving path, PersistentBound{} (which never opens a run) in the paper
+// benches. MST and the generic engine always pass PersistentBound{}.
 //
 // The same engines start with an InitKernel, below, on the serving path.
 #pragma once

@@ -83,8 +83,8 @@ std::uint32_t max_outdegree_of(const graph::Csr& g) {
 
 // What the serving path folds in a traversal over `g` under `direction`
 // (nothing with the option off). BFS and CC report a gather volume of at
-// least n, SSSP a flat 2m + n; the push-only selectors of PageRank and
-// MS-BFS need no volume.
+// least n, SSSP a flat 2m + n; the push-only selectors of PageRank and the
+// fused batches need no volume.
 gg::PersistentBound persistent_for(const Thresholds& t,
                                    const AdaptiveOptions& opts,
                                    const graph::Csr& g, bool sssp,
@@ -156,10 +156,14 @@ void resolve_representation(const Thresholds& t, const AdaptiveOptions& opts,
 }  // namespace
 
 void rep_payload_to_original(std::vector<std::uint32_t>& payload,
-                             const graph::RelabeledGraph& view) {
-  std::vector<std::uint32_t> orig(view.new_id.size());
-  for (std::uint32_t v = 0; v < orig.size(); ++v) {
-    orig[v] = payload[view.new_id[v]];
+                             const graph::RelabeledGraph& view,
+                             std::uint32_t width) {
+  std::vector<std::uint32_t> orig(view.new_id.size() * width);
+  for (std::size_t v = 0; v < view.new_id.size(); ++v) {
+    const auto from = payload.begin() +
+                      static_cast<std::ptrdiff_t>(view.new_id[v]) * width;
+    std::copy(from, from + width,
+              orig.begin() + static_cast<std::ptrdiff_t>(v * width));
   }
   payload.swap(orig);
 }
@@ -438,16 +442,51 @@ gg::GpuPageRankResult adaptive_pagerank(simt::Device& dev, gg::DeviceGraph& dg,
       options, persistent_for(t, opts, g, false, gg::Direction::push));
 }
 
-gg::GpuBfsMultiResult adaptive_bfs_multi(simt::Device& dev, gg::DeviceGraph& dg,
-                                         const graph::Csr& g,
-                                         std::span<const graph::NodeId> sources,
-                                         const AdaptiveOptions& opts) {
+gg::GpuMultiResult adaptive_bfs_multi(simt::Device& dev, gg::DeviceGraph& dg,
+                                      const graph::Csr& g,
+                                      std::span<const graph::NodeId> sources,
+                                      const AdaptiveOptions& opts) {
   const Thresholds t = effective_thresholds(dev, opts);
   const gg::EngineOptions eo = engine_opts(opts);
   return gg::run_bfs_multi(
       dev, dg, g, sources,
       make_adaptive_selector(t, eo.monitor_interval, "msbfs"), eo,
       persistent_for(t, opts, g, false, gg::Direction::push));
+}
+
+gg::GpuMultiResult adaptive_sssp_multi(simt::Device& dev, gg::DeviceGraph& dg,
+                                       const graph::Csr& g,
+                                       std::span<const graph::NodeId> sources,
+                                       const AdaptiveOptions& opts) {
+  const Thresholds t = effective_thresholds(dev, opts);
+  gg::EngineOptions eo = engine_opts(opts);
+  RepResolution rep;
+  resolve_representation(t, opts, g, &dg, rep);
+  if (rep.kind == gg::Representation::plain) {
+    return gg::run_sssp_multi(
+        dev, dg, g, sources,
+        make_adaptive_selector(t, eo.monitor_interval, "mssp"), eo,
+        persistent_for(t, opts, g, true, gg::Direction::push));
+  }
+  eo.csc = nullptr;
+  eo.reps = nullptr;
+  const graph::RelabeledGraph& view = rep.view();
+  gg::DeviceGraph* rdg = nullptr;
+  {
+    simt::StreamGuard sguard(dev, eo.stream);
+    rdg = &dg.ensure_rep_resident(dev, rep.kind, view, /*with_weights=*/true);
+  }
+  std::vector<graph::NodeId> slots(sources.size());
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    slots[i] = view.new_id[sources[i]];
+  }
+  gg::GpuMultiResult r = gg::run_sssp_multi(
+      dev, *rdg, view.csr, slots,
+      make_adaptive_selector(t, eo.monitor_interval, "mssp",
+                             gg::Direction::push, rep.kind),
+      eo, persistent_for(t, opts, view.csr, true, gg::Direction::push));
+  rep_payload_to_original(r.values, view, r.num_sources);
+  return r;
 }
 
 }  // namespace rt

@@ -6,9 +6,9 @@
 #pragma once
 
 #include "gpu_graph/bfs_engine.h"
-#include "gpu_graph/bfs_multi_engine.h"
 #include "gpu_graph/cc_engine.h"
 #include "gpu_graph/mst_engine.h"
+#include "gpu_graph/multi_source_engine.h"
 #include "gpu_graph/pagerank_engine.h"
 #include "gpu_graph/sssp_engine.h"
 #include "runtime/decision.h"
@@ -28,8 +28,8 @@ struct AdaptiveOptions {
   //  * adaptive — direction-optimizing: the controller flips push->pull when
   //    frontier_edges > do_alpha * unexplored_edges and back to push when
   //    the frontier shrinks below do_beta * num_nodes (Beamer hysteresis,
-  //    knobs on `thresholds`). MST, PageRank and the fused MS-BFS path have
-  //    no gather formulation and always run push.
+  //    knobs on `thresholds`). MST, PageRank and the fused multi-source
+  //    paths have no gather formulation and always run push.
   gg::Direction direction = gg::Direction::push;
   // Graph representation for the traversal (DESIGN.md "Representation
   // adaptivity", the 5th adaptive dimension):
@@ -41,12 +41,13 @@ struct AdaptiveOptions {
   //    switch layouts mid-run, amortization-checked against the remaining
   //    edge mass. Payloads are always mapped back to original ids before
   //    they leave the engine layer. SSSP/CC resolve `adaptive` once at
-  //    query start (the API layer's job); MST, PageRank and the fused
-  //    MS-BFS path always run plain (their results are not invariant under
-  //    renumbering: FP summation order / in-place contraction).
+  //    query start (the API layer's job), fused SSSP once per batch; MST
+  //    and PageRank always run plain (their results are not invariant under
+  //    renumbering: FP summation order / in-place contraction), and so does
+  //    the fused MS-BFS path.
   gg::Representation representation = gg::Representation::plain;
   // The serving path's fixed-cost folding for BFS, unordered SSSP, CC,
-  // PageRank and MS-BFS (an extension, not the paper's runtime; DESIGN.md
+  // PageRank and the fused multi-source traversals (an extension, not the paper's runtime; DESIGN.md
   // "Persistent iterations"): each traversal starts with one init kernel in
   // place of its fills and seed writes, and iterations whose working set is
   // below the derived bound rt::persistent_bound run inside one persistent
@@ -54,7 +55,7 @@ struct AdaptiveOptions {
   // Decisions and answers are those of the per-iteration runtime; only the
   // modeled launch, readback and seed charges change. Off here, so the
   // paper benches reproduce the paper's runtime; exec::run and
-  // exec::run_bfs_batch turn it on. Hybrid CPU phases, when enabled, take
+  // exec::run_batch turn it on. Hybrid CPU phases, when enabled, take
   // precedence over all of it. MST keeps per-iteration launches.
   bool persistent = false;
   gg::EngineOptions engine;            // tpb knobs (monitor_interval is set here)
@@ -72,9 +73,12 @@ gg::VariantSelector make_adaptive_selector(const Thresholds& thresholds);
 // Id-space mapping helpers for callers that run an engine directly on an
 // alternate-representation CSR (fixed _REL/_BIN policies): payloads must be
 // mapped back to original ids before leaving the engine layer.
-// rep_payload_to_original: payload_orig[v] = payload_slot[new_id[v]].
+// rep_payload_to_original: payload_orig[v * width + s] =
+// payload_slot[new_id[v] * width + s], `width` values per node (the sources
+// of a fused multi-source answer).
 void rep_payload_to_original(std::vector<std::uint32_t>& payload,
-                             const graph::RelabeledGraph& view);
+                             const graph::RelabeledGraph& view,
+                             std::uint32_t width = 1);
 // CC labels are "smallest id in the component" in the running id space;
 // canonicalize to smallest ORIGINAL id and recount over original nodes
 // (binned pad slots drop out).
@@ -122,11 +126,17 @@ gg::GpuPageRankResult adaptive_pagerank(simt::Device& dev, gg::DeviceGraph& dg,
                                         const gg::PageRankOptions& pr = {},
                                         const AdaptiveOptions& opts = {});
 
-// Batched multi-source BFS with adaptive selection over the fused traversal
-// (the serving layer's coalesced same-graph BFS path).
-gg::GpuBfsMultiResult adaptive_bfs_multi(simt::Device& dev, gg::DeviceGraph& dg,
-                                         const graph::Csr& g,
-                                         std::span<const graph::NodeId> sources,
-                                         const AdaptiveOptions& opts = {});
+// Batched multi-source BFS and unordered SSSP with adaptive selection over
+// the fused traversals (the serving layer's coalesced same-graph path). Both
+// run push only. SSSP resolves `representation` once per batch, as
+// adaptive_sssp does per query, and runs the whole batch in that layout.
+gg::GpuMultiResult adaptive_bfs_multi(simt::Device& dev, gg::DeviceGraph& dg,
+                                      const graph::Csr& g,
+                                      std::span<const graph::NodeId> sources,
+                                      const AdaptiveOptions& opts = {});
+gg::GpuMultiResult adaptive_sssp_multi(simt::Device& dev, gg::DeviceGraph& dg,
+                                       const graph::Csr& g,
+                                       std::span<const graph::NodeId> sources,
+                                       const AdaptiveOptions& opts = {});
 
 }  // namespace rt

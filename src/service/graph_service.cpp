@@ -319,33 +319,33 @@ GraphService::Route GraphService::route_query(const GraphEntry& entry) const {
   return route;
 }
 
-bool GraphService::batchable(const PendingQuery& a, const PendingQuery& b) const {
-  return !a.mutation && !b.mutation &&
-         a.req.algo == Algo::bfs && b.req.algo == Algo::bfs &&
-         a.req.graph == b.req.graph &&
-         a.req.policy.mode == b.req.policy.mode &&
-         a.req.policy.mode != adaptive::Policy::Mode::cpu_serial &&
-         a.req.policy.variant == b.req.policy.variant;
-}
-
 std::vector<std::size_t> GraphService::batch_members(
     std::size_t head, const std::vector<char>& gone) const {
   std::vector<std::size_t> members{head};
   const PendingQuery& q = queue_[head];
-  // batchable(q, q): a BFS under a servable policy. Sharded entries never
-  // batch: their BSP executor has no fused multi-source path (queries run
-  // whole-fleet supersteps instead).
-  if (!opts_.batch_bfs || !batchable(q, q) ||
-      !graphs_[q.req.graph]->plan.replicated()) {
+  // Sharded entries never batch: their BSP executor has no fused
+  // multi-source path (queries run whole-fleet supersteps instead).
+  const GraphEntry& entry = *graphs_[q.req.graph];
+  if (!opts_.batch_bfs || q.mutation || !entry.plan.replicated() ||
+      !exec::batchable(*entry.g, {q.req.algo, q.req.source, q.req.damping,
+                                  q.req.policy, 0})) {
     return members;
   }
+  // Every member runs under the head's policy and is cached under its own
+  // key, so members share the head's whole policy signature.
+  const std::uint64_t policy = policy_signature(q.req.policy);
   for (std::size_t j = head + 1;
        j < queue_.size() && members.size() < opts_.max_batch; ++j) {
     const PendingQuery& f = queue_[j];
-    // The queries behind a mutation of the graph answer against its next
-    // version.
-    if (f.mutation && f.req.graph == q.req.graph) break;
-    if ((j >= gone.size() || !gone[j]) && batchable(q, f)) {
+    if (f.mutation) {
+      // The queries behind a mutation of the graph answer against its next
+      // version.
+      if (f.req.graph == q.req.graph) break;
+      continue;
+    }
+    if ((j >= gone.size() || !gone[j]) && f.req.algo == q.req.algo &&
+        f.req.graph == q.req.graph &&
+        policy_signature(f.req.policy) == policy) {
       members.push_back(j);
     }
   }
@@ -487,7 +487,7 @@ std::vector<QueryOutcome> GraphService::drain() {
       for (auto it = members.rbegin(); it != members.rend(); ++it) {
         queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(*it));
       }
-      execute_bfs_batch(std::move(batch));
+      execute_batch(std::move(batch));
     } else {
       PendingQuery q = std::move(queue_.front());
       queue_.pop_front();
@@ -512,16 +512,16 @@ struct GraphService::Recorded final : simt::ExecPool::Task {
   std::uint32_t residency = 0;         // of the replica recorded against
   bool consumed = false;               // dispatched, or passed by the loop
 
-  // What the worker records with, made on the serving thread.
+  // What the worker records with, made on the serving thread; a batch
+  // takes its algorithm and policy from `query`.
   std::optional<simt::Device> recorder;
   exec::Resident view;
   exec::Query query;
-  adaptive::Policy policy;
   exec::Recording rec;
 
   void run() override {
-    rec = batch ? exec::record_batch(std::move(*recorder), view, *g, sources,
-                                     policy)
+    rec = batch ? exec::record_batch(std::move(*recorder), view, *g,
+                                     query.algo, sources, query.policy)
                 : exec::record(std::move(*recorder), view, *g, query);
   }
 };
@@ -612,7 +612,11 @@ void GraphService::look_ahead() {
         gone[j] = 1;
         members.push_back(&queue_[j]);
       }
-      if (!is_barred(q.req.graph)) record_batch_ahead(members);
+      // SSSP batches run inline: a recording worker's tally of their
+      // n x k relaxation addresses costs more memory than they save.
+      if (q.req.algo == Algo::bfs && !is_barred(q.req.graph)) {
+        record_batch_ahead(members);
+      }
       ++i;
       continue;
     }
@@ -671,7 +675,7 @@ void GraphService::record_batch_ahead(
   const GraphEntry& entry = *graphs_[members.front()->req.graph];
   const Replica* rep = record_replica(entry);
   if (rep == nullptr) return;
-  // The members execute_bfs_batch would fuse: valid and not cached.
+  // The members execute_batch would fuse: valid and not cached.
   std::vector<const PendingQuery*> live;
   for (const PendingQuery* m : members) {
     if (request_error(m->req, *entry.g) != nullptr) continue;
@@ -698,7 +702,8 @@ void GraphService::record_batch_ahead(
   u->residency = exec::residency(rep->res);
   u->recorder.emplace(simt::Device::recorder(fleet_.device(rep->device)));
   u->view = rep->res.alias();
-  u->policy = live.front()->req.policy;
+  u->query.algo = live.front()->req.algo;
+  u->query.policy = live.front()->req.policy;
   simt::ExecPool::instance().submit(*u);
   ++recording_stats_.recorded;
   recorded_.push_back(std::move(u));
@@ -1280,7 +1285,7 @@ double GraphService::estimate_cpu_us(Algo algo, const adaptive::Graph& g) const 
   return 0;
 }
 
-void GraphService::execute_bfs_batch(std::vector<PendingQuery> batch) {
+void GraphService::execute_batch(std::vector<PendingQuery> batch) {
   GraphEntry& entry = *graphs_[batch.front().req.graph];
   const adaptive::Graph& g = *entry.g;
   const std::size_t k = batch.size();
@@ -1365,7 +1370,7 @@ void GraphService::execute_bfs_batch(std::vector<PendingQuery> batch) {
     // Dedup against the in-flight set: each distinct source is fused once;
     // duplicate members collapse onto the first occurrence (their slot
     // leader) and are answered by the same launch. With collapsing disabled
-    // every member keeps its own slot (run_bfs_multi permits duplicate
+    // every member keeps its own slot (the fused engines permit duplicate
     // sources), reproducing the un-deduped baseline.
     std::vector<graph::NodeId> sources;       // distinct, first-seen order
     std::vector<std::uint32_t> slot(live.size(), 0);
@@ -1382,7 +1387,8 @@ void GraphService::execute_bfs_batch(std::vector<PendingQuery> batch) {
     }
 
     const PendingQuery& lead = batch[live.front()];
-    gg::GpuBfsMultiResult mr;
+    const Algo algo = lead.req.algo;
+    gg::GpuMultiResult mr;
     std::uint64_t mark = dev.mem_mark();
     try {
       const bool resident = rep.res.uploaded();
@@ -1392,12 +1398,12 @@ void GraphService::execute_bfs_batch(std::vector<PendingQuery> batch) {
                                            entry, rep, resident);
       if (rec != nullptr && exec::commit(dev, stream, rep.res, g, *rec)) {
         ++recording_stats_.committed;
-        mr = std::move(rec->levels);
+        mr = std::move(rec->multi);
       } else {
         if (rec != nullptr) ++recording_stats_.refused;
         mr = run_inline(rep, [&] {
-          return exec::run_bfs_batch(dev, rep.res, g, sources,
-                                     lead.req.policy, stream);
+          return exec::run_batch(dev, rep.res, g, algo, sources,
+                                 lead.req.policy, stream);
         });
       }
     } catch (const simt::DeviceFault& f) {
@@ -1411,21 +1417,17 @@ void GraphService::execute_bfs_batch(std::vector<PendingQuery> batch) {
       return;
     }
 
-    // Gather each distinct source's result once: query slot s's level of
-    // node v lives at levels[v*nk + s].
+    // Gather each distinct source's answer once, with the shared batch
+    // metrics.
     const std::uint32_t nk = mr.num_sources;
-    const std::size_t n = g.num_nodes();
-    std::vector<adaptive::BfsResult> uniq(nk);
+    std::vector<Payload> uniq;
+    uniq.reserve(nk);
     for (std::uint32_t s = 0; s < nk; ++s) {
-      uniq[s].level.resize(n);
-      for (std::size_t v = 0; v < n; ++v) {
-        uniq[s].level[v] = mr.levels[v * nk + s];
-      }
-      uniq[s].metrics = mr.metrics;  // shared batch metrics, one copy each
+      uniq.push_back(exec::batch_answer(algo, mr, s));
     }
     // The interleaved copy is no longer needed; drop it before the cache
     // copies below.
-    std::vector<std::uint32_t>().swap(mr.levels);
+    std::vector<std::uint32_t>().swap(mr.values);
 
     // Slot bookkeeping: the first member of each slot is its leader (cache
     // key owner); later members are collapsed followers.
@@ -1440,7 +1442,7 @@ void GraphService::execute_bfs_batch(std::vector<PendingQuery> batch) {
     const double finished = dev.stream_ready_us(stream);
     for (std::size_t li = 0; li < live.size(); ++li) {
       if (slot_leader[slot[li]] == batch[live[li]].id) {
-        store_result(batch[live[li]], Payload(uniq[slot[li]]), finished);
+        store_result(batch[live[li]], uniq[slot[li]], finished);
       }
     }
 
@@ -1448,7 +1450,7 @@ void GraphService::execute_bfs_batch(std::vector<PendingQuery> batch) {
       const PendingQuery& q = batch[live[li]];
       QueryOutcome& out = outs[live[li]];
       const std::uint32_t s = slot[li];
-      // Last member of a slot takes the level vector by move.
+      // Last member of a slot takes the answer by move.
       if (--slot_uses[s] == 0) {
         out.payload = std::move(uniq[s]);
       } else {

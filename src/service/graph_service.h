@@ -37,15 +37,17 @@
 // per-query deadlines time out queries before dispatch (the chosen slot
 // cannot start in time) or after execution.
 //
-// Batching: a BFS at the head of the queue on a *replicated* graph fuses
-// every pending BFS of the same graph, policy mode and variant — up to
-// max_batch, at most 32 — into one fused multi-source traversal on the
-// routed device (gpu_graph/bfs_multi_engine.h). Members are gathered in FIFO
-// order from a window that ends just before the graph's next pending
-// mutation, the window request collapsing uses: every member answers against
-// the same graph version, and reads of one version commute. The batch
-// dispatches at its first member's FIFO position; the queries it passes keep
-// their order behind it.
+// Batching: a BFS or SSSP at the head of the queue on a *replicated* graph
+// fuses every pending query of the same algorithm, graph and policy
+// signature — up to max_batch, at most 32 — into one fused multi-source
+// traversal on the routed device (gpu_graph/multi_source_engine.h). An SSSP
+// fuses only when its policy runs on the unordered push engine
+// (exec::batchable); ordered, pulling and fixed _REL/_BIN SSSP run alone.
+// Members are gathered in FIFO order from a window that ends just before the
+// graph's next pending mutation, the window request collapsing uses: every
+// member answers against the same graph version, and reads of one version
+// commute. The batch dispatches at its first member's FIFO position; the
+// queries it passes keep their order behind it.
 //
 // Result cache & request collapsing: unchanged from the single-device
 // service (service/result_cache.h) — completed exact payloads enter a
@@ -69,7 +71,8 @@
 // and traces are byte-identical at any --sim-threads value. With two or more
 // simulator threads a drain records the units it is about to dispatch on the
 // worker pool and commits them in FIFO order (DESIGN.md "Query-parallel
-// drains"); a unit without a valid recording runs inline.
+// drains"); a unit without a valid recording runs inline, as every fused
+// SSSP batch does.
 //
 // Observability: per-device Chrome-trace process groups (trace/chrome_trace.h)
 // from the device ordinals stamped on every event; per-stream lanes within
@@ -141,7 +144,9 @@ struct QueryOutcome {
   double submit_us = 0;          // modeled time of submission
   double start_us = 0;           // stream time when dispatched
   double finish_us = 0;          // stream time when complete
-  std::uint32_t batch_size = 1;  // > 1: answered by a fused MS-BFS launch
+  // > 1: answered by a fused multi-source BFS or SSSP traversal of this
+  // many distinct sources
+  std::uint32_t batch_size = 1;
   Payload payload;
 
   bool ok() const { return status == adaptive::Status::ok; }
@@ -172,8 +177,9 @@ struct ServiceOptions {
   // stream alone when 1 (see Scheduling above).
   std::uint32_t concurrency = 4;
   std::size_t queue_capacity = 64;  // pending submissions before rejection
-  // Fuse a head BFS with the batchable BFS queued behind it, up to the
-  // graph's next pending mutation (see Batching above).
+  // Fuse a head BFS or SSSP with the batchable queries of its algorithm
+  // queued behind it, up to the graph's next pending mutation (see Batching
+  // above).
   bool batch_bfs = true;
   std::uint32_t max_batch = 32;     // <= gg::kMaxBatchedSources
   // Result-cache budget in bytes; 0 disables caching entirely. Hits are
@@ -379,13 +385,12 @@ class GraphService {
   simt::StreamId pick_stream(simt::DeviceIndex device) const;
   Replica* replica_on(GraphEntry& entry, simt::DeviceIndex device);
 
-  bool batchable(const PendingQuery& a, const PendingQuery& b) const;
   // The queue positions of the unit the loop dispatches when queue_[head]
-  // reaches the front, head first: for a BFS that can batch, every query
-  // batchable with it in FIFO order, up to max_batch, before the first
-  // pending mutation of its graph; otherwise head alone. Positions marked in
-  // `gone` (the look-ahead's taken-out queries) are passed over. drain() and
-  // look_ahead() both group with this.
+  // reaches the front, head first: for a query that can batch, every query
+  // of its algorithm, graph and policy signature in FIFO order, up to
+  // max_batch, before the first pending mutation of its graph; otherwise
+  // head alone. Positions marked in `gone` (the look-ahead's taken-out
+  // queries) are passed over. drain() and look_ahead() both group with this.
   std::vector<std::size_t> batch_members(std::size_t head,
                                          const std::vector<char>& gone) const;
   // Collapses identical pending queries onto q's execution, then runs q.
@@ -395,7 +400,7 @@ class GraphService {
   // barrier, delta-aware cache invalidation.
   void execute_mutation(PendingQuery q);
   void execute_single(PendingQuery q);
-  void execute_bfs_batch(std::vector<PendingQuery> batch);
+  void execute_batch(std::vector<PendingQuery> batch);
   // Sharded BSP execution (BFS/CC on-device, SSSP/PageRank via the oracle).
   void execute_sharded(PendingQuery q, GraphEntry& entry, QueryOutcome out);
   QueryOutcome make_outcome(const PendingQuery& q) const;
@@ -421,7 +426,8 @@ class GraphService {
   // queue, and records those not yet recorded on the pool: at most
   // 2 x threads in flight, none past a mutation of the same graph or a unit
   // bound to pin into it, none for a sharded graph, a stale borrowed graph
-  // or a predicted cache hit.
+  // or a predicted cache hit. SSSP batches are not recorded, nor are their
+  // members one by one: they run inline.
   void look_ahead();
   // Records q; true when q is bound to pin (exec::prepare_recording), so
   // the units behind it must wait for the pin.

@@ -28,44 +28,63 @@ WarpCost WarpCost::operator*(double k) const {
   return c;
 }
 
+namespace {
+
+// Bytes a 32-bit word key spans.
+constexpr std::uint64_t kTallyWindow = std::uint64_t{1} << 34;
+
+}  // namespace
+
 void AtomicTally::reset() {
-  for (const std::size_t i : used_) slots_[i] = Slot{};
+  for (const std::uint32_t i : used_) slots_[i] = Slot{};
   used_.clear();
   max_count_ = 0;
   total_ = 0;
 }
 
-void AtomicTally::add(std::uint64_t addr, std::uint64_t count) {
-  if (used_.size() * 2 >= slots_.size()) grow();
-  // addr 0 is an invalid device address, safe to use as the empty marker.
-  AGG_DCHECK(addr != 0);
+AtomicTally::Slot& AtomicTally::slot_of(std::uint64_t addr) {
+  const std::uint64_t offset = addr - base_;
+  AGG_CHECK(offset < kTallyWindow && addr % 4 == 0);
+  const auto key = static_cast<std::uint32_t>(offset >> 2);
+  // The probe order hashes the whole address.
   std::uint64_t h = addr;
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdull;
   h ^= h >> 33;
   std::size_t i = h & (slots_.size() - 1);
-  while (slots_[i].key != 0 && slots_[i].key != addr) {
+  while (slots_[i].count != 0 && slots_[i].key != key) {
     i = (i + 1) & (slots_.size() - 1);
   }
-  if (slots_[i].key == 0) {
-    slots_[i].key = addr;
-    used_.push_back(i);
+  if (slots_[i].count == 0) {
+    slots_[i].key = key;
+    used_.push_back(static_cast<std::uint32_t>(i));
   }
-  slots_[i].count += count;
-  max_count_ = std::max(max_count_, slots_[i].count);
+  return slots_[i];
+}
+
+void AtomicTally::add(std::uint64_t addr, std::uint64_t count) {
+  AGG_DCHECK(addr != 0 && count != 0);
+  if (used_.empty()) {
+    base_ = addr > kTallyWindow / 2 ? addr - kTallyWindow / 2 : 0;
+  }
+  if (used_.size() * 2 >= slots_.size()) grow();
+  Slot& slot = slot_of(addr);
+  const std::uint64_t c = slot.count + count;
+  AGG_CHECK(c <= UINT32_MAX);
+  slot.count = static_cast<std::uint32_t>(c);
+  max_count_ = std::max(max_count_, c);
   total_ += count;
 }
 
 void AtomicTally::grow() {
+  AGG_CHECK(slots_.size() <= (std::size_t{1} << 31));
   const std::vector<Slot> old = std::move(slots_);
-  const std::vector<std::size_t> old_used = std::move(used_);
+  const std::vector<std::uint32_t> old_used = std::move(used_);
   slots_.assign(old.size() * 2, Slot{});
   used_.clear();
-  const std::uint64_t keep_max = max_count_;
-  const std::uint64_t keep_total = total_;
-  for (const std::size_t i : old_used) add(old[i].key, old[i].count);
-  max_count_ = keep_max;
-  total_ = keep_total;
+  for (const std::uint32_t i : old_used) {
+    slot_of(base_ + (std::uint64_t{old[i].key} << 2)).count = old[i].count;
+  }
 }
 
 void WarpTrace::rebind(const TimingModel& tm) {

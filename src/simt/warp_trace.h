@@ -79,6 +79,13 @@ struct WarpCost {
 // kernel launch. Reused across launches to avoid allocation churn; it
 // remembers which slots a launch filled, so reset() costs the addresses that
 // launch touched, not the table a larger launch grew.
+//
+// A slot is 8 bytes: a 32-bit count and a 32-bit key, the word offset of
+// the address from a window of 16 GiB centred on the launch's first atomic
+// address. A launch's atomics target buffers of one traversal, allocated
+// together, so the window holds them however far the device's address space
+// has grown. Addresses must be word-aligned (every atomic type is at least
+// 4 bytes) and each address's count must fit 32 bits; both are checked.
 class AtomicTally {
  public:
   void reset();
@@ -87,13 +94,17 @@ class AtomicTally {
   std::uint64_t total() const { return total_; }
 
  private:
-  void grow();
   struct Slot {
-    std::uint64_t key = 0;
-    std::uint64_t count = 0;
+    std::uint32_t key = 0;
+    std::uint32_t count = 0;  // 0: empty
   };
+  void grow();
+  // The slot of `addr`, claimed for it when absent.
+  Slot& slot_of(std::uint64_t addr);
+
   std::vector<Slot> slots_ = std::vector<Slot>(1024);
-  std::vector<std::size_t> used_;  // occupied slot indices, in insertion order
+  std::vector<std::uint32_t> used_;  // occupied slot indices, in insertion order
+  std::uint64_t base_ = 0;           // the address of key 0
   std::uint64_t max_count_ = 0;
   std::uint64_t total_ = 0;
 };

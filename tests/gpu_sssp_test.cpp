@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <vector>
+
+#include "conformance_corpus.h"
 #include "cpu/sssp_serial.h"
+#include "gpu_graph/multi_source_engine.h"
 #include "gpu_graph/sssp_engine.h"
 #include "graph/gen/generators.h"
 #include "graph/graph_stats.h"
+#include "graph/transform.h"
+#include "runtime/adaptive_engine.h"
 
 namespace {
 
@@ -209,3 +217,108 @@ TEST(WarpCentric, ScanQueueGenMatchesAtomic) {
 }
 
 }  // namespace
+
+// ---- fused multi-source SSSP (gpu_graph/multi_source_engine.h) -------------
+
+// Every source slot of a fused run equals an independent run_sssp under the
+// same variant and cpu::dijkstra, over the conformance corpus: k of 1, 2, 5
+// and 32 sources (every third a duplicate; the degenerate graphs leave
+// nodes unreachable), under each fixed U_{T,B,W}_{BM,QU} variant and the
+// adaptive selector, on the plain, relabelled and binned layouts.
+TEST(SsspMulti, MatchesIndependentRunsOnTheCorpus) {
+  std::vector<Variant> variants;
+  for (const Variant v : gg::unordered_variants()) variants.push_back(v);
+  for (const Variant v : gg::warp_centric_variants()) variants.push_back(v);
+  ASSERT_EQ(variants.size(), 6u);
+  for (const auto& gc : testutil::conformance_corpus()) {
+    if (gc.csr.num_edges() == 0) continue;
+    graph::Csr g = gc.csr;
+    graph::assign_uniform_weights(g, 1, 31, 5);
+    const graph::RelabeledGraph rel = graph::relabel_by_degree(g);
+    const graph::RelabeledGraph bin = graph::build_binned(g);
+    std::vector<graph::NodeId> sources;
+    for (std::uint32_t i = 0; i < 32; ++i) {
+      sources.push_back(i % 3 == 2 ? sources[i - 2]
+                                   : (i * 7919u + 13u) % g.num_nodes);
+    }
+    // The oracle per source slot, and the independent runs of the distinct
+    // sources of the first five slots under each variant.
+    std::vector<std::vector<std::uint32_t>> want;
+    for (const graph::NodeId s : sources) {
+      want.push_back(cpu::dijkstra(g, s).dist);
+    }
+    for (const Variant v : variants) {
+      for (const std::size_t i : {0, 1, 3, 4}) {
+        simt::Device dev;
+        ASSERT_EQ(gg::run_sssp(dev, g, sources[i], v).dist, want[i])
+            << gc.name << " " << gg::variant_name(v) << " source " << i;
+      }
+    }
+    for (const std::uint32_t k : {1u, 2u, 5u, 32u}) {
+      const std::span<const graph::NodeId> batch(sources.data(), k);
+      const auto expect_columns = [&](const gg::GpuMultiResult& r,
+                                      const std::string& what) {
+        ASSERT_EQ(r.num_sources, k) << what;
+        ASSERT_EQ(r.values.size(), std::size_t{g.num_nodes} * k) << what;
+        for (std::uint32_t s = 0; s < k; ++s) {
+          for (std::uint32_t v = 0; v < g.num_nodes; ++v) {
+            ASSERT_EQ(r.values_for(v)[s], want[s][v])
+                << what << " slot " << s << " node " << v;
+          }
+        }
+      };
+      for (const graph::RelabeledGraph* view :
+           {static_cast<const graph::RelabeledGraph*>(nullptr), &rel, &bin}) {
+        const std::string layout =
+            view == nullptr ? "plain" : view == &rel ? "relabelled" : "binned";
+        std::vector<graph::NodeId> slots(batch.begin(), batch.end());
+        if (view != nullptr) {
+          for (graph::NodeId& s : slots) s = view->new_id[s];
+        }
+        const graph::Csr& run_on = view == nullptr ? g : view->csr;
+        for (const Variant v : variants) {
+          const std::string what = gc.name + " " + layout + " " +
+                                   gg::variant_name(v) + " k=" +
+                                   std::to_string(k);
+          simt::Device dev;
+          gg::GpuMultiResult r =
+              gg::run_sssp_multi(dev, run_on, slots, gg::fixed_variant(v));
+          if (view != nullptr) rt::rep_payload_to_original(r.values, *view, k);
+          expect_columns(r, what);
+        }
+        // The adaptive selector, through the runtime's layout resolution
+        // and the serving path's init kernel and persistent runs.
+        rt::AdaptiveOptions ao;
+        ao.persistent = true;
+        ao.representation = view == nullptr ? gg::Representation::plain
+                            : view == &rel  ? gg::Representation::relabelled
+                                            : gg::Representation::binned;
+        simt::Device dev;
+        gg::DeviceGraph dg = gg::DeviceGraph::upload(dev, g, true);
+        expect_columns(rt::adaptive_sssp_multi(dev, dg, g, batch, ao),
+                       gc.name + " " + layout + " adaptive k=" +
+                           std::to_string(k));
+        dg.release(dev);
+      }
+    }
+  }
+}
+
+// Fusing shares each iteration's launches across the batch: 32 sources
+// launch fewer kernels than one traversal per distinct source.
+TEST(SsspMulti, FusesLaunchesAcrossSources) {
+  const auto& gc = test_graphs()[1];
+  std::vector<graph::NodeId> sources;
+  for (std::uint32_t i = 0; i < 32; ++i) {
+    sources.push_back((i * 97u) % gc.csr.num_nodes);
+  }
+  const gg::VariantSelector selector = gg::fixed_variant(gg::parse_variant("U_B_QU"));
+  simt::Device fused;
+  gg::run_sssp_multi(fused, gc.csr, sources, selector);
+  simt::Device single;
+  for (const graph::NodeId s : sources) {
+    gg::run_sssp(single, gc.csr, s, selector);
+  }
+  EXPECT_LT(fused.stats().kernels_launched * 4,
+            single.stats().kernels_launched);
+}

@@ -7,12 +7,13 @@
 //    4,096-node RMAT and a 4,096-node road graph), through adaptive::;
 //  * the paper path: rt::adaptive_{bfs,sssp,cc} with default options and
 //    gg::run_{bfs,sssp} with U_T_BM and U_B_QU, on both graphs;
-//  * the push shapes: gg::run_{bfs,sssp,cc,pagerank,mst,bfs_multi} and
-//    gg::run_frontier under each of U_{T,B,W}_{BM,QU} on the RMAT graph,
-//    each line also carrying a digest of the launched kernels' names;
+//  * the push shapes: gg::run_{bfs,sssp,cc,pagerank,mst,bfs_multi,
+//    sssp_multi} and gg::run_frontier under each of U_{T,B,W}_{BM,QU} on the
+//    RMAT graph, each line also carrying a digest of the launched kernels'
+//    names;
 //  * hybrid CPU phases: gg::run_{bfs,sssp} under the adaptive selector with
 //    hybrid_cpu_threshold = 64, on both graphs;
-//  * sampled monitoring: all seven engines under the adaptive selector at
+//  * sampled monitoring: all eight engines under the adaptive selector at
 //    monitor_interval = 4 on the RMAT graph;
 //  * 16 mixed BFS/SSSP queries through a registered Session, and the same
 //    queries through a one-device GraphService at concurrency 4;
@@ -41,7 +42,7 @@
 #include "api/algorithms.h"
 #include "api/session.h"
 #include "common/prng.h"
-#include "gpu_graph/bfs_multi_engine.h"
+#include "gpu_graph/multi_source_engine.h"
 #include "gpu_graph/generic_engine.h"
 #include "gpu_graph/mst_engine.h"
 #include "graph/gen/generators.h"
@@ -259,7 +260,7 @@ void record_named(const std::string& name, Call&& call,
   const auto r = call(dev);
   Digest d;
   if constexpr (requires { r.level; }) d.add_all(r.level);
-  if constexpr (requires { r.levels; }) d.add_all(r.levels);
+  if constexpr (requires { r.values; }) d.add_all(r.values);
   if constexpr (requires { r.dist; }) d.add_all(r.dist);
   if constexpr (requires { r.component; }) d.add_all(r.component);
   if constexpr (requires { r.rank; }) d.add_all(r.rank);
@@ -361,6 +362,9 @@ void shapes(const Graphs& gs, std::vector<std::string>& out) {
   record("bfs_multi", [&](simt::Device& dev, gg::Variant v) {
     return gg::run_bfs_multi(dev, g, sources, gg::fixed_variant(v), opts);
   });
+  record("sssp_multi", [&](simt::Device& dev, gg::Variant v) {
+    return gg::run_sssp_multi(dev, gw, sources, gg::fixed_variant(v), opts);
+  });
   record("generic", [&](simt::Device& dev, gg::Variant v) {
     return operator_bfs(dev, g, src, gg::fixed_variant(v), opts);
   });
@@ -429,6 +433,13 @@ void sampled(const Graphs& gs, std::vector<std::string>& out) {
   record_named("sampled/rmat/bfs_multi", [&](simt::Device& dev) {
     gg::DeviceGraph dg = gg::DeviceGraph::upload(dev, g, false);
     auto r = rt::adaptive_bfs_multi(dev, dg, g, sources, push_ao);
+    dg.release(dev);
+    return r;
+  }, out);
+  record_named("sampled/rmat/sssp_multi", [&](simt::Device& dev) {
+    const graph::Csr& gw = gs.weighted.csr();
+    gg::DeviceGraph dg = gg::DeviceGraph::upload(dev, gw, true);
+    auto r = rt::adaptive_sssp_multi(dev, dg, gw, sources, push_ao);
     dg.release(dev);
     return r;
   }, out);

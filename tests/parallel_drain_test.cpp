@@ -8,9 +8,11 @@
 // address frontier. The targeted cases also check that what they provoke
 // fired: a pin by an earlier unit, a recording refused at its pin, SSSP
 // committed without the CSC, no recording past a predicted pin, a batch
-// fused across other queries committed, a cache hit, an evicted replica
-// and, at the exec layer, a mutation between record and commit. An armed
-// fault plan or an attached trace sink records nothing.
+// fused across other queries committed while an SSSP batch runs inline, a
+// cache hit, an evicted replica and, at the exec layer, a mutation between
+// record and commit. An armed fault plan or an attached trace sink records
+// nothing, and an interleaved BFS/SSSP history drains the same at one
+// thread and at four.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -312,11 +314,13 @@ TEST(ParallelDrainFallback, PinByAnEarlierUnit) {
 // Direction-optimizing SSSP never pulls on this graph, so its units are
 // recorded against the replica without the CSC and committed, and the CSC
 // is never pinned: the device holds exactly the upload after the drain.
+// Batching is off: SSSP batches run inline.
 TEST(ParallelDrainFallback, SsspRecordedWithoutTheCsc) {
   svc::ServiceOptions opts;
   opts.concurrency = 4;
   opts.cache_bytes = 0;
   opts.collapse = false;
+  opts.batch_bfs = false;
   const auto history = [](svc::GraphService& service,
                           std::vector<std::string>& log) {
     const svc::GraphId id = service.add_graph(rmat_graph(10));
@@ -402,8 +406,10 @@ TEST(ParallelDrainFallback, NoRecordingPastAPredictedPin) {
 // BFS interleaved with SSSP fuse into one batch whose members are not
 // contiguous in the queue. The look-ahead groups them as the loop does, so
 // the batch is recorded with every source and committed, and no recording
-// goes stale. A CC on a second graph leads the drain: it is bound to pin its
-// closure, so it runs inline while the workers record the rest.
+// goes stale; the SSSP fuse into a batch of their own, which runs inline
+// and whose members are not recorded one by one. A CC on a second graph
+// leads the drain: it is bound to pin its closure, so it runs inline while
+// the workers record the rest.
 TEST(ParallelDrainFallback, InterleavedBatchIsCommitted) {
   svc::ServiceOptions opts;
   opts.concurrency = 4;
@@ -427,11 +433,13 @@ TEST(ParallelDrainFallback, InterleavedBatchIsCommitted) {
       if (algo == Algo::bfs) bfs.push_back(*qid);
     }
     const std::vector<svc::QueryOutcome> outs = service.drain();
-    // CC, the batch's four members together, then the four SSSP.
+    // CC, the BFS batch's four members together, then the SSSP batch's.
     ASSERT_EQ(outs.size(), 9u);
     for (std::size_t k = 0; k < bfs.size(); ++k) {
       EXPECT_EQ(outs[1 + k].id, bfs[k]);
       EXPECT_EQ(outs[1 + k].batch_size, 4u);
+      EXPECT_EQ(outs[5 + k].algo, Algo::sssp);
+      EXPECT_EQ(outs[5 + k].batch_size, 4u);
     }
     snapshot(service, outs, log);
   };
@@ -443,19 +451,21 @@ TEST(ParallelDrainFallback, InterleavedBatchIsCommitted) {
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
     expect_same(serial, pooled, 4);
     EXPECT_EQ(pooled.stats.stale, 0u) << "attempt " << attempt;
-    // The batch and the four SSSP, every one committed.
-    committed = pooled.stats.recorded == 5 && pooled.stats.committed == 5;
+    // The BFS batch alone recorded, and committed.
+    EXPECT_LE(pooled.stats.recorded, 1u) << "attempt " << attempt;
+    committed = pooled.stats.recorded == 1 && pooled.stats.committed == 1;
   }
   EXPECT_TRUE(committed) << "the batch was never committed";
 }
 
-// Two identical queries, collapsing off: both are recorded, and the first
-// one's answer turns the second into a cache hit, so its recording is never
-// used.
+// Two identical queries, collapsing and batching off: both are recorded,
+// and the first one's answer turns the second into a cache hit, so its
+// recording is never used.
 TEST(ParallelDrainFallback, CacheHit) {
   svc::ServiceOptions opts;
   opts.concurrency = 4;
   opts.collapse = false;
+  opts.batch_bfs = false;
   const auto history = [](svc::GraphService& service,
                           std::vector<std::string>& log) {
     const svc::GraphId id = service.add_graph(rmat_graph(10));
@@ -609,6 +619,59 @@ TEST(ParallelDrainFallback, CommitMatchesInlineOnABusyStream) {
     return out;
   };
   EXPECT_EQ(run(true), run(false));
+}
+
+// BFS and SSSP interleaved under batchable and unbatchable policies, with
+// repeated sources and a mutation inside the drain: BFS batches are recorded
+// and committed, SSSP batches and the queries that run alone inline, and
+// every thread count drains the same history.
+TEST(ParallelDrainBatches, InterleavedBfsSsspIsIdenticalAtAnyThreadCount) {
+  const auto history = [](svc::GraphService& service,
+                          std::vector<std::string>& log) {
+    const svc::GraphId id = service.add_graph(rmat_graph(10));
+    const std::uint32_t n = service.graph(id).num_nodes();
+    const std::vector<adaptive::Policy> policies{
+        adaptive::Policy::adapt(),
+        adaptive::Policy::adapt()
+            .with_direction(gg::Direction::adaptive)
+            .with_representation(gg::Representation::adaptive),
+        adaptive::Policy::fixed("U_B_QU"), adaptive::Policy::fixed("O_T_BM")};
+    agg::Prng rng(29);
+    const auto submit = [&](int count) {
+      for (int i = 0; i < count; ++i) {
+        const Algo algo = i % 2 ? Algo::sssp : Algo::bfs;
+        const auto source =
+            static_cast<graph::NodeId>((rng.bounded(5) * 173 + 11) % n);
+        ASSERT_TRUE(service
+                        .submit(query(id, algo, source,
+                                      policies[rng.bounded(policies.size())]))
+                        .has_value());
+      }
+    };
+    submit(18);
+    snapshot(service, service.drain(), log);
+    submit(10);
+    graph::EdgeDelta d;
+    d.inserts.push_back({3, n - 5});
+    d.insert_weights.push_back(2);
+    ASSERT_TRUE(service.submit_mutation(id, std::move(d)).has_value());
+    submit(10);
+    snapshot(service, service.drain(), log);
+  };
+  for (const bool cache : {false, true}) {
+    svc::ServiceOptions opts;
+    opts.concurrency = 4;
+    if (!cache) {
+      opts.cache_bytes = 0;
+      opts.collapse = false;
+    }
+    const Result serial = at_threads(1, opts, 1, history);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    const Result pooled = at_threads(4, opts, 1, history);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    expect_same(serial, pooled, 4);
+    EXPECT_GT(pooled.stats.recorded, 0u) << (cache ? "cache" : "no cache");
+  }
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Persistent runs (DESIGN.md "Persistent iterations"): small-frontier U_B_QU
-// push iterations of BFS, SSSP, CC, PageRank and MS-BFS run inside one
-// persistent kernel, and each traversal starts with one init kernel. These
-// tests pin the contract: the device cost model of a run and of an init,
-// answers and decisions identical to per-iteration launches over the
-// conformance corpus at any simulator thread count, faults inside a run
-// handled like any other kernel fault, and a trace that shows one kernel
-// with its iterations in it.
+// push iterations of BFS, SSSP, CC, PageRank and the fused BFS and SSSP
+// batches run inside one persistent kernel, and each traversal starts with
+// one init kernel. These tests pin the contract: the device cost model of a
+// run and of an init, answers and decisions identical to per-iteration
+// launches over the conformance corpus at any simulator thread count,
+// faults inside a run handled like any other kernel fault, and a trace
+// that shows one kernel with its iterations in it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -182,7 +182,7 @@ TEST(PersistentDevice, InitAdmitsNoTransferAndFaultsAsOneKernel) {
 
 // ---- the engines: per-iteration launches vs persistent runs ----------------
 
-enum class Algo { bfs, sssp, cc, pagerank, msbfs };
+enum class Algo { bfs, sssp, cc, pagerank, msbfs, mssp };
 
 const char* algo_name(Algo a) {
   switch (a) {
@@ -191,6 +191,7 @@ const char* algo_name(Algo a) {
     case Algo::cc: return "cc";
     case Algo::pagerank: return "pagerank";
     case Algo::msbfs: return "msbfs";
+    case Algo::mssp: return "mssp";
   }
   return "";
 }
@@ -201,8 +202,8 @@ struct Outcome {
   simt::DeviceStats stats;
 };
 
-// One adaptive traversal of `g` (an MS-BFS batch from `sources`, on a
-// resident upload) with the serving path's folding on or off.
+// One adaptive traversal of `g` (a fused BFS or SSSP batch from `sources`,
+// on a resident upload) with the serving path's folding on or off.
 Outcome run_adaptive(const graph::Csr& g, Algo algo, bool do_arep,
                      bool persistent,
                      std::span<const graph::NodeId> sources = {}) {
@@ -242,12 +243,15 @@ Outcome run_adaptive(const graph::Csr& g, Algo algo, bool do_arep,
       r.metrics = std::move(res.metrics);
       break;
     }
-    case Algo::msbfs: {
-      gg::DeviceGraph dg = gg::DeviceGraph::upload(dev, g, false);
-      gg::GpuBfsMultiResult res =
-          rt::adaptive_bfs_multi(dev, dg, g, sources, o);
+    case Algo::msbfs:
+    case Algo::mssp: {
+      const bool sssp = algo == Algo::mssp;
+      gg::DeviceGraph dg = gg::DeviceGraph::upload(dev, g, sssp);
+      gg::GpuMultiResult res =
+          sssp ? rt::adaptive_sssp_multi(dev, dg, g, sources, o)
+               : rt::adaptive_bfs_multi(dev, dg, g, sources, o);
       dg.release(dev);
-      r.payload = std::move(res.levels);
+      r.payload = std::move(res.values);
       r.metrics = std::move(res.metrics);
       break;
     }
@@ -262,7 +266,8 @@ Outcome run_adaptive(const graph::Csr& g, Algo algo, bool do_arep,
 // (4 B) and, as their first variant's working set needs, queue[0] and the
 // length again (8 B) or the source's bitmap byte. An MS-BFS batch of k
 // sources adds three 4-byte words per source (its frontier and visited
-// bits and its level 0) and one update flag per distinct source node.
+// bits and its level 0), a fused SSSP batch two (its pending bit and its
+// distance 0), and both one update flag per distinct source node.
 std::uint64_t seed_bytes(Algo algo, const Outcome& off,
                          std::span<const graph::NodeId> sources) {
   switch (algo) {
@@ -275,12 +280,14 @@ std::uint64_t seed_bytes(Algo algo, const Outcome& off,
     case Algo::cc:
     case Algo::pagerank:
       return 4;
-    case Algo::msbfs: {
+    case Algo::msbfs:
+    case Algo::mssp: {
       std::vector<graph::NodeId> distinct(sources.begin(), sources.end());
       std::sort(distinct.begin(), distinct.end());
       distinct.erase(std::unique(distinct.begin(), distinct.end()),
                      distinct.end());
-      return 4 + 12 * sources.size() + distinct.size();
+      const std::uint64_t words = algo == Algo::msbfs ? 3 : 2;
+      return 4 + 4 * words * sources.size() + distinct.size();
     }
   }
   return 0;
@@ -350,9 +357,11 @@ TEST(PersistentEngines, SameAnswersAndWorkOverTheConformanceCorpus) {
         EXPECT_EQ(on.payload, cpu::dijkstra(g, src).dist) << what;
       } else if (algo == Algo::cc) {
         EXPECT_EQ(on.payload, cpu::connected_components(g).component) << what;
-      } else if (algo == Algo::msbfs) {
+      } else if (algo == Algo::msbfs || algo == Algo::mssp) {
         for (std::size_t s = 0; s < sources.size(); ++s) {
-          const std::vector<std::uint32_t> want = cpu::bfs(g, sources[s]).level;
+          const std::vector<std::uint32_t> want =
+              algo == Algo::msbfs ? cpu::bfs(g, sources[s]).level
+                                  : cpu::dijkstra(g, sources[s]).dist;
           for (std::uint32_t v = 0; v < g.num_nodes; ++v) {
             ASSERT_EQ(on.payload[v * sources.size() + s], want[v])
                 << what << " source " << s << " node " << v;
@@ -371,6 +380,7 @@ TEST(PersistentEngines, SameAnswersAndWorkOverTheConformanceCorpus) {
     check(Algo::pagerank, gc.csr, false, {});
     for (const std::vector<graph::NodeId>& b : batches(gc.csr)) {
       check(Algo::msbfs, gc.csr, false, b);
+      if (weighted.has_weights()) check(Algo::mssp, weighted, false, b);
     }
   }
   EXPECT_GT(kernel_runs, 400u);

@@ -1,15 +1,20 @@
 // GraphService: FIFO scheduling, admission control, deadlines, batched
-// multi-source BFS, and stream determinism (DESIGN.md "Serving layer").
+// multi-source BFS and SSSP, and stream determinism (DESIGN.md "Serving
+// layer").
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "cpu/bfs_serial.h"
 #include "cpu/sssp_serial.h"
+#include "graph/delta.h"
 #include "graph/gen/generators.h"
 #include "service/graph_service.h"
 #include "simt/exec_pool.h"
+#include "simt/fault.h"
 #include "trace/counters.h"
 
 namespace {
@@ -343,7 +348,8 @@ TEST(GraphService, OtherPolicyFormsItsOwnBatch) {
 }
 
 // More batchable BFS than max_batch split into batches in FIFO order; the
-// queries they pass keep their order.
+// queries they pass keep their order, and the two SSSP among them fuse
+// into one batch of their own.
 TEST(GraphService, WindowSplitsAtMaxBatchInFifoOrder) {
   svc::ServiceOptions opts;
   opts.max_batch = 3;
@@ -362,16 +368,272 @@ TEST(GraphService, WindowSplitsAtMaxBatchInFifoOrder) {
   const auto outs = service.drain();
   ASSERT_EQ(outs.size(), 9u);
   const std::vector<std::size_t> order{0, 2, 3, 1, 4, 5, 6, 7, 8};
-  const std::vector<std::uint32_t> sizes{3, 3, 3, 1, 1, 3, 3, 3, 1};
+  const std::vector<std::uint32_t> sizes{3, 3, 3, 2, 2, 3, 3, 3, 1};
   for (std::size_t k = 0; k < order.size(); ++k) {
     const svc::QueryOutcome& out = outs[k];
     ASSERT_TRUE(out.ok());
     EXPECT_EQ(out.id, ids[order[k]]) << "outcome " << k;
     EXPECT_EQ(out.batch_size, sizes[k]) << "outcome " << k;
+    const auto src = static_cast<graph::NodeId>(20 + order[k]);
     if (out.algo == svc::Algo::bfs) {
-      const auto src = static_cast<graph::NodeId>(20 + order[k]);
       EXPECT_EQ(out.bfs().level, cpu::bfs(csr, src).level) << "outcome " << k;
+    } else {
+      EXPECT_EQ(out.sssp().dist, cpu::dijkstra(csr, src).dist)
+          << "outcome " << k;
     }
+  }
+}
+
+svc::QueryRequest sssp_req(svc::GraphId gid, graph::NodeId source) {
+  svc::QueryRequest req = bfs_req(gid, source);
+  req.algo = svc::Algo::sssp;
+  return req;
+}
+
+// A mutation of the graph ends an SSSP window as it ends a BFS one: the SSSP
+// ahead of it fuse against the old version, those behind it against the
+// new one.
+TEST(GraphService, SameGraphMutationEndsTheSsspWindow) {
+  svc::GraphService service;
+  auto g = make_graph(1500, 4500, 23);
+  g.set_uniform_weights(1, 10);
+  const graph::Csr before = g.csr();
+  const auto gid = service.add_graph(std::move(g));
+  graph::EdgeDelta d;
+  d.inserts.push_back({0, 1400});
+  d.insert_weights.push_back(1);
+  const graph::Csr after = graph::apply_delta(before, d);
+
+  const auto a = *service.submit(sssp_req(gid, 0));
+  const auto x = *service.submit(bfs_req(gid, 9));
+  const auto b = *service.submit(sssp_req(gid, 2));
+  service.submit_mutation(gid, d);
+  const auto c = *service.submit(sssp_req(gid, 0));
+  const auto e = *service.submit(sssp_req(gid, 2));
+  const auto outs = service.drain();
+  ASSERT_EQ(outs.size(), 6u);
+  for (const auto& out : outs) ASSERT_TRUE(out.ok());
+  for (const svc::QueryId id : {a, b, c, e}) {
+    EXPECT_EQ(outcome(outs, id).batch_size, 2u) << "query " << id;
+  }
+  EXPECT_EQ(outcome(outs, x).batch_size, 1u);
+  EXPECT_EQ(outcome(outs, a).sssp().dist, cpu::dijkstra(before, 0).dist);
+  EXPECT_EQ(outcome(outs, b).sssp().dist, cpu::dijkstra(before, 2).dist);
+  EXPECT_EQ(outcome(outs, c).sssp().dist, cpu::dijkstra(after, 0).dist);
+  EXPECT_EQ(outcome(outs, e).sssp().dist, cpu::dijkstra(after, 2).dist);
+  EXPECT_NE(cpu::dijkstra(before, 0).dist, cpu::dijkstra(after, 0).dist);
+}
+
+// Interleaved BFS and SSSP in one window form one batch each: the BFS batch
+// at the first BFS's position, the SSSP batch behind it.
+TEST(GraphService, BfsAndSsspFormOneBatchEach) {
+  svc::GraphService service;
+  auto g = make_graph();
+  g.set_uniform_weights(1, 10);
+  const graph::Csr csr = g.csr();
+  const auto gid = service.add_graph(std::move(g));
+  std::vector<svc::QueryId> ids;
+  for (graph::NodeId i = 0; i < 8; ++i) {
+    ids.push_back(*service.submit(i % 2 ? sssp_req(gid, 30 + i)
+                                        : bfs_req(gid, 30 + i)));
+  }
+  const auto outs = service.drain();
+  ASSERT_EQ(outs.size(), 8u);
+  for (std::size_t k = 0; k < outs.size(); ++k) {
+    // BFS 0, 2, 4, 6, then SSSP 1, 3, 5, 7.
+    const std::size_t i = k < 4 ? 2 * k : 2 * (k - 4) + 1;
+    const svc::QueryOutcome& out = outs[k];
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out.id, ids[i]) << "outcome " << k;
+    EXPECT_EQ(out.batch_size, 4u) << "outcome " << k;
+    const auto src = static_cast<graph::NodeId>(30 + i);
+    if (i % 2) {
+      EXPECT_EQ(out.sssp().dist, cpu::dijkstra(csr, src).dist) << "query " << i;
+    } else {
+      EXPECT_EQ(out.bfs().level, cpu::bfs(csr, src).level) << "query " << i;
+    }
+  }
+}
+
+// Only SSSP that the single path runs on the unordered push engine fuse:
+// the adaptive policy and fixed U_* push variants on the plain layout, each
+// with its own kind. Ordered, pulling and fixed-layout SSSP run alone.
+TEST(GraphService, OnlyUnorderedPushSsspFuses) {
+  svc::GraphService service;
+  auto g = make_graph();
+  g.set_uniform_weights(1, 10);
+  const graph::Csr csr = g.csr();
+  const auto gid = service.add_graph(std::move(g));
+  const adaptive::Policy pull =
+      adaptive::Policy::adapt().with_direction(gg::Direction::pull);
+  const std::vector<std::pair<std::string, adaptive::Policy>> policies{
+      {"adaptive", adaptive::Policy::adapt()},
+      {"O_T_BM", adaptive::Policy::fixed("O_T_BM")},
+      {"U_W_QU", adaptive::Policy::fixed("U_W_QU")},
+      {"U_T_BM_PULL", adaptive::Policy::fixed("U_T_BM_PULL")},
+      {"adaptive pull", pull},
+      {"adaptive", adaptive::Policy::adapt()},
+      {"O_B_QU", adaptive::Policy::fixed("O_B_QU")},
+      {"U_W_QU", adaptive::Policy::fixed("U_W_QU")},
+      {"U_B_QU_REL", adaptive::Policy::fixed("U_B_QU_REL")},
+      {"adaptive pull", pull}};
+  const std::vector<std::uint32_t> sizes{2, 1, 2, 1, 1, 2, 1, 2, 1, 1};
+  std::vector<svc::QueryId> ids;
+  for (graph::NodeId i = 0; i < policies.size(); ++i) {
+    svc::QueryRequest req = sssp_req(gid, 40 + i);
+    req.policy = policies[i].second;
+    ids.push_back(*service.submit(req));
+  }
+  const auto outs = service.drain();
+  ASSERT_EQ(outs.size(), policies.size());
+  for (graph::NodeId i = 0; i < policies.size(); ++i) {
+    const svc::QueryOutcome& out = outcome(outs, ids[i]);
+    const std::string& name = policies[i].first;
+    ASSERT_TRUE(out.ok()) << name;
+    EXPECT_EQ(out.batch_size, sizes[i]) << name;
+    EXPECT_EQ(out.sssp().dist, cpu::dijkstra(csr, 40 + i).dist) << name;
+  }
+}
+
+// Duplicate sources in an SSSP batch share one slot when collapsing is on,
+// the later member collapsed into the first; with collapsing off each keeps
+// its own slot.
+TEST(GraphService, DuplicateSsspSourcesShareASlot) {
+  for (const bool collapse : {true, false}) {
+    SCOPED_TRACE(collapse ? "collapse on" : "collapse off");
+    svc::ServiceOptions opts;
+    opts.cache_bytes = 0;
+    opts.collapse = collapse;
+    svc::GraphService service(opts);
+    auto g = make_graph();
+    g.set_uniform_weights(1, 10);
+    const graph::Csr csr = g.csr();
+    const auto gid = service.add_graph(std::move(g));
+    const auto a = *service.submit(sssp_req(gid, 7));
+    const auto b = *service.submit(sssp_req(gid, 9));
+    const auto c = *service.submit(sssp_req(gid, 7));
+    const auto outs = service.drain();
+    ASSERT_EQ(outs.size(), 3u);
+    for (const auto& out : outs) {
+      ASSERT_TRUE(out.ok());
+      EXPECT_EQ(out.batch_size, collapse ? 2u : 3u);
+    }
+    EXPECT_EQ(outcome(outs, c).collapsed, collapse);
+    EXPECT_EQ(outcome(outs, c).collapsed_into, collapse ? a : 0u);
+    EXPECT_FALSE(outcome(outs, a).collapsed);
+    EXPECT_EQ(outcome(outs, a).sssp().dist, cpu::dijkstra(csr, 7).dist);
+    EXPECT_EQ(outcome(outs, b).sssp().dist, cpu::dijkstra(csr, 9).dist);
+    EXPECT_EQ(outcome(outs, c).sssp().dist, cpu::dijkstra(csr, 7).dist);
+  }
+}
+
+// Deadlines apply per member of an SSSP batch: one whose earliest slot
+// already misses it drops out before the launch, one the launch finishes
+// past is timed out after it, and the rest are answered.
+TEST(GraphService, SsspBatchMembersKeepTheirDeadlines) {
+  auto g = make_graph();
+  g.set_uniform_weights(1, 10);
+  const graph::Csr csr = g.csr();
+  const auto run = [&](double dropped_us, double late_us) {
+    svc::ServiceOptions opts;
+    opts.concurrency = 1;
+    svc::GraphService service(opts);
+    const auto gid = service.add_graph(adaptive::Graph(g));
+    svc::QueryRequest pr;
+    pr.algo = svc::Algo::pagerank;
+    pr.graph = gid;
+    service.submit(pr);  // occupies the one stream ahead of the batch
+    svc::QueryRequest dropped = sssp_req(gid, 3);
+    dropped.deadline_us = dropped_us;
+    service.submit(dropped);
+    service.submit(sssp_req(gid, 4));
+    svc::QueryRequest late = sssp_req(gid, 5);
+    late.deadline_us = late_us;
+    service.submit(late);
+    return service.drain();
+  };
+  // Without deadlines: the batch starts when PageRank finishes.
+  const auto free_run = run(0, 0);
+  ASSERT_EQ(free_run.size(), 4u);
+  const double ready = free_run[0].finish_us;
+  const double submit = free_run[1].submit_us;
+  ASSERT_GT(free_run[1].finish_us, ready);
+
+  const auto outs = run(1, ready - submit + 1);
+  ASSERT_EQ(outs.size(), 4u);
+  ASSERT_TRUE(outs[0].ok());
+  EXPECT_EQ(outs[1].status, adaptive::Status::timed_out);
+  EXPECT_EQ(outs[1].finish_us, 0.0);  // never started
+  ASSERT_TRUE(outs[2].ok());
+  EXPECT_EQ(outs[2].batch_size, 2u);
+  EXPECT_EQ(outs[2].sssp().dist, cpu::dijkstra(csr, 4).dist);
+  EXPECT_EQ(outs[3].status, adaptive::Status::timed_out);
+  EXPECT_EQ(outs[3].code, adaptive::ErrorCode::deadline_exceeded);
+  EXPECT_TRUE(std::holds_alternative<std::monostate>(outs[3].payload));
+  EXPECT_GT(outs[3].finish_us, ready);
+}
+
+// A fault in the fused SSSP launch unbatches it: each member runs through
+// the single-query path, whose retry policy applies per member.
+TEST(GraphService, FaultInAnSsspBatchRetriesPerMember) {
+  svc::ServiceOptions opts;
+  opts.concurrency = 1;
+  svc::GraphService service(opts);
+  auto g = make_graph();
+  g.set_uniform_weights(1, 10);
+  const graph::Csr csr = g.csr();
+  const auto gid = service.add_graph(std::move(g));
+  // The fused launch's first kernel, then the first member's first.
+  service.set_fault_plan(simt::FaultPlan::parse("kernel.at=0,kernel.at=1"));
+  for (graph::NodeId s = 0; s < 4; ++s) service.submit(sssp_req(gid, 10 + s));
+  const auto outs = service.drain();
+  ASSERT_EQ(outs.size(), 4u);
+  for (std::size_t k = 0; k < outs.size(); ++k) {
+    ASSERT_TRUE(outs[k].ok()) << "member " << k;
+    EXPECT_FALSE(outs[k].degraded);
+    EXPECT_EQ(outs[k].batch_size, 1u);
+    EXPECT_EQ(outs[k].retries, k == 0 ? 1u : 0u) << "member " << k;
+    EXPECT_EQ(outs[k].sssp().dist,
+              cpu::dijkstra(csr, static_cast<graph::NodeId>(10 + k)).dist);
+  }
+}
+
+// Members answer under the head's whole policy, so queries whose adaptive
+// options differ never fuse, and one never collapses into another.
+TEST(GraphService, DifferentAdaptiveOptionsNeverFuse) {
+  graph::gen::RmatParams p;
+  p.scale = 12;
+  p.seed = 3;
+  const graph::Csr csr = graph::gen::rmat(p);
+  svc::ServiceOptions opts;
+  opts.cache_bytes = 0;
+  svc::GraphService service(opts);
+  const auto gid = service.add_graph(adaptive::Graph::from_csr(graph::Csr(csr)));
+  rt::AdaptiveOptions tuned_opts;
+  tuned_opts.monitor_interval = 4;
+  tuned_opts.thresholds.do_alpha = 0.25;
+  const adaptive::Policy tuned = adaptive::Policy::adapt(tuned_opts);
+  for (const graph::NodeId second : {8u, 7u}) {
+    SCOPED_TRACE(testing::Message() << "sources 7 and " << second);
+    svc::QueryRequest b = bfs_req(gid, second);
+    b.policy = tuned;
+    const auto a_id = *service.submit(bfs_req(gid, 7));
+    const auto b_id = *service.submit(b);
+    const auto outs = service.drain();
+    ASSERT_EQ(outs.size(), 2u);
+    const svc::QueryOutcome& a = outcome(outs, a_id);
+    const svc::QueryOutcome& t = outcome(outs, b_id);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(t.ok());
+    EXPECT_EQ(a.batch_size, 1u);
+    EXPECT_EQ(t.batch_size, 1u);
+    EXPECT_FALSE(t.collapsed);
+    EXPECT_EQ(a.bfs().level, cpu::bfs(csr, 7).level);
+    EXPECT_EQ(t.bfs().level, cpu::bfs(csr, second).level);
+    // Each ran under its own options: the tuned one decides every fourth
+    // iteration.
+    EXPECT_EQ(a.bfs().metrics.decisions, a.bfs().metrics.iterations.size());
+    EXPECT_LT(t.bfs().metrics.decisions, t.bfs().metrics.iterations.size());
   }
 }
 

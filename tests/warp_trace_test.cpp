@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "common/prng.h"
@@ -347,6 +348,42 @@ TEST(AtomicTallyReuse, ResetAfterGrowthMatchesAFreshTally) {
   EXPECT_EQ(grown.total(), fresh.total());
   EXPECT_EQ(grown.max_count(), 5u);
   EXPECT_EQ(grown.total(), 7u);
+}
+
+// More than 2^16 distinct addresses with repeated counts, over launches
+// whose windows lie anywhere in the address space: the tally agrees with a
+// std::map of exact counts, launch after launch.
+TEST(AtomicTallyReuse, ManyAddressesMatchAMapReference) {
+  AtomicTally tally;
+  agg::Prng rng(11);
+  for (const std::uint64_t base : {std::uint64_t{256}, std::uint64_t{1} << 36,
+                                   (std::uint64_t{1} << 45) + 4096}) {
+    SCOPED_TRACE(testing::Message() << "base " << base);
+    tally.reset();
+    std::map<std::uint64_t, std::uint64_t> ref;
+    std::uint64_t total = 0;
+    // 96k words, spread 4 GiB above the first address and 4 GiB below
+    // it where the space allows, plus a hot set that repeats.
+    for (int i = 0; i < 200000; ++i) {
+      const std::uint64_t word = i < 96 * 1024 ? static_cast<std::uint64_t>(i)
+                                               : rng.bounded(512);
+      const std::uint64_t spread = word * ((std::uint64_t{1} << 16) + 4);
+      const std::uint64_t addr =
+          i % 2 == 0 || base < (std::uint64_t{1} << 33)
+              ? base + spread
+              : base - (spread % (std::uint64_t{1} << 32)) - 4;
+      if (addr == 0) continue;
+      const std::uint64_t count = 1 + rng.bounded(5);
+      tally.add(addr, count);
+      ref[addr] += count;
+      total += count;
+    }
+    ASSERT_GT(ref.size(), std::size_t{1} << 16);
+    std::uint64_t max = 0;
+    for (const auto& [addr, count] : ref) max = std::max(max, count);
+    EXPECT_EQ(tally.max_count(), max);
+    EXPECT_EQ(tally.total(), total);
+  }
 }
 
 // ---- TimingModel validation ---------------------------------------------------

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "gpu_graph/bfs_engine.h"
-#include "gpu_graph/bfs_multi_engine.h"
+#include "gpu_graph/multi_source_engine.h"
 #include "gpu_graph/cc_engine.h"
 #include "gpu_graph/generic_engine.h"
 #include "gpu_graph/mst_engine.h"

@@ -537,7 +537,8 @@ int cmd_serve(const agg::Cli& cli) {
   }
   const auto outcomes = service.drain();
 
-  std::size_t ok = 0, timed_out = 0, rejected = 0, errors = 0, batched = 0;
+  std::size_t ok = 0, timed_out = 0, rejected = 0, errors = 0;
+  std::size_t fused_bfs = 0, fused_sssp = 0;
   std::size_t degraded = 0, retried = 0, cached = 0, collapsed = 0;
   std::size_t failovers = 0, sharded = 0, mutations_done = 0, rebuilds = 0;
   std::vector<std::size_t> per_device(service.num_devices(), 0);
@@ -561,7 +562,9 @@ int cmd_serve(const agg::Cli& cli) {
       case adaptive::Status::ok:
         ++ok;
         sum_latency += out.finish_us - out.submit_us;
-        if (out.batch_size > 1) ++batched;
+        if (out.batch_size > 1) {
+          ++(out.algo == svc::Algo::sssp ? fused_sssp : fused_bfs);
+        }
         break;
       case adaptive::Status::timed_out: ++timed_out; break;
       case adaptive::Status::rejected: ++rejected; break;
@@ -572,8 +575,8 @@ int cmd_serve(const agg::Cli& cli) {
               outcomes.size(), service.options().concurrency,
               sopts.batch_bfs ? "on" : "off");
   std::printf("  accepted %zu, rejected %zu, timed out %zu, errors %zu, "
-              "answered via fused MS-BFS %zu\n",
-              accepted, rejected, timed_out, errors, batched);
+              "answered by fused batches: BFS %zu, SSSP %zu\n",
+              accepted, rejected, timed_out, errors, fused_bfs, fused_sssp);
   if (mutations_sent > 0) {
     const auto& mg = service.graph(gid);
     std::printf("  mutations %zu applied (%zu forced a rebuild/re-place); "
