@@ -296,23 +296,28 @@ GraphService::Replica* GraphService::replica_on(GraphEntry& entry,
 }
 
 GraphService::Route GraphService::route_query(const GraphEntry& entry) const {
-  // Earliest-modeled-ready-time over every healthy replica's stream pool.
-  // Replicas are stored in device-ordinal order and pick_stream breaks ties
-  // by lowest stream id, so the choice is deterministic.
+  // The healthy replica device whose issued work ends first, then its
+  // earliest-ready stream. A device's streams share its SMs, so an idle
+  // stream on a busy device would time-share a long unit (a fused batch)
+  // with the one already there while another replica sits idle. Replicas
+  // are stored in device-ordinal order and pick_stream breaks ties by
+  // lowest stream id, so the choice is deterministic.
   Route route;
+  double route_end = 0;
   bool saw_dead = false;
   for (const Replica& rep : entry.replicas) {
-    if (!fleet_.device(rep.device).healthy()) {
+    const simt::Device& dev = fleet_.device(rep.device);
+    if (!dev.healthy()) {
       saw_dead = true;
       continue;
     }
-    const simt::StreamId s = pick_stream(rep.device);
-    const double ready = fleet_.device(rep.device).stream_ready_us(s);
-    if (!route.ok || ready < route.ready_us) {
+    const double end = dev.makespan_us();
+    if (!route.ok || end < route_end) {
       route.ok = true;
       route.device = rep.device;
-      route.stream = s;
-      route.ready_us = ready;
+      route.stream = pick_stream(rep.device);
+      route.ready_us = dev.stream_ready_us(route.stream);
+      route_end = end;
     }
   }
   route.failover = route.ok && saw_dead;

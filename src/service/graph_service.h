@@ -16,26 +16,27 @@
 //
 // Placement & routing: a graph that fits a device is uploaded to every
 // replica device (full replication — the hot-read-traffic placement); a
-// deterministic router then balances queries across replicas by
-// earliest-modeled-ready-time over every healthy replica's stream pool
-// (ties: lowest device ordinal, then lowest stream id). A graph exceeding
-// every device's memory budget is vertex-cut sharded: contiguous row ranges
-// balanced by edge count, one shard per device, queries running
-// level-synchronous BSP supersteps with host merges
-// (service/sharded_exec.h). BFS and CC run sharded on-device with
-// bit-identical payloads; SSSP/PageRank on sharded graphs are answered by
-// the exact CPU oracle (degraded outcome), never a wrong answer.
+// deterministic router then balances queries across replicas: each goes to
+// the healthy replica device whose issued work ends first (its modeled
+// makespan), on that device's earliest-ready stream (ties: lowest device
+// ordinal, then lowest stream id). A graph exceeding every device's memory
+// budget is vertex-cut sharded: contiguous row ranges balanced by edge
+// count, one shard per device, queries running level-synchronous BSP
+// supersteps with host merges (service/sharded_exec.h). BFS and CC run
+// sharded on-device with bit-identical payloads; SSSP/PageRank on sharded
+// graphs are answered by the exact CPU oracle (degraded outcome), never a
+// wrong answer.
 //
 // Scheduling: FIFO with a configurable per-device concurrency limit
-// (= stream-pool size). Each dispatch picks the earliest-ready
-// (device, stream) pair among the graph's healthy replicas, so up to
-// N * concurrency queries are in flight on the modeled timelines at once.
-// A one-slot pool (concurrency 1) is the device's default stream, so a
-// serial service orders its queries behind the graph upload and any other
-// work issued on the device, exactly like a caller running them itself.
-// Admission control rejects submissions when the pending queue is full;
-// per-query deadlines time out queries before dispatch (the chosen slot
-// cannot start in time) or after execution.
+// (= stream-pool size). Each dispatch picks a (device, stream) pair among
+// the graph's healthy replicas as above, so up to N * concurrency queries
+// are in flight on the modeled timelines at once. A one-slot pool
+// (concurrency 1) is the device's default stream, so a serial service
+// orders its queries behind the graph upload and any other work issued on
+// the device, exactly like a caller running them itself. Admission control
+// rejects submissions when the pending queue is full; per-query deadlines
+// time out queries before dispatch (the chosen slot cannot start in time)
+// or after execution.
 //
 // Batching: a BFS or SSSP at the head of the queue on a *replicated* graph
 // fuses every pending query of the same algorithm, graph and policy
@@ -60,7 +61,7 @@
 // Resilience & failover: an installed FaultPlan arms one device (or all).
 // Transient faults retry on the same slot with modeled exponential backoff.
 // When a *permanent* fault kills a device, queries against replicated graphs
-// fail over to the earliest-ready healthy replica (svc.failover counter);
+// fail over to a healthy replica, routed as above (svc.failover counter);
 // CPU degradation — the single-device behavior — remains only when no
 // healthy replica holds the graph (and for sharded graphs, which have no
 // replicas). Fault messages carry the device label ("dev2: device fault:
@@ -378,8 +379,9 @@ class GraphService {
   // like a kernel fault.
   void ensure_uploaded(Replica& rep, const adaptive::Graph& g,
                        simt::StreamId stream);
-  // Earliest-ready (device, stream) among the entry's healthy replicas;
-  // ties: lowest device ordinal, then lowest stream id.
+  // The earliest-ready stream of the entry's healthy replica device whose
+  // issued work ends first; ties: lowest device ordinal, then lowest stream
+  // id.
   Route route_query(const GraphEntry& entry) const;
   // Earliest-ready stream of `device`'s pool, lowest id wins.
   simt::StreamId pick_stream(simt::DeviceIndex device) const;

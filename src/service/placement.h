@@ -5,7 +5,8 @@
 //  * replicated — the CSR fits on a device (modeled upload footprint times a
 //    working-set headroom factor is within the device's free simulated
 //    memory): the graph is uploaded to every replica device and the router
-//    load-balances queries across replicas by earliest-modeled-ready-time.
+//    load-balances queries across replicas: each goes to the replica whose
+//    issued work ends first.
 //    This is the hot-read-traffic placement.
 //
 //  * sharded (vertex-cut) — the CSR exceeds every device's budget: rows are

@@ -1,7 +1,7 @@
 // Fleet serving (PR-8): ClusterSpec/Fleet construction, placement decisions,
-// deterministic routing across sim-thread counts, replica failover vs the CPU
-// oracles, sharded execution equality, and Session's opaque GraphId
-// registration.
+// deterministic routing across sim-thread counts and around busy devices,
+// replica failover vs the CPU oracles, sharded execution equality, and
+// Session's opaque GraphId registration.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -209,6 +209,22 @@ TEST(FleetRoutingTest, BitIdenticalAcrossSimThreads) {
   EXPECT_DOUBLE_EQ(serial.makespan, pool.makespan);
   EXPECT_EQ(serial.counters, four.counters);
   EXPECT_EQ(serial.counters, pool.counters);
+}
+
+TEST(FleetRoutingTest, BusyDeviceSendsTheNextQueryToAnIdleReplica) {
+  // After the first query, device 0 still has idle streams, but its SMs are
+  // busy: the second query goes to device 1, and the third to the device
+  // whose work ends first (ties: device 0).
+  svc::GraphService service(plain_options(), simt::ClusterSpec::homogeneous(2));
+  const auto gid = service.add_graph(adaptive::Graph::from_csr(test_graph()));
+  const auto outcomes = run_bfs_stream(service, gid, 3);
+  ASSERT_EQ(outcomes.size(), 3u);
+  for (const auto& out : outcomes) ASSERT_TRUE(out.ok());
+  EXPECT_EQ(outcomes[0].device, 0u);
+  EXPECT_EQ(outcomes[1].device, 1u);
+  EXPECT_EQ(outcomes[1].start_us, outcomes[0].start_us);
+  EXPECT_EQ(outcomes[2].device,
+            outcomes[0].finish_us <= outcomes[1].finish_us ? 0u : 1u);
 }
 
 // ---- replica failover vs the CPU oracles over the shared corpus ----
